@@ -1211,8 +1211,11 @@ let no_plan_arg =
        & info [ "no-plan" ]
            ~doc:"Execute on the slow interpretive simulator path instead of \
                  the artifact's compiled execution plan. Outputs, cycle \
-                 counts and traces are byte-identical either way (the slow \
-                 path is the conformance oracle).")
+                 counts, traces and injected-fault effects are \
+                 byte-identical either way (the slow path is the \
+                 conformance oracle). The plan also serves fault-injected \
+                 runs; after an L2 bit-rot flip it runs the remaining \
+                 accelerator steps on the slow path.")
 
 let cache_arg =
   Arg.(value & flag

@@ -155,13 +155,29 @@ let store_find_outcome st key =
 (* Every config field that can influence the compiled artifact. [jobs]
    and [solver_cache] are excluded on purpose: compilation is
    deterministic in both (enforced by the test suite), so they must not
-   fragment the key space. The platform is identified by name — platform
-   definitions live in the [Arch] registry, so the name pins the
-   hardware model. *)
+   fragment the key space. The platform name alone does not identify the
+   hardware: every [Platform.with_accels] variant and every shrunken L1
+   keeps the base platform's name, so its accelerators (in order), memory
+   sizes, DMA cost model and clock are part of the key too. *)
+let platform_fingerprint (p : Arch.Platform.t) =
+  let dma = p.Arch.Platform.dma in
+  Util.Key.encode
+    [
+      p.Arch.Platform.platform_name;
+      Util.Key.encode
+        (List.map (fun a -> a.Arch.Accel.accel_name) p.Arch.Platform.accels);
+      string_of_int p.Arch.Platform.l1.Arch.Memory.size_bytes;
+      string_of_int p.Arch.Platform.l2.Arch.Memory.size_bytes;
+      string_of_int dma.Arch.Memory.setup_cycles;
+      string_of_int dma.Arch.Memory.per_chunk_cycles;
+      string_of_int dma.Arch.Memory.bytes_per_cycle;
+      string_of_int p.Arch.Platform.freq_mhz;
+    ]
+
 let config_fingerprint cfg =
   Util.Key.encode
     [
-      cfg.platform.Arch.Platform.platform_name;
+      platform_fingerprint cfg.platform;
       (match cfg.memory_strategy with
       | Dory.Memplan.Reuse -> "reuse"
       | Dory.Memplan.No_reuse -> "no-reuse");

@@ -203,9 +203,11 @@ val run :
     [retry_budget] are forwarded to {!Sim.Machine.run} (omitting
     [faults], or passing a session over the empty plan, changes
     nothing). [use_plan] (default [true]) executes through the artifact's
-    compiled {!Sim.Plan} fast path — byte-identical outputs, counters and
-    traces; pass [false] to force the slow interpretive oracle. A fault
-    session always runs the slow path regardless of [use_plan].
+    compiled {!Sim.Plan} fast path — byte-identical outputs, counters,
+    traces and fault-session effects, with or without [faults]; pass
+    [false] to force the slow interpretive oracle. With the plan, only
+    the accelerator steps after an L2 bit-rot flip run on the oracle
+    (the plan's pre-decoded weights cannot see the flip).
     @raise Fault.Session.Unrecovered when an injected fault exhausts the
     retry budget. *)
 

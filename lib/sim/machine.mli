@@ -25,12 +25,14 @@ val run :
   Program.t ->
   inputs:(string * Tensor.t) list ->
   Tensor.t * report
-(** Execute the program on fresh memories — or, when [plan] is given (it
-    must have been built for this very program, physical equality) and no
-    fault session is active, on the calling domain's reused plan arena via
-    the compiled fast path, with byte-identical outputs, counters, traces
-    and high-water marks. A [plan] passed alongside [faults] is ignored:
-    fault injection always runs the slow oracle path.
+(** Execute the program on fresh memories through the slow oracle path —
+    or, when [plan] is given (it must have been built for this very
+    program, physical equality), on the calling domain's reused plan
+    arena via the compiled fast path, with byte-identical outputs,
+    counters, traces and high-water marks, fault session or not. Once L2
+    bit rot has flipped a bit during the run, the remaining accelerator
+    steps fall back to the oracle on the same memories: the plan's
+    pre-decoded weights cannot see the flip.
     [plan_fresh_arena] (default false) discards the domain's cached arena
     first — benchmarks use it to measure the no-reuse path.
 

@@ -13,12 +13,16 @@ module K = Nn.Kernels
    pure data movement and kernel math over preallocated scratch arenas.
 
    Byte-identity contract (enforced by the golden snapshots and the
-   plan-on/plan-off differential tests): for a fault-free run of a
-   well-formed program, the fast path produces exactly the slow path's
-   output bytes, cycle counters, trace events and memory high-water marks.
-   The proof obligations live next to each piece below; the load-bearing
-   one is that integer addition is exact, so summing over a zero-padded
-   input in a dense loop equals the slow path's bounds-checked sum. *)
+   plan-on/plan-off differential tests, fault-free and faulted): for a
+   run of a well-formed program, the fast path produces exactly the slow
+   path's output bytes, cycle counters, trace events and memory high-water
+   marks, and under a fault session the same session draws, silent flips
+   and [Unrecovered] raises. The proof obligations live next to each piece
+   below; the load-bearing one is that integer addition is exact, so
+   summing over a zero-padded input in a dense loop equals the slow path's
+   bounds-checked sum. L2 bit rot in a weight image is outside the
+   contract: the weights were decoded at build time, so [Machine.run]
+   hands the request's later steps to the slow path. *)
 
 (* --- Plan data types ---------------------------------------------------- *)
 
@@ -99,6 +103,14 @@ type inst = {
   i_out_len : int;  (* elements encoded into the L1 output block *)
   i_compute : compute;
   i_scr : scratch_spec;
+  (* Per-tile modeled costs: the [cycles] of each [Resilience.guard], in
+     the slow path's order. They matter only under a fault session. *)
+  i_din : int;
+  i_wl : int;
+  i_wload : bool;  (* weight-load guard fires (load_weights && weights) *)
+  i_cc : int;
+  i_dout : int;
+  i_out_bytes : int;  (* L1 out-slot extent a silent compute flip may hit *)
 }
 
 type tevent = {
@@ -111,6 +123,7 @@ type tevent = {
 
 type astep = {
   a_insts : inst array;
+  a_engine : Fault.Plan.site;  (* [Compute (Some accel)], the compute guard site *)
   a_counters : Counters.t;  (* fault-free template, copied per request *)
   a_tpl : tevent array;  (* trace timeline, replayed per request *)
   a_fail : exn option;  (* deferred slow-path raise for malformed steps *)
@@ -348,8 +361,15 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
   let accel = Arch.Platform.find_accel platform accel_name in
   let l = s.S.layer in
   let l1_size = platform.Arch.Platform.l1.Arch.Memory.size_bytes in
+  let a_engine = Fault.Plan.Compute (Some accel_name) in
   let fail_step e =
-    { a_insts = [||]; a_counters = Counters.create (); a_tpl = [||]; a_fail = Some e }
+    {
+      a_insts = [||];
+      a_engine;
+      a_counters = Counters.create ();
+      a_tpl = [||];
+      a_fail = Some e;
+    }
   in
   (* Same checks, in the same order, as the slow path performs per run. *)
   let arity_ok =
@@ -622,6 +642,12 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                   i_out_len = out_len;
                   i_compute = compute;
                   i_scr = scr;
+                  i_din = din.(i);
+                  i_wl = wls.(i);
+                  i_wload = inst.S.load_weights && l.L.weights <> None;
+                  i_cc = ccs.(i);
+                  i_dout = dout.(i);
+                  i_out_bytes = Tile.bytes_out l d;
                 })
               insts
           in
@@ -659,6 +685,7 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
           c.Counters.wall <- wall;
           {
             a_insts = plan_insts;
+            a_engine;
             a_counters = c;
             a_tpl = Array.of_list (List.rev !tpl);
             a_fail = None;
@@ -810,7 +837,8 @@ let exec_compute ~l1 inst scr =
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off
         (Tensor.unsafe_data out) ~pos:0 ~len:(Tensor.numel out)
 
-let run_accel_step plan ~step_index ~l2 ~l1 ?trace ~t0 () =
+let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
+    ~t0 () =
   let a =
     match plan.p_steps.(step_index) with
     | Some a -> a
@@ -818,11 +846,30 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ~t0 () =
   in
   (match a.a_fail with Some e -> raise e | None -> ());
   let scratch = (arena plan ~fresh:false).ar_scratch.(step_index) in
+  let c = copy_counters a.a_counters in
+  let rc = Resilience.make ?faults ~retry_budget c in
+  (* The slow path's guard sequence per tile ([Exec_accel.run]),
+     interleaved with the same memory operations in the same order, so
+     every session draw, every silent flip and every [Unrecovered] raise
+     lands exactly where the oracle's does. Without a session each guard
+     returns at once; detected faults never touch memory. *)
   Array.iteri
     (fun i inst ->
       replay_blits ~src:l2 ~dst:l1 inst.i_in_blits;
+      Resilience.guard rc ~site:Fault.Plan.Dma_in ~cycles:inst.i_din
+        ~flip_detected:true ();
+      if inst.i_wload then
+        Resilience.guard rc ~site:Fault.Plan.Weight_load ~cycles:inst.i_wl
+          ~flip_detected:true ();
       exec_compute ~l1 inst scratch.(i);
-      replay_blits ~src:l1 ~dst:l2 inst.i_out_blits)
+      Resilience.guard rc ~site:a.a_engine ~cycles:inst.i_cc
+        ~corrupt:(fun fs bits ->
+          Resilience.flip_in_mem fs l1 ~base:inst.i_out_off
+            ~bytes:inst.i_out_bytes bits)
+        ~flip_detected:false ();
+      replay_blits ~src:l1 ~dst:l2 inst.i_out_blits;
+      Resilience.guard rc ~site:Fault.Plan.Dma_out ~cycles:inst.i_dout
+        ~flip_detected:true ())
     a.a_insts;
   if Trace.enabled trace then
     Array.iter
@@ -830,4 +877,8 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ~t0 () =
         Trace.interval trace ~track:tv.tv_track ~ts:(t0 + tv.tv_ts) ~dur:tv.tv_dur
           ~args:tv.tv_args tv.tv_name)
       a.a_tpl;
-  copy_counters a.a_counters
+  (* As in the slow path: fault effects extend the step past its
+     fault-free wall, base counters keep their clean values. *)
+  Resilience.emit_events rc trace ~ts:(t0 + a.a_counters.Counters.wall);
+  c.Counters.wall <- c.Counters.wall + c.Counters.retry_cycles + c.Counters.fault_stall;
+  c

@@ -12,15 +12,19 @@
     accumulator and output buffers, reset between requests instead of
     reallocated. A plan is therefore safe to share across domains.
 
-    Byte-identity contract: for a {e fault-free} run of a well-formed
-    program, the fast path produces exactly the slow path's output bytes,
-    per-step cycle counters, trace events and memory high-water marks. The
-    slow path remains the conformance oracle ([htvmc check], the golden
-    snapshots and the plan differential tests enforce the contract). Plans
-    must not be used under fault injection: faults mutate memory and
-    timing per request, which is exactly what a plan precomputes away —
-    {!Machine.run} falls back to the slow path when a fault session is
-    active. *)
+    Byte-identity contract: for a run of a well-formed program, with or
+    without a fault session, the fast path produces exactly the slow
+    path's output bytes, per-step cycle counters, trace events, memory
+    high-water marks, session stats and [Fault.Session.Unrecovered]
+    raises. Under a session each tile consults {!Resilience} in the slow
+    path's order, so every draw and silent flip lands where the oracle's
+    does. The one thing a plan cannot follow is L2 bit rot in a weight
+    image, since it decoded weights and biases at build time:
+    {!Machine.run} runs a request's accelerator steps after an L2 rot
+    flip through {!Exec_accel} on the same memories. The slow path is
+    otherwise reached only through [use_plan:false] / [--no-plan] and the
+    tests: it is the conformance oracle ([htvmc check], the golden
+    snapshots and the plan differential tests enforce the contract). *)
 
 type t
 
@@ -57,6 +61,8 @@ val run_accel_step :
   l2:Mem.t ->
   l1:Mem.t ->
   ?trace:Trace.t ->
+  ?faults:Fault.Session.t ->
+  ?retry_budget:int ->
   t0:int ->
   unit ->
   Counters.t
@@ -64,6 +70,11 @@ val run_accel_step :
     play the precomputed DMA blits, run the flat kernels over the domain
     arena's scratch, encode the result, replay the recorded trace timeline
     shifted to cycle [t0], and return a fresh copy of the step's counters.
+    With an active [faults] session every tile is guarded like
+    {!Exec_accel.run}'s ([retry_budget], default 3): the counters gain
+    the fault fields and [wall] their [retry_cycles + fault_stall], and
+    the fault events follow the timeline on the ["fault"] track.
+    @raise Fault.Session.Unrecovered past the retry budget.
     @raise Invalid_argument when the step is a CPU step.
     @raise Mem.Fault / [Invalid_argument] with the slow path's exception
     when the step was recorded as malformed at build time. *)

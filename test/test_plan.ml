@@ -1,9 +1,9 @@
 (* Differential conformance for compiled execution plans (Sim.Plan): the
    fast path must be byte-identical to the slow oracle — output bytes,
    per-step counters, aggregate counters and trace events — on zoo models
-   and randomly generated graphs/configs. Plans are silently dropped
-   under fault injection (the slow path stays the fault oracle) and
-   rejected for programs they were not built for. *)
+   and randomly generated graphs/configs, fault-free and under fault
+   sessions (where session stats and [Unrecovered] raises must match
+   too). Plans are rejected for programs they were not built for. *)
 
 module C = Htvm.Compile
 
@@ -165,30 +165,172 @@ let test_arena_reuse () =
   compare_outputs "fresh arena" out_reuse out_fresh;
   compare_reports "fresh arena" rep_reuse rep_fresh
 
-(* A plan passed alongside a fault session is ignored, not consulted:
-   the run is byte-identical to the plain slow path under the same
-   session, and detected faults still cost retry cycles. *)
-let test_plan_dropped_under_faults () =
-  let artifact, g = Lazy.force digital_artifact in
-  let inputs = Models.Zoo.random_input ~seed:5 g in
-  let plan_spec = "seed=11,dma_in@every=3:flip" in
-  let session () =
-    Fault.Session.create (Result.get_ok (Fault.Plan.of_string plan_spec))
-  in
-  let out_slow, rep_slow =
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~faults:(session ())
-      artifact.C.program ~inputs
-  in
-  let out_plan, rep_plan =
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~faults:(session ())
-      ~plan:artifact.C.plan artifact.C.program ~inputs
-  in
-  compare_outputs "faults" out_slow out_plan;
-  compare_reports "faults" rep_slow rep_plan;
-  Alcotest.(check bool) "faults were actually injected" true
-    (rep_slow.Sim.Machine.totals.Sim.Counters.faults_detected > 0)
+(* --- Faulted differentials ---------------------------------------------- *)
 
-(* Physical identity between plan and program is enforced. *)
+(* Everything observable about one faulted run: the result or the raise,
+   the session's campaign stats and the full trace, partial on a raise. *)
+type faulted = {
+  f_result : (Tensor.t * Sim.Machine.report, exn) result;
+  f_stats : Fault.Session.stats;
+  f_events : Trace.event list;
+}
+
+let run_faulted ~use_plan ~retry_budget artifact ~inputs plan =
+  let fs = Fault.Session.create plan in
+  let tr = Trace.create () in
+  let f_result =
+    match C.run ~trace:tr ~faults:fs ~retry_budget ~use_plan artifact ~inputs with
+    | r -> Ok r
+    | exception e -> Error e
+  in
+  { f_result; f_stats = Fault.Session.stats fs; f_events = Trace.events tr }
+
+let exn_label = function
+  | Fault.Session.Unrecovered { site; attempts } ->
+      Printf.sprintf "Unrecovered {site = %s; attempts = %d}" site attempts
+  | e -> Printexc.to_string e
+
+(* First differing (name, value) field of two same-shaped field lists. *)
+let fields_diff label a b =
+  List.find_map
+    (fun ((n, x), (_, y)) ->
+      if x = y then None else Some (Printf.sprintf "%s %s: %d vs %d" label n x y))
+    (List.combine a b)
+
+let counters_diff label a b =
+  fields_diff label (Sim.Counters.fields a) (Sim.Counters.fields b)
+
+(* The first observable difference between the oracle's run and the
+   plan's, or [None] when they are byte-identical. *)
+let faulted_diff oracle plan =
+  let ( >>? ) d f = match d with Some _ -> d | None -> f () in
+  (match (oracle.f_result, plan.f_result) with
+  | Error e, Error e' ->
+      if exn_label e = exn_label e' then None
+      else Some (Printf.sprintf "raise: %s vs %s" (exn_label e) (exn_label e'))
+  | Error e, Ok _ -> Some ("oracle raised " ^ exn_label e ^ ", plan did not")
+  | Ok _, Error e -> Some ("plan raised " ^ exn_label e ^ ", oracle did not")
+  | Ok (o, r), Ok (o', r') ->
+      (if Tensor.equal o o' then None
+       else
+         Some
+           (Printf.sprintf "output differs (max diff %d)" (Tensor.max_abs_diff o o')))
+      >>? fun () ->
+      (if List.length r.Sim.Machine.per_step = List.length r'.Sim.Machine.per_step
+       then
+         List.find_map
+           (fun ((n, c), (_, c')) -> counters_diff ("step " ^ n) c c')
+           (List.combine r.Sim.Machine.per_step r'.Sim.Machine.per_step)
+       else Some "step count differs")
+      >>? fun () -> counters_diff "totals" r.Sim.Machine.totals r'.Sim.Machine.totals)
+  >>? fun () ->
+  fields_diff "session"
+    (Fault.Session.stats_fields oracle.f_stats)
+    (Fault.Session.stats_fields plan.f_stats)
+  >>? fun () ->
+  if oracle.f_events = plan.f_events then None
+  else
+    Some
+      (Printf.sprintf "trace events differ (%d vs %d events)"
+         (List.length oracle.f_events) (List.length plan.f_events))
+
+let differential ~retry_budget artifact ~inputs plan =
+  let oracle = run_faulted ~use_plan:false ~retry_budget artifact ~inputs plan in
+  let fast = run_faulted ~use_plan:true ~retry_budget artifact ~inputs plan in
+  (oracle, faulted_diff oracle fast)
+
+(* Every site x kind, under always / every / nth / p= triggers. [l2] rot
+   reaches the weight images the plan decoded at build time (the machine
+   then hands the request to the oracle); the last spec, at retry budget
+   0, must abort with [Unrecovered] on both paths. *)
+let fault_specs =
+  [ ("seed=1,dma_in@every=3:flip", 3);
+    ("seed=2,dma_in@p=0.1:drop,dma_out@every=4:stall=40", 3);
+    ("seed=3,dma_out@p=0.2:flip,dma_out@nth=2:drop", 3);
+    ("seed=4,wload@every=2:flip,wload@p=0.3:stall=25", 3);
+    ("seed=5,wload@nth=1:drop", 3);
+    ("seed=6,compute@p=0.3:flip=2", 3);
+    ("seed=7,compute@every=3:drop,compute@p=0.2:stall=17", 3);
+    ("seed=8,l1@p=0.5:flip,l1@every=2:stall=9", 3);
+    ("seed=9,l2@always:flip", 3);
+    (* Single-bit rot is mostly masked by the requantizing shift; these
+       flip enough weight bits to reach the output. *)
+    ("seed=13,l2@nth=1:flip=64", 3);
+    ("seed=14,l2@always:flip=16", 3);
+    ("seed=10,l2@p=0.3:flip=3,l2@every=3:stall=11", 3);
+    ("seed=11,dma_in@p=0.05:flip,compute@p=0.02:flip,l2@p=0.01:flip", 3);
+    ("seed=12,dma_in@always:drop", 0);
+  ]
+
+let test_zoo_faulted_differential () =
+  let unrecovered = ref 0 and silent = ref 0 and detected = ref 0 in
+  List.iter
+    (fun (model, config) ->
+      let entry = Models.Zoo.find model in
+      let _, platform, policy =
+        List.find (fun (c, _, _) -> c = config) Check.Golden.configurations
+      in
+      let g = entry.Models.Zoo.build policy in
+      let cfg =
+        { (C.default_config platform) with C.jobs = 1; C.solver_cache = None }
+      in
+      let artifact = Result.get_ok (C.compile cfg g) in
+      let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+      List.iter
+        (fun (spec, retry_budget) ->
+          let plan = Result.get_ok (Fault.Plan.of_string spec) in
+          let oracle, diff = differential ~retry_budget artifact ~inputs plan in
+          (match diff with
+          | Some why -> Alcotest.failf "%s/%s [%s]: %s" model config spec why
+          | None -> ());
+          (match oracle.f_result with
+          | Error (Fault.Session.Unrecovered _) -> incr unrecovered
+          | _ -> ());
+          silent := !silent + oracle.f_stats.Fault.Session.silent;
+          detected := !detected + oracle.f_stats.Fault.Session.detected)
+        fault_specs)
+    zoo_cases;
+  Alcotest.(check bool) "some run aborted Unrecovered" true (!unrecovered > 0);
+  Alcotest.(check bool) "silent faults were injected" true (!silent > 0);
+  Alcotest.(check bool) "detected faults were injected" true (!detected > 0)
+
+(* Random graphs and chaos configs under their stock fault campaigns. A
+   mismatch is minimized under the same campaign and reported as an
+   [Ir.Text] reproducer. *)
+let test_random_faulted_differential () =
+  let ran = ref 0 in
+  for seed = 0 to 39 do
+    let g = Check.Gen.generate seed in
+    let cfg = { (Check.Gen.chaos_config seed) with C.solver_cache = None } in
+    let plan = Check.Gen.random_fault_plan seed in
+    let diff_of artifact g =
+      let inputs = Models.Zoo.random_input ~seed g in
+      snd (differential ~retry_budget:3 artifact ~inputs plan)
+    in
+    match C.compile cfg g with
+    | Error _ -> ()
+    | Ok artifact -> (
+        incr ran;
+        match diff_of artifact g with
+        | None -> ()
+        | Some why ->
+            let o =
+              Check.Shrink.shrink ~max_checks:100
+                ~predicate:(fun cfg g ->
+                  match C.compile cfg g with
+                  | Error _ -> false
+                  | Ok a -> diff_of a g <> None)
+                cfg g
+            in
+            Alcotest.failf "seed %d [%s]: %s\nminimized (%s):\n%s" seed
+              (Fault.Plan.to_string plan) why
+              (Check.describe_config o.Check.Shrink.config)
+              (Ir.Text.to_string o.Check.Shrink.graph))
+  done;
+  Alcotest.(check bool) "enough random deployments actually ran" true (!ran >= 10)
+
+(* Physical identity between plan and program is enforced, with or
+   without a fault session. *)
 let test_foreign_plan_rejected () =
   let artifact, g = Lazy.force digital_artifact in
   let cfg =
@@ -197,12 +339,19 @@ let test_foreign_plan_rejected () =
   in
   let artifact2 = Result.get_ok (C.compile cfg g) in
   let inputs = Models.Zoo.random_input ~seed:3 g in
-  match
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~plan:artifact.C.plan
-      artifact2.C.program ~inputs
-  with
-  | _ -> Alcotest.fail "a foreign plan was accepted"
-  | exception Invalid_argument _ -> ()
+  let session () =
+    Fault.Session.create
+      (Result.get_ok (Fault.Plan.of_string "seed=11,dma_in@every=3:flip"))
+  in
+  List.iter
+    (fun (label, faults) ->
+      match
+        Sim.Machine.run ~platform:artifact.C.cfg.C.platform ?faults
+          ~plan:artifact.C.plan artifact2.C.program ~inputs
+      with
+      | _ -> Alcotest.failf "a foreign plan was accepted (%s)" label
+      | exception Invalid_argument _ -> ())
+    [ ("fault-free", None); ("fault session", Some (session ())) ]
 
 let suites =
   [ ( "plan",
@@ -210,8 +359,10 @@ let suites =
         Alcotest.test_case "random differential" `Quick test_random_differential;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
-        Alcotest.test_case "plan dropped under faults" `Quick
-          test_plan_dropped_under_faults;
+        Alcotest.test_case "zoo faulted differential" `Quick
+          test_zoo_faulted_differential;
+        Alcotest.test_case "random faulted differential" `Quick
+          test_random_faulted_differential;
         Alcotest.test_case "foreign plan rejected" `Quick
           test_foreign_plan_rejected;
       ] )

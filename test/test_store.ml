@@ -325,6 +325,43 @@ let test_version_skew_is_a_miss () =
         (Store.hits warm_st = 0);
       ignore a)
 
+(* Platform variants keep the base platform's name: one shared store
+   serving the same graph on cpu, digital and an 8 kB-L1 digital SoC must
+   return each configuration's own artifact, cold and warm. *)
+let test_platform_variants_do_not_collide () =
+  with_store (fun root ->
+      let g = (Models.Zoo.find "resnet8").Models.Zoo.build Models.Policy.All_int8 in
+      let small_l1 =
+        {
+          Arch.Diana.digital_only with
+          Arch.Platform.l1 =
+            { Arch.Diana.digital_only.Arch.Platform.l1 with
+              Arch.Memory.size_bytes = Util.Ints.kib 8 };
+        }
+      in
+      let configs =
+        List.map
+          (fun (name, p) -> (name, Htvm.Compile.default_config p))
+          [ ("cpu", Arch.Diana.cpu_only); ("digital", Arch.Diana.digital_only);
+            ("digital 8 kB L1", small_l1) ]
+      in
+      let expected =
+        List.map
+          (fun (name, cfg) ->
+            (name, Htvm.Compile.artifact_digest (compile_with None cfg g)))
+          configs
+      in
+      List.iter
+        (fun pass ->
+          List.iter2
+            (fun (name, cfg) (_, digest) ->
+              let a = compile_with (Some (Store.open_root root)) cfg g in
+              Alcotest.(check string)
+                (Printf.sprintf "%s (%s pass)" name pass)
+                digest (Htvm.Compile.artifact_digest a))
+            configs expected)
+        [ "cold"; "warm" ])
+
 (* qcheck: cold vs warm byte-identity over fuzzed graph/config pairs,
    including configs with the in-process solver cache on. *)
 let prop_cold_warm_identical =
@@ -367,6 +404,8 @@ let suites =
             test_corrupt_entries_recomputed;
           Alcotest.test_case "version skew is a miss" `Quick
             test_version_skew_is_a_miss;
+          Alcotest.test_case "platform variants do not collide" `Quick
+            test_platform_variants_do_not_collide;
           prop_cold_warm_identical;
         ] )
   ]

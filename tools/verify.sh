@@ -63,6 +63,22 @@ if ! diff _build/serve-tally-w1.txt _build/serve-tally-noplan.txt; then
   exit 1
 fi
 
+# The same under fault injection: the plan serves faulted requests
+# (transfer flips, silent compute flips, L2 rot that forces the per-step
+# oracle fallback) and must match the oracle's tally byte for byte.
+echo "== htvmc serve smoke (faulted, plan on vs --no-plan) =="
+INJECT='seed=3,dma_in@p=0.05:flip,compute@p=0.02:flip,l2@p=0.01:flip'
+dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+  --workers 1 --requests 16 --batch 4 --inject "$INJECT" \
+  --tally _build/serve-faulted-plan.txt
+dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+  --workers 1 --requests 16 --batch 4 --inject "$INJECT" --no-plan \
+  --tally _build/serve-faulted-noplan.txt
+if ! diff _build/serve-faulted-plan.txt _build/serve-faulted-noplan.txt; then
+  echo "verify: faulted serve tallies differ between plan on and --no-plan" >&2
+  exit 1
+fi
+
 # Telemetry smoke: the cycles track of a serve metrics dump — admission
 # counters, service and predicted-sojourn histograms, per-window series,
 # SLO violation accounting, summed simulator counters — is byte-identical
@@ -233,6 +249,11 @@ if ! diff _build/chaos-tally-j1.txt _build/chaos-tally-j4.txt; then
   echo "verify: chaos tallies differ between jobs 1 and 4" >&2
   exit 1
 fi
+
+# Benchmark self-test: every workload in smoke mode, untraced and
+# traced, emits every metric BENCHMARK.json names and a parseable trace.
+echo "== bench/perf smoke (every BENCHMARK.json metric emitted) =="
+dune build @bench/perf/bench-perf-smoke
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
