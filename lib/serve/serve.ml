@@ -712,11 +712,21 @@ let run ?trace ?metrics cfg artifact ~graph =
          fan-out, execute one representative per distinct input, share its
          result. Executions are input-pure here (empty fault plan is
          enforced above), so the tally is byte-identical with and without
-         memoization — only hit/miss telemetry and wall time move. *)
+         memoization — only hit/miss telemetry and wall time move. A key
+         is a pure function of the input seed, so it is computed once per
+         distinct seed. *)
+      let digests = Hashtbl.create 16 in
       let input_digest r =
-        let inputs = Models.Zoo.random_input ~seed:r.r_input_seed graph in
-        String.concat "+"
-          (List.map (fun (n, t) -> n ^ ":" ^ digest_tensor t) inputs)
+        match Hashtbl.find_opt digests r.r_input_seed with
+        | Some key -> key
+        | None ->
+            let inputs = Models.Zoo.random_input ~seed:r.r_input_seed graph in
+            let key =
+              String.concat "+"
+                (List.map (fun (n, t) -> n ^ ":" ^ digest_tensor t) inputs)
+            in
+            Hashtbl.add digests r.r_input_seed key;
+            key
       in
       let keys = List.map (fun (_, r) -> input_digest r) admitted in
       let seen = Hashtbl.create 16 in

@@ -82,27 +82,12 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
   touch dst dst_off len;
   Bytes.blit src.data src_off dst.data dst_off len
 
-let write_tensor t off tensor =
-  let dt = Tensor.dtype tensor in
-  let w = Tensor.Dtype.sim_bytes dt in
-  check t off (Tensor.numel tensor * w);
-  Tensor.iteri_flat (fun i v -> write_elt t dt (off + (i * w)) v) tensor
-
-let read_tensor t off dt shape =
-  let w = Tensor.Dtype.sim_bytes dt in
-  let n = Array.fold_left ( * ) 1 shape in
-  check t off (n * w);
-  let out = Tensor.create dt shape in
-  for i = 0 to n - 1 do
-    Tensor.set_flat out i (read_elt t dt (off + (i * w)))
-  done;
-  out
-
-(* Bulk flat-array codecs for the execution-plan fast path. Semantics are
-   element-for-element those of [read_elt]/[write_elt] (same sign
-   extension, same ternary rot fold, same range Fault on writes), but the
-   bounds check happens once per call and bytes are accessed unsafely, so
-   a whole padded window or output slab moves in one tight loop. *)
+(* Bulk flat-array codecs, behind the tensor codecs and the execution
+   plan's fast path. Semantics are element-for-element those of
+   [read_elt]/[write_elt] (same sign extension, same ternary rot fold,
+   same range Fault on writes), but the bounds check happens once per
+   call and bytes are accessed unsafely, so a whole weight image, padded
+   window or output slab moves in one tight loop. *)
 
 let read_flat_into t (dt : Tensor.Dtype.t) off dst ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length dst then
@@ -152,6 +137,9 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
   check t off (len * w);
   let data = t.data in
   let range_fault v i =
+    (* [write_elt] in a loop would have advanced the mark over the
+       elements before the bad one. *)
+    if i > 0 then touch t off (i * w);
     raise
       (Fault
          (Printf.sprintf "%s: value %d out of range for %s at offset %d" t.mem_name v
@@ -184,6 +172,16 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
         Bytes.unsafe_set data (o + 3) (Char.unsafe_chr ((v asr 24) land 0xFF))
       done);
   touch t off (len * w)
+
+let write_tensor t off tensor =
+  write_flat_from t (Tensor.dtype tensor) off (Tensor.unsafe_data tensor) ~pos:0
+    ~len:(Tensor.numel tensor)
+
+let read_tensor t off dt shape =
+  check t off (Array.fold_left ( * ) 1 shape * Tensor.Dtype.sim_bytes dt);
+  let out = Tensor.create dt shape in
+  read_flat_into t dt off (Tensor.unsafe_data out) ~pos:0 ~len:(Tensor.numel out);
+  out
 
 let fill t v = Bytes.fill t.data 0 (Bytes.length t.data) (Char.chr (v land 0xFF))
 

@@ -59,7 +59,8 @@ val write_flat_from : t -> Tensor.Dtype.t -> int -> int array -> pos:int -> len:
     [src.(pos..pos+len-1)] as [len] consecutive elements of dtype [dt] at
     byte offset [off]. Element-for-element equivalent to [write_elt] in a
     loop: each value is range-checked ({!Fault} on violation) and the
-    high-water mark advances over the written range. *)
+    high-water mark advances over the written range (on a violation, over
+    the elements written before it). *)
 
 val fill : t -> int -> unit
 (** Fill the whole memory with a byte value (tests use a poison pattern). *)

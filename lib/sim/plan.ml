@@ -18,9 +18,13 @@ module K = Nn.Kernels
    path's output bytes, cycle counters, trace events and memory high-water
    marks, and under a fault session the same session draws, silent flips
    and [Unrecovered] raises. The proof obligations live next to each piece
-   below; the load-bearing one is that integer addition is exact, so
-   summing over a zero-padded input in a dense loop equals the slow path's
-   bounds-checked sum. L2 bit rot in a weight image is outside the
+   below; the load-bearing one is that OCaml [int] addition is associative
+   and commutative (modulo 2^63). So the conv kernel may sum a tile's
+   terms in any loop order (weight-stationary here, output-stationary in
+   [Nn.Kernels.conv2d]) and still produce the oracle's bits; a zero tap
+   adds nothing, so skipping it changes no sum; and a pre-zero-padded
+   input contributes exactly 0 at the out-of-range taps the slow path's
+   bounds checks skip. L2 bit rot in a weight image is outside the
    contract: the weights were decoded at build time, so [Machine.run]
    hands the request's later steps to the slow path. *)
 
@@ -145,7 +149,7 @@ type t = {
   p_l2_hwm : int;
   p_l1_size : int;
   p_l2_size : int;
-  p_arena : arena option ref Domain.DLS.key;
+  p_id : int;  (* unique per plan: its hash in the arena tables *)
   p_tiles : int;
   p_scratch_words : int;
 }
@@ -244,36 +248,52 @@ let fill_padded ~l1 ~dtype ~l1_off ~dst ~chans ~rows ~cols ~ph ~pw ~pt ~pl =
     done
   end
 
-(* Identical arithmetic to [Nn.Kernels.conv2d] over a pre-zero-padded
-   input: the slow path skips out-of-range taps, this loop includes them —
-   they contribute exactly 0 to an exact integer sum. *)
-let conv_kernel ~cv_h:_ ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups
-    ~cv_oh ~cv_ow ~wdata ~woff ~chw pin acc =
+(* Weight-stationary: each tap weight is loaded once, skipped when zero,
+   and swept across the output plane in runs of contiguous output columns,
+   so the innermost loop no longer spans the 1-3 kernel columns. The terms
+   are [Nn.Kernels.conv2d]'s, summed in a different order. *)
+let conv_kernel ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups ~cv_oh
+    ~cv_ow ~wdata ~woff ~chw pin acc =
   let kpg = cv_k / cv_groups in
+  let plane = cv_oh * cv_ow in
+  let taps = cv_cg * cv_fy * cv_fx in
+  (* A one-column kernel at unit stride reads input rows exactly as wide
+     as the output's, so the whole plane is one run; otherwise each
+     output row is. *)
+  let runs, run_len =
+    if cv_sy = 1 && cv_sx = 1 && cv_w = cv_ow then (1, plane) else (cv_oh, cv_ow)
+  in
+  Array.fill acc 0 (cv_k * plane) 0;
   for ko = 0 to cv_k - 1 do
     let grp = ko / kpg in
-    let w_k_base = woff + (ko * cv_cg * cv_fy * cv_fx) in
-    for oy = 0 to cv_oh - 1 do
-      let out_row = ((ko * cv_oh) + oy) * cv_ow in
-      for ox = 0 to cv_ow - 1 do
-        let acc_v = ref 0 in
-        for ci = 0 to cv_cg - 1 do
-          let in_ch_base = ((grp * cv_cg) + ci) * chw in
-          let w_base = w_k_base + (ci * cv_fy * cv_fx) in
-          for ky = 0 to cv_fy - 1 do
-            let in_row =
-              in_ch_base + ((((oy * cv_sy) + ky) * cv_w) + (ox * cv_sx))
-            in
-            let w_row = w_base + (ky * cv_fx) in
-            for kx = 0 to cv_fx - 1 do
-              acc_v :=
-                !acc_v
-                + Array.unsafe_get pin (in_row + kx)
-                  * Array.unsafe_get wdata (w_row + kx)
+    let out_base = ko * plane in
+    for ci = 0 to cv_cg - 1 do
+      let in_ch_base = ((grp * cv_cg) + ci) * chw in
+      for ky = 0 to cv_fy - 1 do
+        for kx = 0 to cv_fx - 1 do
+          let wv =
+            Array.unsafe_get wdata
+              (woff + (ko * taps) + (((ci * cv_fy) + ky) * cv_fx) + kx)
+          in
+          if wv <> 0 then
+            for r = 0 to runs - 1 do
+              let src = in_ch_base + (((r * cv_sy) + ky) * cv_w) + kx
+              and dst = out_base + (r * cv_ow) in
+              if cv_sx = 1 then
+                for i = 0 to run_len - 1 do
+                  let o = dst + i in
+                  Array.unsafe_set acc o
+                    (Array.unsafe_get acc o + (wv * Array.unsafe_get pin (src + i)))
+                done
+              else
+                for i = 0 to run_len - 1 do
+                  let o = dst + i in
+                  Array.unsafe_set acc o
+                    (Array.unsafe_get acc o
+                    + (wv * Array.unsafe_get pin (src + (i * cv_sx))))
+                done
             done
-          done
-        done;
-        Array.unsafe_set acc (out_row + ox) !acc_v
+        done
       done
     done
   done
@@ -693,6 +713,8 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
     end
   end
 
+let next_id = Atomic.make 0
+
 let build ~platform (prog : P.t) =
   (match P.validate prog with
   | Ok () -> ()
@@ -739,7 +761,7 @@ let build ~platform (prog : P.t) =
     p_l2_hwm = Mem.high_water l2b;
     p_l1_size = l1_size;
     p_l2_size = l2_size;
-    p_arena = Domain.DLS.new_key (fun () -> ref None);
+    p_id = Atomic.fetch_and_add next_id 1;
     p_tiles = tiles;
     p_scratch_words = scratch_words;
   }
@@ -770,13 +792,27 @@ let alloc_arena plan =
   in
   { ar_l2; ar_l1; ar_scratch }
 
+(* Each domain maps its plans to their arenas through ephemerons, so an
+   arena dies with its plan (the table never keeps a plan alive) or with
+   its domain (the table lives in domain-local storage). Only the owning
+   domain touches its table, which is the synchronization the weak table
+   asks for. *)
+module Arenas = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash p = p.p_id
+end)
+
+let arenas = Domain.DLS.new_key (fun () -> Arenas.create 8)
+
 let arena plan ~fresh =
-  let slot = Domain.DLS.get plan.p_arena in
-  match !slot with
+  let table = Domain.DLS.get arenas in
+  match Arenas.find_opt table plan with
   | Some ar when not fresh -> ar
   | _ ->
       let ar = alloc_arena plan in
-      slot := Some ar;
+      Arenas.replace table plan ar;
       ar
 
 let checkout ?(fresh = false) plan =
@@ -802,7 +838,7 @@ let exec_compute ~l1 inst scr =
       fill_padded ~l1 ~dtype:cv.cv_in_dtype ~l1_off:inst.i_in_off ~dst:scr.sc_pin
         ~chans:cv.cv_chans ~rows:cv.cv_rows ~cols:cv.cv_cols ~ph:cv.cv_h
         ~pw:cv.cv_w ~pt:cv.cv_pt ~pl:cv.cv_pl;
-      conv_kernel ~cv_h:cv.cv_h ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
+      conv_kernel ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
         ~cv_fy:cv.cv_fy ~cv_fx:cv.cv_fx ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
         ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~wdata:cv.cv_wdata
         ~woff:cv.cv_woff ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;

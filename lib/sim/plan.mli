@@ -7,10 +7,11 @@
     per-step counters and the trace timeline — so that the per-request loop
     is pure data movement and kernel math over preallocated scratch.
 
-    Scratch lives in a per-domain {e arena} (keyed off the plan with
-    [Domain.DLS]): reused L2/L1 memories plus per-tile padded-input,
-    accumulator and output buffers, reset between requests instead of
-    reallocated. A plan is therefore safe to share across domains.
+    Scratch lives in a per-domain {e arena}: reused L2/L1 memories plus
+    per-tile padded-input, accumulator and output buffers, reset between
+    requests instead of reallocated. A plan is therefore safe to share
+    across domains. An arena dies with its plan or its domain, whichever
+    goes first.
 
     Byte-identity contract: for a run of a well-formed program, with or
     without a fault session, the fast path produces exactly the slow

@@ -40,49 +40,71 @@ let compare_traces label slow fast =
   Alcotest.(check bool) (label ^ ": trace events identical") true
     (Trace.events slow = Trace.events fast)
 
-(* One zoo model per deployment configuration — every accelerator payload
-   shape (cpu-only, digital, analog ternary, mixed) crosses the plan path
-   on a real network. The 16-case golden suite already runs the plan path
-   end to end; this test pins the *differential* against the slow oracle
-   including counters and traces, which digests cannot see. *)
-let zoo_cases =
-  [ ("ds_cnn", "cpu"); ("mobilenet_v1_025", "digital");
-    ("toyadmos_dae", "analog"); ("resnet8", "both") ]
+(* Output bytes, per-step counters and trace events of one artifact on
+   the plan path against the slow oracle, for two requests in a row:
+   arena reuse across requests must not leak state. *)
+let check_against_oracle label artifact g =
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  let tr_slow = Trace.create () and tr_fast = Trace.create () in
+  let out_slow, rep_slow = C.run ~trace:tr_slow ~use_plan:false artifact ~inputs in
+  let out_fast, rep_fast = C.run ~trace:tr_fast artifact ~inputs in
+  compare_outputs label out_slow out_fast;
+  compare_reports label rep_slow rep_fast;
+  compare_traces label tr_slow tr_fast;
+  let inputs2 = Models.Zoo.random_input ~seed:(Check.Golden.input_seed + 1) g in
+  let out_slow2, rep_slow2 = C.run ~use_plan:false artifact ~inputs:inputs2 in
+  let out_fast2, rep_fast2 = C.run artifact ~inputs:inputs2 in
+  compare_outputs (label ^ " (2nd request)") out_slow2 out_fast2;
+  compare_reports (label ^ " (2nd request)") rep_slow2 rep_fast2
 
+let compile_zoo model config =
+  let entry = Models.Zoo.find model in
+  let _, platform, policy =
+    List.find (fun (c, _, _) -> c = config) Check.Golden.configurations
+  in
+  let g = entry.Models.Zoo.build policy in
+  let cfg = { (C.default_config platform) with C.jobs = 1; C.solver_cache = None } in
+  match C.compile cfg g with
+  | Ok a -> (a, g)
+  | Error e -> Alcotest.failf "%s/%s: %s" model config (C.error_to_string e)
+
+(* All 16 Table I deployments: every kernel shape the zoo has (1x1 planes
+   on ternary and int8 weights, padded and strided rows, depthwise,
+   dense, residual adds, fused pools) crosses the plan path on a real
+   network. The golden suite runs the plan path end to end; this pins the
+   differential against the slow oracle including counters and traces,
+   which digests cannot see. *)
 let test_zoo_differential () =
   List.iter
     (fun (model, config) ->
-      let entry = Models.Zoo.find model in
-      let _, platform, policy =
-        List.find (fun (c, _, _) -> c = config) Check.Golden.configurations
-      in
-      let g = entry.Models.Zoo.build policy in
-      let cfg =
-        { (C.default_config platform) with C.jobs = 1; C.solver_cache = None }
-      in
-      let artifact =
-        match C.compile cfg g with
-        | Ok a -> a
-        | Error e -> Alcotest.failf "%s/%s: %s" model config (C.error_to_string e)
-      in
-      let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
-      let label = model ^ "/" ^ config in
-      let tr_slow = Trace.create () and tr_fast = Trace.create () in
-      let out_slow, rep_slow =
-        C.run ~trace:tr_slow ~use_plan:false artifact ~inputs
-      in
-      let out_fast, rep_fast = C.run ~trace:tr_fast artifact ~inputs in
-      compare_outputs label out_slow out_fast;
-      compare_reports label rep_slow rep_fast;
-      compare_traces label tr_slow tr_fast;
-      (* Arena reuse across requests must not leak state: a second request
-         with a different input still matches its own slow run. *)
-      let inputs2 = Models.Zoo.random_input ~seed:(Check.Golden.input_seed + 1) g in
-      let out_slow2, rep_slow2 = C.run ~use_plan:false artifact ~inputs:inputs2 in
-      let out_fast2, rep_fast2 = C.run artifact ~inputs:inputs2 in
-      compare_outputs (label ^ " (2nd request)") out_slow2 out_fast2;
-      compare_reports (label ^ " (2nd request)") rep_slow2 rep_fast2)
-    zoo_cases
+      let artifact, g = compile_zoo model config in
+      check_against_oracle (model ^ "/" ^ config) artifact g)
+    Check.Golden.cases
+
+(* One analog 1x1 conv whose ternary weights hold an all-zero output
+   filter: the plan skips every tap of that channel, which must still come
+   out as the requantized bias. *)
+let test_zero_filter_differential () =
+  let module B = Ir.Graph.Builder in
+  let c = 8 and k = 8 and zero_k = 3 in
+  let rng = Util.Rng.create 5 in
+  let w = Tensor.random rng Tensor.Dtype.Ternary [| k; c; 1; 1 |] in
+  for i = zero_k * c to ((zero_k + 1) * c) - 1 do
+    Tensor.set_flat w i 0
+  done;
+  let b = B.create () in
+  let x = B.input b ~name:"x" Tensor.Dtype.I8 [| c; 6; 6 |] in
+  let y = B.conv2d b x ~weights:(B.const b w) in
+  let bias = Tensor.of_array Tensor.Dtype.I32 [| k |] (Array.init k (fun i -> (97 * i) - 300)) in
+  let y = B.bias_add b y ~bias:(B.const b bias) in
+  let g = B.finish b ~output:(B.requantize b ~shift:3 ~out_dtype:Tensor.Dtype.I8 y) in
+  let cfg =
+    { (C.default_config Arch.Diana.analog_only) with C.jobs = 1; C.solver_cache = None }
+  in
+  let artifact = Result.get_ok (C.compile cfg g) in
+  Alcotest.(check int) "the conv runs on the accelerator" 1
+    (Sim.Plan.stats artifact.C.plan).Sim.Plan.accel_steps;
+  check_against_oracle "zero filter" artifact g
 
 (* Random graphs x random deployment configs: the fuzz generator's whole
    operator vocabulary (depthwise, strides, residual adds, concats,
@@ -164,6 +186,40 @@ let test_arena_reuse () =
   in
   compare_outputs "fresh arena" out_reuse out_fresh;
   compare_reports "fresh arena" rep_reuse rep_fresh
+
+(* An arena dies with its plan: building and running plan after plan on
+   one domain must not keep their arenas alive. *)
+let test_arena_dies_with_plan () =
+  let _, platform, policy =
+    List.find (fun (c, _, _) -> c = "both") Check.Golden.configurations
+  in
+  let g = (Models.Zoo.find "resnet8").Models.Zoo.build policy in
+  let cfg = { (C.default_config platform) with C.jobs = 1; C.solver_cache = None } in
+  let artifact = Result.get_ok (C.compile cfg g) in
+  let inputs = Models.Zoo.random_input ~seed:1 g in
+  let run () =
+    let plan = Sim.Plan.build ~platform artifact.C.program in
+    ignore (Sim.Machine.run ~platform ~plan artifact.C.program ~inputs)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  run ();
+  let before = live_words () in
+  for _ = 1 to 50 do
+    run ()
+  done;
+  let grown = live_words () - before in
+  let arena_words =
+    (Sim.Plan.stats artifact.C.plan).Sim.Plan.scratch_words
+    + ((platform.Arch.Platform.l1.Arch.Memory.size_bytes
+       + platform.Arch.Platform.l2.Arch.Memory.size_bytes)
+      / (Sys.word_size / 8))
+  in
+  if grown >= arena_words then
+    Alcotest.failf "50 plans grew the live heap by %d words (one arena is %d)" grown
+      arena_words
 
 (* --- Faulted differentials ---------------------------------------------- *)
 
@@ -262,19 +318,18 @@ let fault_specs =
     ("seed=12,dma_in@always:drop", 0);
   ]
 
+(* One zoo model per deployment configuration, so every accelerator
+   payload shape (cpu-only, digital, analog ternary, mixed) meets every
+   fault spec. *)
+let faulted_cases =
+  [ ("ds_cnn", "cpu"); ("mobilenet_v1_025", "digital");
+    ("toyadmos_dae", "analog"); ("resnet8", "both") ]
+
 let test_zoo_faulted_differential () =
   let unrecovered = ref 0 and silent = ref 0 and detected = ref 0 in
   List.iter
     (fun (model, config) ->
-      let entry = Models.Zoo.find model in
-      let _, platform, policy =
-        List.find (fun (c, _, _) -> c = config) Check.Golden.configurations
-      in
-      let g = entry.Models.Zoo.build policy in
-      let cfg =
-        { (C.default_config platform) with C.jobs = 1; C.solver_cache = None }
-      in
-      let artifact = Result.get_ok (C.compile cfg g) in
+      let artifact, g = compile_zoo model config in
       let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
       List.iter
         (fun (spec, retry_budget) ->
@@ -289,7 +344,7 @@ let test_zoo_faulted_differential () =
           silent := !silent + oracle.f_stats.Fault.Session.silent;
           detected := !detected + oracle.f_stats.Fault.Session.detected)
         fault_specs)
-    zoo_cases;
+    faulted_cases;
   Alcotest.(check bool) "some run aborted Unrecovered" true (!unrecovered > 0);
   Alcotest.(check bool) "silent faults were injected" true (!silent > 0);
   Alcotest.(check bool) "detected faults were injected" true (!detected > 0)
@@ -356,9 +411,13 @@ let test_foreign_plan_rejected () =
 let suites =
   [ ( "plan",
       [ Alcotest.test_case "zoo differential" `Quick test_zoo_differential;
+        Alcotest.test_case "zero filter differential" `Quick
+          test_zero_filter_differential;
         Alcotest.test_case "random differential" `Quick test_random_differential;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
+        Alcotest.test_case "arena dies with its plan" `Quick
+          test_arena_dies_with_plan;
         Alcotest.test_case "zoo faulted differential" `Quick
           test_zoo_faulted_differential;
         Alcotest.test_case "random faulted differential" `Quick

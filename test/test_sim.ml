@@ -53,6 +53,45 @@ let test_mem_tensor_roundtrip () =
   Sim.Mem.write_tensor m 200 t32;
   Helpers.check_tensor "i32 roundtrip" t32 (Sim.Mem.read_tensor m 200 Dtype.I32 [| 7 |])
 
+(* The tensor codecs run in bulk. For every dtype they must match
+   [read_elt]/[write_elt] in a loop: the ternary rot fold and the I16/I32
+   sign extension on reads over arbitrary bytes, and on writes the same
+   bytes, high-water mark and, for an out-of-range element, message. *)
+let qtest_mem_bulk_codecs =
+  let dtypes = [| Dtype.I8; Dtype.U7; Dtype.I16; Dtype.I32; Dtype.Ternary |] in
+  Helpers.qtest ~count:300 "mem tensor codecs match per-element"
+    QCheck.(triple (int_range 0 4) (int_range 1 12) int)
+    (fun (di, n, seed) ->
+      let dt = dtypes.(di) in
+      let w = Dtype.sim_bytes dt in
+      let size = 64 in
+      let rng = Util.Rng.create seed in
+      let off = Util.Rng.int rng (size - (n * w) + 1) in
+      let noise = Sim.Mem.create "m" size in
+      for i = 0 to size - 1 do
+        Sim.Mem.write_byte noise i (Util.Rng.int rng 256)
+      done;
+      let reads_match =
+        Tensor.unsafe_data (Sim.Mem.read_tensor noise off dt [| n |])
+        = Array.init n (fun i -> Sim.Mem.read_elt noise dt (off + (i * w)))
+      in
+      let lo = Dtype.min_value dt and hi = Dtype.max_value dt in
+      let values = Array.init n (fun _ -> Util.Rng.int_in rng lo hi) in
+      (* Index [n] leaves every value in range. *)
+      let bad = Util.Rng.int rng (n + 1) in
+      if bad < n then values.(bad) <- (if Util.Rng.bool rng then hi + 1 else lo - 1);
+      let tensor = Tensor.create dt [| n |] in
+      Array.blit values 0 (Tensor.unsafe_data tensor) 0 n;
+      let outcome write =
+        let m = Sim.Mem.create "m" size in
+        let raised = try write m; None with Sim.Mem.Fault msg -> Some msg in
+        (raised, Sim.Mem.high_water m, Sim.Mem.image m)
+      in
+      reads_match
+      && outcome (fun m -> Sim.Mem.write_tensor m off tensor)
+         = outcome (fun m ->
+               Array.iteri (fun i v -> Sim.Mem.write_elt m dt (off + (i * w)) v) values))
+
 let test_counters () =
   let a = Sim.Counters.create () and b = Sim.Counters.create () in
   a.Sim.Counters.accel_compute <- 10;
@@ -348,6 +387,7 @@ let suites =
         Alcotest.test_case "mem fault" `Quick test_mem_fault;
         Alcotest.test_case "mem range check" `Quick test_mem_range_check;
         Alcotest.test_case "mem tensor roundtrip" `Quick test_mem_tensor_roundtrip;
+        qtest_mem_bulk_codecs;
         Alcotest.test_case "counters" `Quick test_counters;
         Alcotest.test_case "conv untiled exact" `Quick test_conv_untiled_exact;
         Alcotest.test_case "conv tiled exact" `Quick test_conv_tiled_exact;

@@ -148,6 +148,21 @@ if ! grep -q 'htvm_mtserve_class_slo_pred_violations_total{class="keyword"}' \
   exit 1
 fi
 
+# The same two-model stream on the slow oracle (--no-plan) must give the
+# plan run's tally byte for byte. ds_cnn's 1x1 analog layers take the
+# plan's one-run-per-plane conv loop, which the resnet8-only diffs above
+# never reach.
+echo "== htvmc serve multi-tenant smoke (plan on vs --no-plan) =="
+dune exec bin/htvmc.exe -- serve _build/mtserve-a.htvm --config both \
+  --model vision=_build/serve-smoke.htvm \
+  --class keyword=main:2000000:2 --class vision=vision:0:1 \
+  --arrival poisson --requests 16 --workers 1 -j 1 --no-plan \
+  --tally _build/mtserve-tally-noplan.txt
+if ! diff _build/mtserve-tally-w1.txt _build/mtserve-tally-noplan.txt; then
+  echo "verify: multi-tenant tallies differ between plan on and --no-plan" >&2
+  exit 1
+fi
+
 # Health-lifecycle smoke: a boot-degraded instance under fault injection
 # walks probation -> readmission, and the functional tally — including
 # the new health header and predicted-plane footer — stays byte-identical
