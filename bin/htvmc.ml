@@ -1214,8 +1214,7 @@ let no_plan_arg =
                  counts, traces and injected-fault effects are \
                  byte-identical either way (the slow path is the \
                  conformance oracle). The plan also serves fault-injected \
-                 runs; after an L2 bit-rot flip it runs the remaining \
-                 accelerator steps on the slow path.")
+                 runs, L2 bit rot included.")
 
 let cache_arg =
   Arg.(value & flag

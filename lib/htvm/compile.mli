@@ -205,9 +205,7 @@ val run :
     nothing). [use_plan] (default [true]) executes through the artifact's
     compiled {!Sim.Plan} fast path — byte-identical outputs, counters,
     traces and fault-session effects, with or without [faults]; pass
-    [false] to force the slow interpretive oracle. With the plan, only
-    the accelerator steps after an L2 bit-rot flip run on the oracle
-    (the plan's pre-decoded weights cannot see the flip).
+    [false] to force the slow interpretive oracle.
     @raise Fault.Session.Unrecovered when an injected fault exhausts the
     retry budget. *)
 

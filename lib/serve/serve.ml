@@ -389,6 +389,22 @@ let health_stat_of m =
     hs_probe_cycles = Health.probe_cycles m;
   }
 
+(* Group admitted [((window, request), execution)] items by dispatch
+   window, oldest window first and each window's items in arrival order,
+   so batches dispatch in time order. *)
+let group_windows work =
+  let tbl = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun (((w, _), _) as item) ->
+      match Hashtbl.find_opt tbl w with
+      | None ->
+          Hashtbl.add tbl w (ref [ item ]);
+          order := w :: !order
+      | Some cell -> cell := item :: !cell)
+    work;
+  List.rev_map (fun w -> (w, List.rev !(Hashtbl.find tbl w))) !order
+
 (* Split [xs] into consecutive chunks of at most [n]. *)
 let rec chunk n xs =
   if xs = [] then []
@@ -757,20 +773,7 @@ let run ?trace ?metrics cfg artifact ~graph =
   in
   let work = List.combine admitted execs in
   (* Batch assembly: chunk each window's admitted requests. *)
-  let windows =
-    let tbl = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (((w, _), _) as item) ->
-        if not (Hashtbl.mem tbl w) then begin
-          Hashtbl.add tbl w (ref []);
-          order := w :: !order
-        end;
-        let cell = Hashtbl.find tbl w in
-        cell := item :: !cell)
-      work;
-    List.rev_map (fun w -> (w, List.rev !(Hashtbl.find tbl w))) !order |> List.rev
-  in
+  let windows = group_windows work in
   (* Predicted (queueing-free) sojourn + the predicted health plane, one
      forward pass in window order. Every batch is predicted to dispatch
      the moment its window closes onto an idle machine; batch assembly
@@ -1859,20 +1862,7 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
   let swap_pred =
     match cfg.mt_placement with Swap -> cfg.mt_swap_overhead | Pinned -> 0
   in
-  let windows =
-    let tbl = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (((w, _), _) as item) ->
-        (match Hashtbl.find_opt tbl w with
-        | None ->
-            Hashtbl.add tbl w (ref [ item ]);
-            order := w :: !order
-        | Some cell -> cell := item :: !cell))
-      work;
-    List.rev_map (fun w -> (w, List.rev !(Hashtbl.find tbl w))) !order
-    |> List.rev
-  in
+  let windows = group_windows work in
   (* One assembly pass at a given batch size; returns the batch list (in
      dispatch order) plus the shed-SLO set, without mutating anything —
      the autotuner evaluates several sizes before one is committed. *)

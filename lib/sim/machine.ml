@@ -91,11 +91,6 @@ let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
   let totals = Counters.create () in
   let on = Trace.enabled trace in
   let clock = ref 0 in
-  (* The plan decoded weights and biases once at build time; the oracle
-     re-reads them from L2 per tile. Once L2 bit rot has landed, the
-     request's remaining accelerator steps run the oracle on the same
-     memories so a flipped weight bit is still seen. *)
-  let l2_rotted = ref false in
   let per_step =
     List.mapi
       (fun step_index step ->
@@ -105,16 +100,17 @@ let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
         let rot_c = Counters.create () in
         let rot = Resilience.make ?faults ~retry_budget rot_c in
         Resilience.mem_rot rot ~site:Fault.Plan.L2 ~mem:l2;
-        if rot_c.Counters.faults_silent > 0 then l2_rotted := true;
         Resilience.mem_rot rot ~site:Fault.Plan.L1 ~mem:l1;
         let c =
           match step with
           | P.Accel { accel_name; schedule; ins; out; weights_offset; bias_offset } -> (
+              (* Both paths read the step's weights from this L2, bit rot
+                 included. *)
               match plan with
-              | Some p when not !l2_rotted ->
+              | Some p ->
                   Plan.run_accel_step p ~step_index ~l2 ~l1 ?trace ?faults
                     ~retry_budget ~t0:!clock ()
-              | _ ->
+              | None ->
                   let accel = Arch.Platform.find_accel platform accel_name in
                   let buffers =
                     {

@@ -29,10 +29,9 @@ val run :
     or, when [plan] is given (it must have been built for this very
     program, physical equality), on the calling domain's reused plan
     arena via the compiled fast path, with byte-identical outputs,
-    counters, traces and high-water marks, fault session or not. Once L2
-    bit rot has flipped a bit during the run, the remaining accelerator
-    steps fall back to the oracle on the same memories: the plan's
-    pre-decoded weights cannot see the flip.
+    counters, traces and high-water marks, fault session or not. Both
+    paths read each step's weights and biases from the run's L2, so L2
+    bit rot reaches the plan exactly as it reaches the oracle.
     [plan_fresh_arena] (default false) discards the domain's cached arena
     first — benchmarks use it to measure the no-reuse path.
 

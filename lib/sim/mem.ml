@@ -35,27 +35,39 @@ let sign_extend bits v =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
 
-let read_elt t (dt : Tensor.Dtype.t) off =
+(* The one element decoder behind every read: little-endian, sign-extended
+   for I8/I16/I32 and ternary. Ternary occupies a full byte but only
+   {-1,0,1} is valid, so bit rot ([flip_bit]) can leave a byte no
+   fault-free flow ever stores. Fold it back into range deterministically:
+   silent corruption must stay silent, not crash tensor validation on the
+   read path. The signed one-byte dtypes decode through a 256-entry
+   table, which keeps the fold's branches out of the bulk loops. No
+   bounds check: callers [check] the range first. *)
+let i8_of_byte = Array.init 256 (sign_extend 8)
+
+let ternary_of_byte =
+  Array.init 256 (fun b ->
+      let v = sign_extend 8 b in
+      if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1)
+
+let[@inline] byte data off = Char.code (Bytes.unsafe_get data off)
+
+let[@inline] decode_at data (dt : Tensor.Dtype.t) off =
   match dt with
-  | Tensor.Dtype.I8 -> sign_extend 8 (read_byte t off)
-  | Tensor.Dtype.Ternary ->
-      (* Ternary occupies a full byte but only {-1,0,1} is valid, so bit
-         rot ([flip_bit]) can leave a byte no fault-free flow ever stores.
-         Fold it back into range deterministically: silent corruption must
-         stay silent, not crash tensor validation on the read path. *)
-      let v = sign_extend 8 (read_byte t off) in
-      if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1
-  | Tensor.Dtype.U7 -> read_byte t off land 0x7F
-  | Tensor.Dtype.I16 ->
-      check t off 2;
-      sign_extend 16 (read_byte t off lor (read_byte t (off + 1) lsl 8))
+  | Tensor.Dtype.I8 -> Array.unsafe_get i8_of_byte (byte data off)
+  | Tensor.Dtype.Ternary -> Array.unsafe_get ternary_of_byte (byte data off)
+  | Tensor.Dtype.U7 -> byte data off land 0x7F
+  | Tensor.Dtype.I16 -> sign_extend 16 (byte data off lor (byte data (off + 1) lsl 8))
   | Tensor.Dtype.I32 ->
-      check t off 4;
       sign_extend 32
-        (read_byte t off
-        lor (read_byte t (off + 1) lsl 8)
-        lor (read_byte t (off + 2) lsl 16)
-        lor (read_byte t (off + 3) lsl 24))
+        (byte data off
+        lor (byte data (off + 1) lsl 8)
+        lor (byte data (off + 2) lsl 16)
+        lor (byte data (off + 3) lsl 24))
+
+let read_elt t (dt : Tensor.Dtype.t) off =
+  check t off (Tensor.Dtype.sim_bytes dt);
+  decode_at t.data dt off
 
 let write_elt t (dt : Tensor.Dtype.t) off v =
   if not (Tensor.Dtype.in_range dt v) then
@@ -84,51 +96,47 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
 
 (* Bulk flat-array codecs, behind the tensor codecs and the execution
    plan's fast path. Semantics are element-for-element those of
-   [read_elt]/[write_elt] (same sign extension, same ternary rot fold,
-   same range Fault on writes), but the bounds check happens once per
-   call and bytes are accessed unsafely, so a whole weight image, padded
-   window or output slab moves in one tight loop. *)
+   [read_elt]/[write_elt] (the same decoder, the same range Fault on
+   writes), but the bounds check happens once per call, so a whole weight
+   image, padded window or output slab moves in one tight loop. *)
+
+(* The loops below are inlined once per dtype, so the decoder's match
+   folds away. *)
+let[@inline] decode_loop data dt w off dst pos len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (pos + i) (decode_at data dt (off + (i * w)))
+  done
 
 let read_flat_into t (dt : Tensor.Dtype.t) off dst ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length dst then
     invalid_arg "Mem.read_flat_into: destination range out of bounds";
-  let w = Tensor.Dtype.sim_bytes dt in
-  check t off (len * w);
+  check t off (len * Tensor.Dtype.sim_bytes dt);
   let data = t.data in
-  (match dt with
-  | Tensor.Dtype.I8 ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set dst (pos + i)
-          (sign_extend 8 (Char.code (Bytes.unsafe_get data (off + i))))
-      done
-  | Tensor.Dtype.Ternary ->
-      for i = 0 to len - 1 do
-        let v = sign_extend 8 (Char.code (Bytes.unsafe_get data (off + i))) in
-        let v = if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1 in
-        Array.unsafe_set dst (pos + i) v
-      done
-  | Tensor.Dtype.U7 ->
-      for i = 0 to len - 1 do
-        Array.unsafe_set dst (pos + i) (Char.code (Bytes.unsafe_get data (off + i)) land 0x7F)
-      done
-  | Tensor.Dtype.I16 ->
-      for i = 0 to len - 1 do
-        let o = off + (i * 2) in
-        Array.unsafe_set dst (pos + i)
-          (sign_extend 16
-             (Char.code (Bytes.unsafe_get data o)
-             lor (Char.code (Bytes.unsafe_get data (o + 1)) lsl 8)))
-      done
-  | Tensor.Dtype.I32 ->
-      for i = 0 to len - 1 do
-        let o = off + (i * 4) in
-        Array.unsafe_set dst (pos + i)
-          (sign_extend 32
-             (Char.code (Bytes.unsafe_get data o)
-             lor (Char.code (Bytes.unsafe_get data (o + 1)) lsl 8)
-             lor (Char.code (Bytes.unsafe_get data (o + 2)) lsl 16)
-             lor (Char.code (Bytes.unsafe_get data (o + 3)) lsl 24)))
-      done)
+  match dt with
+  | Tensor.Dtype.I8 -> decode_loop data Tensor.Dtype.I8 1 off dst pos len
+  | Tensor.Dtype.Ternary -> decode_loop data Tensor.Dtype.Ternary 1 off dst pos len
+  | Tensor.Dtype.U7 -> decode_loop data Tensor.Dtype.U7 1 off dst pos len
+  | Tensor.Dtype.I16 -> decode_loop data Tensor.Dtype.I16 2 off dst pos len
+  | Tensor.Dtype.I32 -> decode_loop data Tensor.Dtype.I32 4 off dst pos len
+
+let[@inline] dot_loop data dt w off v len =
+  let acc = ref 0 in
+  for i = 0 to len - 1 do
+    acc := !acc + (Array.unsafe_get v i * decode_at data dt (off + (i * w)))
+  done;
+  !acc
+
+let dot t (dt : Tensor.Dtype.t) off v ~len =
+  if len < 0 || len > Array.length v then
+    invalid_arg "Mem.dot: vector range out of bounds";
+  check t off (len * Tensor.Dtype.sim_bytes dt);
+  let data = t.data in
+  match dt with
+  | Tensor.Dtype.I8 -> dot_loop data Tensor.Dtype.I8 1 off v len
+  | Tensor.Dtype.Ternary -> dot_loop data Tensor.Dtype.Ternary 1 off v len
+  | Tensor.Dtype.U7 -> dot_loop data Tensor.Dtype.U7 1 off v len
+  | Tensor.Dtype.I16 -> dot_loop data Tensor.Dtype.I16 2 off v len
+  | Tensor.Dtype.I32 -> dot_loop data Tensor.Dtype.I32 4 off v len
 
 let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length src then
@@ -136,6 +144,7 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
   let w = Tensor.Dtype.sim_bytes dt in
   check t off (len * w);
   let data = t.data in
+  let lo = Tensor.Dtype.min_value dt and hi = Tensor.Dtype.max_value dt in
   let range_fault v i =
     (* [write_elt] in a loop would have advanced the mark over the
        elements before the bad one. *)
@@ -150,13 +159,13 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
   | Tensor.Dtype.I8 | Tensor.Dtype.Ternary | Tensor.Dtype.U7 ->
       for i = 0 to len - 1 do
         let v = Array.unsafe_get src (pos + i) in
-        if not (Tensor.Dtype.in_range dt v) then range_fault v i;
+        if v < lo || v > hi then range_fault v i;
         Bytes.unsafe_set data (off + i) (Char.unsafe_chr (v land 0xFF))
       done
   | Tensor.Dtype.I16 ->
       for i = 0 to len - 1 do
         let v = Array.unsafe_get src (pos + i) in
-        if not (Tensor.Dtype.in_range dt v) then range_fault v i;
+        if v < lo || v > hi then range_fault v i;
         let o = off + (i * 2) in
         Bytes.unsafe_set data o (Char.unsafe_chr (v land 0xFF));
         Bytes.unsafe_set data (o + 1) (Char.unsafe_chr ((v asr 8) land 0xFF))
@@ -164,7 +173,7 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
   | Tensor.Dtype.I32 ->
       for i = 0 to len - 1 do
         let v = Array.unsafe_get src (pos + i) in
-        if not (Tensor.Dtype.in_range dt v) then range_fault v i;
+        if v < lo || v > hi then range_fault v i;
         let o = off + (i * 4) in
         Bytes.unsafe_set data o (Char.unsafe_chr (v land 0xFF));
         Bytes.unsafe_set data (o + 1) (Char.unsafe_chr ((v asr 8) land 0xFF));
@@ -186,15 +195,25 @@ let read_tensor t off dt shape =
 let fill t v = Bytes.fill t.data 0 (Bytes.length t.data) (Char.chr (v land 0xFF))
 
 (* Arena snapshot/restore: the execution plan captures the post-load L2
-   image once at build time and rewinds the reused memory to it between
-   requests, instead of re-serializing every weight tensor. *)
-let image t = Bytes.copy t.data
+   prefix once at build time and rewinds the reused memory to it between
+   requests, instead of re-serializing every weight tensor. Every write
+   advances the mark, so past it a memory that was only written still
+   holds the zeros [create] left; the prefix is a faithful snapshot only
+   then, so the tail is checked rather than assumed ([fill], [flip_bit]
+   and [reset_high_water] can break it). *)
+let written_prefix t =
+  for i = t.hwm to Bytes.length t.data - 1 do
+    if Bytes.unsafe_get t.data i <> '\000' then
+      invalid_arg "Mem.written_prefix: non-zero byte past the high-water mark"
+  done;
+  Bytes.sub t.data 0 t.hwm
 
-let restore t img ~hwm =
-  if Bytes.length img <> Bytes.length t.data then
-    invalid_arg "Mem.restore: image size mismatch";
-  Bytes.blit img 0 t.data 0 (Bytes.length img);
-  t.hwm <- hwm
+let restore t img =
+  let n = Bytes.length img in
+  if n > Bytes.length t.data then invalid_arg "Mem.restore: image larger than the memory";
+  Bytes.blit img 0 t.data 0 n;
+  Bytes.fill t.data n (Bytes.length t.data - n) '\000';
+  t.hwm <- n
 
 (* Fault injection's corruption primitive: toggles one bit without moving
    the high-water mark, so an injected flip is indistinguishable from bit

@@ -32,8 +32,14 @@ val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
 (** Write the low 8 bits of the value. *)
 
+val check : t -> int -> int -> unit
+(** [check t off len] raises {!Fault} — with the message every accessor
+    raises — unless the [len] bytes at [off] lie inside the memory. *)
+
 val read_elt : t -> Tensor.Dtype.t -> int -> int
-(** Decode one element of the dtype at a byte offset. *)
+(** Decode one element of the dtype at a byte offset: little-endian,
+    sign-extended, and a ternary byte outside [{-1,0,1}] (bit rot) folded
+    back into range. *)
 
 val write_elt : t -> Tensor.Dtype.t -> int -> int -> unit
 (** Encode one (range-checked) element at a byte offset. *)
@@ -54,6 +60,12 @@ val read_flat_into : t -> Tensor.Dtype.t -> int -> int array -> pos:int -> len:i
     in a loop (same sign extension and ternary rot fold) with a single
     up-front bounds check — the execution plan's bulk decode primitive. *)
 
+val dot : t -> Tensor.Dtype.t -> int -> int array -> len:int -> int
+(** [dot t dt off v ~len] is the sum over [i < len] of [v.(i)] times
+    element [i] of the [dt] vector at byte offset [off], each element
+    decoded as {!read_elt} would, inside the dot loop — a dense layer's
+    weight row against its input. One up-front bounds check. *)
+
 val write_flat_from : t -> Tensor.Dtype.t -> int -> int array -> pos:int -> len:int -> unit
 (** [write_flat_from t dt off src ~pos ~len] encodes
     [src.(pos..pos+len-1)] as [len] consecutive elements of dtype [dt] at
@@ -65,13 +77,20 @@ val write_flat_from : t -> Tensor.Dtype.t -> int -> int array -> pos:int -> len:
 val fill : t -> int -> unit
 (** Fill the whole memory with a byte value (tests use a poison pattern). *)
 
-val image : t -> Bytes.t
-(** A fresh copy of the full contents — an arena snapshot. *)
+val written_prefix : t -> Bytes.t
+(** A fresh copy of the written prefix [[0, high_water)] — an arena
+    snapshot of a memory that was only written since {!create}, so every
+    byte past the mark is still zero.
+    @raise Invalid_argument when a byte past the mark is non-zero (after
+    {!fill}, {!flip_bit} or {!reset_high_water}): the prefix would drop
+    it. *)
 
-val restore : t -> Bytes.t -> hwm:int -> unit
-(** Overwrite the contents with a snapshot from {!image} (sizes must
-    match) and set the high-water mark to [hwm] — rewinds a reused memory
-    to a known state between requests. *)
+val restore : t -> Bytes.t -> unit
+(** [restore t img] writes the prefix snapshot [img] (from
+    {!written_prefix}) at offset 0, zeroes the rest and sets the
+    high-water mark to its length: the state of a fresh memory after the
+    writes that produced [img] — rewinds a reused memory between requests.
+    @raise Invalid_argument when [img] is longer than the memory. *)
 
 val flip_bit : t -> off:int -> bit:int -> unit
 (** Toggle bit [bit land 7] of the byte at [off] without advancing the

@@ -8,9 +8,14 @@ module K = Nn.Kernels
 (* A compiled execution plan resolves, once per artifact, everything the
    per-request slow path ([Exec_accel.run]) recomputes per request: tile
    instance dims, L1 slot layouts, DMA window geometry as flat blit lists,
-   weight/bias slices as decoded flat arrays, padded-input shapes, the
-   per-step counters and the trace timeline. The per-request loop is then
-   pure data movement and kernel math over preallocated scratch arenas.
+   the L2 extents of each tile's weight and bias slices, padded-input
+   shapes, the per-step counters and the trace timeline. The per-request
+   loop is then pure data movement and kernel math over preallocated
+   scratch arenas. Like the oracle, and like the DORY kernels reading the
+   preloaded images in the paper's deployment, a tile reads its weights
+   and bias from the L2 it runs on, at the oracle's point in the tile:
+   one bounds check per slice (the oracle's [Mem.Fault]), then [Mem]'s
+   element decoder per tap, per dense row ([Mem.dot]) or per channel.
 
    Byte-identity contract (enforced by the golden snapshots and the
    plan-on/plan-off differential tests, fault-free and faulted): for a
@@ -24,17 +29,19 @@ module K = Nn.Kernels
    [Nn.Kernels.conv2d]) and still produce the oracle's bits; a zero tap
    adds nothing, so skipping it changes no sum; and a pre-zero-padded
    input contributes exactly 0 at the out-of-range taps the slow path's
-   bounds checks skip. L2 bit rot in a weight image is outside the
-   contract: the weights were decoded at build time, so [Machine.run]
-   hands the request's later steps to the slow path. *)
+   bounds checks skip. Reading weights live is what makes L2 bit rot and a
+   program's own DMA-out over a later step's weight image follow the
+   oracle byte for byte: both paths decode the same bytes. *)
 
 (* --- Plan data types ---------------------------------------------------- *)
+
+(* A tile's weight slice in L2: [ws_bytes] bytes at [ws_off]. *)
+type wslice = { ws_dtype : Dtype.t; ws_off : int; ws_bytes : int }
 
 type epilogue = {
   ep_k : int;  (* output channels of the tile *)
   ep_spatial : int;  (* pre-pool spatial extent (oh * ow) *)
-  ep_bias : int array option;  (* full decoded bias; slice starts at ep_bias_off *)
-  ep_bias_off : int;
+  ep_bias : int option;  (* L2 offset of the tile's I32 bias slice (ep_k elements) *)
   ep_shift : int option;
   ep_relu : bool;
   ep_out_dtype : Dtype.t;
@@ -62,16 +69,14 @@ type compute =
       cv_groups : int;
       cv_oh : int;  (* pre-pool conv output dims on the padded input *)
       cv_ow : int;
-      cv_wdata : int array;  (* full decoded weights *)
-      cv_woff : int;  (* flat element offset of the k0 slice *)
+      cv_ws : wslice;  (* the k0 slice: cv_k filters of cg * fy * fx taps *)
       cv_in_dtype : Dtype.t;
       cv_ep : epilogue;
     }
   | CDense of {
       dn_c : int;
       dn_k : int;
-      dn_wdata : int array;
-      dn_woff : int;
+      dn_ws : wslice;  (* the k0 slice: dn_k rows *)
       dn_in_dtype : Dtype.t;
       dn_ep : epilogue;
     }
@@ -145,8 +150,7 @@ type arena = { ar_l2 : Mem.t; ar_l1 : Mem.t; ar_scratch : scratch array array }
 type t = {
   p_prog : P.t;
   p_steps : astep option array;  (* aligned with [prog.steps]; None = Cpu *)
-  p_l2_image : Bytes.t;  (* post-weight-load L2 snapshot *)
-  p_l2_hwm : int;
+  p_l2_image : Bytes.t;  (* post-weight-load L2 prefix [0, high-water) *)
   p_l1_size : int;
   p_l2_size : int;
   p_id : int;  (* unique per plan: its hash in the arena tables *)
@@ -174,10 +178,39 @@ let stats t =
 
 (* --- Build-time geometry ------------------------------------------------- *)
 
-(* Row-blit triples of [Exec_accel.copy_window], in the same order; returns
+(* Blit triples (src_off, dst_off, len), built straight into a growable
+   int buffer. A blit that continues the previous one in both source and
+   destination extends it instead (an untiled layer's whole window
+   collapses to a single copy): the copied bytes and the destination
+   high-water mark are unchanged, only the call count drops. *)
+type blits = { mutable bl : int array; mutable bn : int }
+
+let push_blit b ~src ~dst ~len =
+  let n = b.bn in
+  if n > 0 && b.bl.(n - 3) + b.bl.(n - 1) = src && b.bl.(n - 2) + b.bl.(n - 1) = dst
+  then b.bl.(n - 1) <- b.bl.(n - 1) + len
+  else begin
+    if n + 3 > Array.length b.bl then begin
+      let bigger = Array.make ((2 * Array.length b.bl) + 3) 0 in
+      Array.blit b.bl 0 bigger 0 n;
+      b.bl <- bigger
+    end;
+    b.bl.(n) <- src;
+    b.bl.(n + 1) <- dst;
+    b.bl.(n + 2) <- len;
+    b.bn <- n + 3
+  end
+
+(* The buffered triples as a fresh array; empties the buffer for reuse. *)
+let take_blits b =
+  let a = Array.sub b.bl 0 b.bn in
+  b.bn <- 0;
+  a
+
+(* Row blits of [Exec_accel.copy_window], in the same order; returns
    (chunks, bytes) under the same cost formula. *)
 let window_blits ~to_l1 ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0
-    ~chans ~rows ~cols acc =
+    ~chans ~rows ~cols b =
   let bytes_per_row = cols * elt_bytes in
   for ch = 0 to chans - 1 do
     for row = 0 to rows - 1 do
@@ -185,38 +218,12 @@ let window_blits ~to_l1 ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0
         l2_off + ((((ch0 + ch) * full_h) + (y0 + row)) * full_w + x0) * elt_bytes
       in
       let l1_pos = l1_off + (((ch * rows) + row) * bytes_per_row) in
-      acc :=
-        (if to_l1 then (l2_pos, l1_pos, bytes_per_row)
-         else (l1_pos, l2_pos, bytes_per_row))
-        :: !acc
+      if to_l1 then push_blit b ~src:l2_pos ~dst:l1_pos ~len:bytes_per_row
+      else push_blit b ~src:l1_pos ~dst:l2_pos ~len:bytes_per_row
     done
   done;
   let chunks = if cols = full_w then chans else chans * rows in
   (chunks, chans * rows * bytes_per_row)
-
-(* Coalesce blits that are consecutive in both source and destination into
-   one longer blit (an untiled layer's whole window collapses to a single
-   copy). The copied bytes and the destination high-water mark are
-   unchanged, only the call count drops. *)
-let pack_blits triples =
-  let merged =
-    List.fold_left
-      (fun acc (s, d, l) ->
-        match acc with
-        | (ps, pd, pl) :: rest when ps + pl = s && pd + pl = d ->
-            (ps, pd, pl + l) :: rest
-        | _ -> (s, d, l) :: acc)
-      [] triples
-  in
-  let merged = List.rev merged in
-  let out = Array.make (3 * List.length merged) 0 in
-  List.iteri
-    (fun i (s, d, l) ->
-      out.(3 * i) <- s;
-      out.((3 * i) + 1) <- d;
-      out.((3 * i) + 2) <- l)
-    merged;
-  out
 
 let replay_blits ~src ~dst blits =
   let n = Array.length blits / 3 in
@@ -248,12 +255,21 @@ let fill_padded ~l1 ~dtype ~l1_off ~dst ~chans ~rows ~cols ~ph ~pw ~pt ~pl =
     done
   end
 
-(* Weight-stationary: each tap weight is loaded once, skipped when zero,
-   and swept across the output plane in runs of contiguous output columns,
-   so the innermost loop no longer spans the 1-3 kernel columns. The terms
-   are [Nn.Kernels.conv2d]'s, summed in a different order. *)
-let conv_kernel ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups ~cv_oh
-    ~cv_ow ~wdata ~woff ~chw pin acc =
+(* Each kernel checks the slices it reads as it starts, weights before
+   bias: the slow path's order and [Mem.Fault] message, after which no
+   element read can fault. Nothing between the checks touches memory, so
+   a fault leaves the state the slow path leaves. *)
+
+(* Weight-stationary: each tap weight is decoded from L2 once, skipped
+   when zero, and swept across the output plane in runs of contiguous
+   output columns, so the innermost loop no longer spans the 1-3 kernel
+   columns. The terms are [Nn.Kernels.conv2d]'s, summed in a different
+   order. *)
+let conv_kernel ~l2 ~ws ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups
+    ~cv_oh ~cv_ow ~chw pin acc =
+  Mem.check l2 ws.ws_off ws.ws_bytes;
+  let wdt = ws.ws_dtype in
+  let wb = Dtype.sim_bytes wdt in
   let kpg = cv_k / cv_groups in
   let plane = cv_oh * cv_ow in
   let taps = cv_cg * cv_fy * cv_fx in
@@ -272,8 +288,9 @@ let conv_kernel ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups ~cv_oh
       for ky = 0 to cv_fy - 1 do
         for kx = 0 to cv_fx - 1 do
           let wv =
-            Array.unsafe_get wdata
-              (woff + (ko * taps) + (((ci * cv_fy) + ky) * cv_fx) + kx)
+            Mem.read_elt l2 wdt
+              (ws.ws_off
+              + (((ko * taps) + (((ci * cv_fy) + ky) * cv_fx) + kx) * wb))
           in
           if wv <> 0 then
             for r = 0 to runs - 1 do
@@ -298,27 +315,26 @@ let conv_kernel ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups ~cv_oh
     done
   done
 
-let dense_kernel ~dn_c ~dn_k ~wdata ~woff pin acc =
+let dense_kernel ~l2 ~ws ~dn_c ~dn_k pin acc =
+  Mem.check l2 ws.ws_off ws.ws_bytes;
+  let row = dn_c * Dtype.sim_bytes ws.ws_dtype in
   for ko = 0 to dn_k - 1 do
-    let w_base = woff + (ko * dn_c) in
-    let acc_v = ref 0 in
-    for ci = 0 to dn_c - 1 do
-      acc_v := !acc_v + (Array.unsafe_get pin ci * Array.unsafe_get wdata (w_base + ci))
-    done;
-    Array.unsafe_set acc ko !acc_v
+    Array.unsafe_set acc ko
+      (Mem.dot l2 ws.ws_dtype (ws.ws_off + (ko * row)) pin ~len:dn_c)
   done
 
 (* Bias add + requantize/cast + optional fused max pool, element-for-element
    [Ir.Layer.apply_epilogue]: same [asr] shift, same clamp bounds (via the
    very same [Dtype.clamp] on the cast path), same [min_int]-seeded max. *)
-let run_epilogue ep acc out =
+let run_epilogue ~l2 ep acc out =
   let spatial = ep.ep_spatial in
   let n = ep.ep_k * spatial in
   (match ep.ep_bias with
   | None -> ()
   | Some b ->
+      Mem.check l2 b (4 * ep.ep_k);
       for ko = 0 to ep.ep_k - 1 do
-        let bv = Array.unsafe_get b (ep.ep_bias_off + ko) in
+        let bv = Mem.read_elt l2 Dtype.I32 (b + (4 * ko)) in
         let base = ko * spatial in
         for s = 0 to spatial - 1 do
           let i = base + s in
@@ -370,13 +386,7 @@ let run_epilogue ep acc out =
 
 (* --- Build --------------------------------------------------------------- *)
 
-let decode_tensor l2 off (tensor : Tensor.t) =
-  let n = Tensor.numel tensor in
-  let data = Array.make n 0 in
-  Mem.read_flat_into l2 (Tensor.dtype tensor) off data ~pos:0 ~len:n;
-  data
-
-let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
+let build_astep ~platform ~blits ~prog ~accel_name ~(s : S.t) ~ins ~out
     ~weights_offset ~bias_offset =
   let accel = Arch.Platform.find_accel platform accel_name in
   let l = s.S.layer in
@@ -417,26 +427,18 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
           fail_step (Invalid_argument "Layer.execute: dense without weights")
       | _ when (match l.L.shift with Some sft -> sft < 0 | None -> false) ->
           fail_step (Invalid_argument "requantize: negative shift")
-      | _ when l.L.bias <> None && bias_offset < 0 ->
-          (* The slow path would fault reading the bias slice at a negative
-             offset; keep the fast path loud rather than silently skipping
-             the bias. *)
-          fail_step (Mem.Fault "L2: bias buffer offset out of range")
       | _ ->
           let dma = platform.Arch.Platform.dma in
           let in_offsets =
             List.map (fun id -> (P.buffer prog id).P.l2_offset) ins
           in
           let out_offset = (P.buffer prog out).P.l2_offset in
-          let wdata, per_k_elems =
-            match l.L.weights with
-            | Some w -> (decode_tensor l2b weights_offset w, Tensor.numel w / Tensor.dim w 0)
-            | None -> ([||], 0)
-          in
-          let bdata =
-            match l.L.bias with
-            | Some b -> Some (decode_tensor l2b bias_offset b)
-            | None -> None
+          (* The slices [Exec_accel.weight_slice] and [bias_slice] read. *)
+          let wslice ~k0 ~kd =
+            let w = Option.get l.L.weights in
+            let ws_dtype = Tensor.dtype w in
+            let per_k = Tensor.numel w / Tensor.dim w 0 * Dtype.sim_bytes ws_dtype in
+            { ws_dtype; ws_off = weights_offset + (k0 * per_k); ws_bytes = kd * per_k }
           in
           let dw = L.is_depthwise l in
           let elt_in = Dtype.sim_bytes l.L.in_dtype in
@@ -461,8 +463,7 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
             {
               ep_k = k;
               ep_spatial = oh * ow;
-              ep_bias = bdata;
-              ep_bias_off = k0;
+              ep_bias = Option.map (fun _ -> bias_offset + (4 * k0)) l.L.bias;
               ep_shift = l.L.shift;
               ep_relu = l.L.relu;
               ep_out_dtype = l.L.out_dtype;
@@ -478,12 +479,11 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                 let in_off = Exec_accel.in_base layout i in
                 let out_off = Exec_accel.out_base layout i in
                 (* Input DMA geometry, mirroring [Exec_accel.dma_in]. *)
-                let in_acc = ref [] in
                 let chunks_in, bytes_in =
                   match l.L.kind with
                   | L.Dense ->
                       let bytes = d.Tile.c * elt_in in
-                      in_acc := [ (List.hd in_offsets, in_off, bytes) ];
+                      push_blit blits ~src:(List.hd in_offsets) ~dst:in_off ~len:bytes;
                       (1, bytes)
                   | L.Conv _ | L.Pool _ ->
                       let chans, rows, cols = S.input_slice_dims s inst in
@@ -491,7 +491,7 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                       window_blits ~to_l1:true ~elt_bytes:elt_in
                         ~l2_off:(List.hd in_offsets) ~l1_off:in_off
                         ~full_h:l.L.in_shape.(1) ~full_w:l.L.in_shape.(2) ~ch0
-                        ~y0:inst.S.iy0 ~x0:inst.S.ix0 ~chans ~rows ~cols in_acc
+                        ~y0:inst.S.iy0 ~x0:inst.S.ix0 ~chans ~rows ~cols blits
                   | L.Add ->
                       let chans = d.Tile.c
                       and rows = d.Tile.oy
@@ -504,28 +504,30 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                               ~l1_off:(in_off + (which * slab_bytes))
                               ~full_h:l.L.in_shape.(1) ~full_w:l.L.in_shape.(2)
                               ~ch0:0 ~y0:inst.S.oy0 ~x0:0 ~chans ~rows ~cols
-                              in_acc
+                              blits
                           in
                           (c + c', b + b'))
                         (0, 0)
                         (List.mapi (fun which off -> (which, off)) in_offsets)
                 in
+                let i_in_blits = take_blits blits in
                 (* Output DMA geometry, mirroring [Exec_accel.dma_out]. *)
-                let out_acc = ref [] in
                 let chunks_out, bytes_out =
                   match l.L.kind with
                   | L.Dense ->
                       let bytes = d.Tile.k * elt_out in
-                      out_acc :=
-                        [ (out_off, out_offset + (inst.S.k0 * elt_out), bytes) ];
+                      push_blit blits ~src:out_off
+                        ~dst:(out_offset + (inst.S.k0 * elt_out))
+                        ~len:bytes;
                       (1, bytes)
                   | L.Conv _ | L.Pool _ | L.Add ->
                       window_blits ~to_l1:false ~elt_bytes:elt_out
                         ~l2_off:out_offset ~l1_off:out_off
                         ~full_h:l.L.out_shape.(1) ~full_w:l.L.out_shape.(2)
                         ~ch0:inst.S.k0 ~y0:inst.S.oy0 ~x0:inst.S.ox0
-                        ~chans:d.Tile.k ~rows:d.Tile.oy ~cols:d.Tile.ox out_acc
+                        ~chans:d.Tile.k ~rows:d.Tile.oy ~cols:d.Tile.ox blits
                 in
+                let i_out_blits = take_blits blits in
                 din.(i) <-
                   Arch.Memory.transfer_cycles dma ~chunks:chunks_in ~bytes:bytes_in;
                 bin.(i) <- bytes_in;
@@ -573,8 +575,7 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                             cv_groups = groups;
                             cv_oh = oh;
                             cv_ow = ow;
-                            cv_wdata = wdata;
-                            cv_woff = inst.S.k0 * per_k_elems;
+                            cv_ws = wslice ~k0:inst.S.k0 ~kd:d.Tile.k;
                             cv_in_dtype = l.L.in_dtype;
                             cv_ep = ep;
                           },
@@ -590,8 +591,7 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                           {
                             dn_c = d.Tile.c;
                             dn_k = d.Tile.k;
-                            dn_wdata = wdata;
-                            dn_woff = inst.S.k0 * per_k_elems;
+                            dn_ws = wslice ~k0:inst.S.k0 ~kd:d.Tile.k;
                             dn_in_dtype = l.L.in_dtype;
                             dn_ep = ep;
                           },
@@ -654,8 +654,8 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                   | CPool _ -> 0 (* encoded from the executed tensor directly *)
                 in
                 {
-                  i_in_blits = pack_blits (List.rev !in_acc);
-                  i_out_blits = pack_blits (List.rev !out_acc);
+                  i_in_blits;
+                  i_out_blits;
                   i_in_off = in_off;
                   i_out_off = out_off;
                   i_out_dtype = l.L.out_dtype;
@@ -721,8 +721,16 @@ let build ~platform (prog : P.t) =
   | Error e -> invalid_arg ("Plan.build: invalid program: " ^ e));
   let l2_size = platform.Arch.Platform.l2.Arch.Memory.size_bytes in
   let l1_size = platform.Arch.Platform.l1.Arch.Memory.size_bytes in
-  let l2b = Mem.create "L2" l2_size in
-  List.iter (fun (off, t) -> Mem.write_tensor l2b off t) prog.P.weight_images;
+  (* The weight images, encoded into a memory just big enough for their
+     prefix. An image outside L2 gets an L2-sized memory instead, so the
+     write faults exactly as the oracle's preload does. *)
+  let images = prog.P.weight_images in
+  let bytes_of t = Tensor.numel t * Dtype.sim_bytes (Tensor.dtype t) in
+  let fits = List.for_all (fun (off, t) -> off >= 0 && off + bytes_of t <= l2_size) images in
+  let prefix = List.fold_left (fun m (off, t) -> max m (off + bytes_of t)) 1 images in
+  let l2b = Mem.create "L2" (if fits then prefix else l2_size) in
+  List.iter (fun (off, t) -> Mem.write_tensor l2b off t) images;
+  let blits = { bl = Array.make 48 0; bn = 0 } in
   let p_steps =
     Array.of_list
       (List.map
@@ -731,7 +739,7 @@ let build ~platform (prog : P.t) =
            | P.Accel { accel_name; schedule; ins; out; weights_offset; bias_offset }
              ->
                Some
-                 (build_astep ~platform ~l2b ~prog ~accel_name ~s:schedule ~ins
+                 (build_astep ~platform ~blits ~prog ~accel_name ~s:schedule ~ins
                     ~out ~weights_offset ~bias_offset))
          prog.P.steps)
   in
@@ -757,8 +765,7 @@ let build ~platform (prog : P.t) =
   {
     p_prog = prog;
     p_steps;
-    p_l2_image = Mem.image l2b;
-    p_l2_hwm = Mem.high_water l2b;
+    p_l2_image = Mem.written_prefix l2b;
     p_l1_size = l1_size;
     p_l2_size = l2_size;
     p_id = Atomic.fetch_and_add next_id 1;
@@ -820,7 +827,7 @@ let checkout ?(fresh = false) plan =
   (* Rewind to the exact state [Machine.run] would build from scratch: a
      zeroed L2 holding the weight images (with its post-load high-water
      mark) and a poisoned L1. *)
-  Mem.restore ar.ar_l2 plan.p_l2_image ~hwm:plan.p_l2_hwm;
+  Mem.restore ar.ar_l2 plan.p_l2_image;
   Mem.fill ar.ar_l1 0x5A;
   Mem.reset_high_water ar.ar_l1;
   (ar.ar_l2, ar.ar_l1)
@@ -832,25 +839,24 @@ let copy_counters c =
   Counters.add r c;
   r
 
-let exec_compute ~l1 inst scr =
+let exec_compute ~l2 ~l1 inst scr =
   match inst.i_compute with
   | CConv cv ->
       fill_padded ~l1 ~dtype:cv.cv_in_dtype ~l1_off:inst.i_in_off ~dst:scr.sc_pin
         ~chans:cv.cv_chans ~rows:cv.cv_rows ~cols:cv.cv_cols ~ph:cv.cv_h
         ~pw:cv.cv_w ~pt:cv.cv_pt ~pl:cv.cv_pl;
-      conv_kernel ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
+      conv_kernel ~l2 ~ws:cv.cv_ws ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
         ~cv_fy:cv.cv_fy ~cv_fx:cv.cv_fx ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
-        ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~wdata:cv.cv_wdata
-        ~woff:cv.cv_woff ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;
-      run_epilogue cv.cv_ep scr.sc_acc scr.sc_out;
+        ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow
+        ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;
+      run_epilogue ~l2 cv.cv_ep scr.sc_acc scr.sc_out;
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off scr.sc_out ~pos:0
         ~len:inst.i_out_len
   | CDense dn ->
       Mem.read_flat_into l1 dn.dn_in_dtype inst.i_in_off scr.sc_pin ~pos:0
         ~len:dn.dn_c;
-      dense_kernel ~dn_c:dn.dn_c ~dn_k:dn.dn_k ~wdata:dn.dn_wdata ~woff:dn.dn_woff
-        scr.sc_pin scr.sc_acc;
-      run_epilogue dn.dn_ep scr.sc_acc scr.sc_out;
+      dense_kernel ~l2 ~ws:dn.dn_ws ~dn_c:dn.dn_c ~dn_k:dn.dn_k scr.sc_pin scr.sc_acc;
+      run_epilogue ~l2 dn.dn_ep scr.sc_acc scr.sc_out;
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off scr.sc_out ~pos:0
         ~len:inst.i_out_len
   | CAdd ad ->
@@ -861,7 +867,7 @@ let exec_compute ~l1 inst scr =
         Array.unsafe_set acc i
           (Array.unsafe_get pin i + Array.unsafe_get pin (ad.ad_n + i))
       done;
-      run_epilogue ad.ad_ep acc scr.sc_out;
+      run_epilogue ~l2 ad.ad_ep acc scr.sc_out;
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off scr.sc_out ~pos:0
         ~len:inst.i_out_len
   | CPool pl ->
@@ -897,7 +903,7 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
       if inst.i_wload then
         Resilience.guard rc ~site:Fault.Plan.Weight_load ~cycles:inst.i_wl
           ~flip_detected:true ();
-      exec_compute ~l1 inst scratch.(i);
+      exec_compute ~l2 ~l1 inst scratch.(i);
       Resilience.guard rc ~site:a.a_engine ~cycles:inst.i_cc
         ~corrupt:(fun fs bits ->
           Resilience.flip_in_mem fs l1 ~base:inst.i_out_off

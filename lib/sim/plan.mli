@@ -2,10 +2,12 @@
 
     [build] resolves, once per artifact, everything {!Exec_accel} recomputes
     per request — tile instance dims, L1 slot layouts, DMA window geometry
-    (flattened to coalesced blit lists), weight/bias slice extents (decoded
-    to flat arrays straight from the L2 weight image), padded-input shapes,
-    per-step counters and the trace timeline — so that the per-request loop
-    is pure data movement and kernel math over preallocated scratch.
+    (flattened to coalesced blit lists), the L2 extents of each tile's
+    weight and bias slices, padded-input shapes, per-step counters and the
+    trace timeline — so that the per-request loop is pure data movement and
+    kernel math over preallocated scratch. Like the oracle, a tile reads
+    its weights and bias from the L2 it runs on, checking each slice once
+    and decoding with {!Mem.read_elt} and {!Mem.dot}.
 
     Scratch lives in a per-domain {e arena}: reused L2/L1 memories plus
     per-tile padded-input, accumulator and output buffers, reset between
@@ -19,13 +21,11 @@
     high-water marks, session stats and [Fault.Session.Unrecovered]
     raises. Under a session each tile consults {!Resilience} in the slow
     path's order, so every draw and silent flip lands where the oracle's
-    does. The one thing a plan cannot follow is L2 bit rot in a weight
-    image, since it decoded weights and biases at build time:
-    {!Machine.run} runs a request's accelerator steps after an L2 rot
-    flip through {!Exec_accel} on the same memories. The slow path is
-    otherwise reached only through [use_plan:false] / [--no-plan] and the
-    tests: it is the conformance oracle ([htvmc check], the golden
-    snapshots and the plan differential tests enforce the contract). *)
+    does; L2 bit rot and a program's own writes over a weight image reach
+    both paths alike, since both read the same L2 bytes. The slow path is
+    reached only through [use_plan:false] / [--no-plan] and the tests: it
+    is the conformance oracle ([htvmc check], the golden snapshots and the
+    plan differential tests enforce the contract). *)
 
 type t
 
@@ -33,15 +33,20 @@ type stats = {
   accel_steps : int;  (** accelerator steps covered by the plan *)
   tiles : int;  (** precomputed tile instances across all steps *)
   scratch_words : int;  (** per-arena scratch footprint, in [int] words *)
-  image_bytes : int;  (** size of the captured L2 weight image *)
+  image_bytes : int;
+      (** size of the captured L2 weight prefix [[0, post-load high-water)];
+          0 when the program preloads no weights *)
 }
 
 val build : platform:Arch.Platform.t -> Program.t -> t
 (** Resolve the program against the platform. Performs the slow path's
     per-run validation eagerly; malformed steps are recorded and re-raised
-    with the slow path's exception when the step is executed.
+    with the slow path's exception when the step is executed. A weight or
+    bias slice outside L2 is no build error: running its step raises the
+    slow path's {!Mem.Fault}.
     @raise Invalid_argument when the program fails {!Program.validate}.
-    @raise Mem.Fault when a weight or bias image lies outside L2. *)
+    @raise Mem.Fault when a preloaded weight image lies outside L2 (the
+    slow path's preload fault). *)
 
 val program : t -> Program.t
 (** The program this plan was built for ({!Machine.run} enforces physical
@@ -51,8 +56,9 @@ val stats : t -> stats
 
 val checkout : ?fresh:bool -> t -> Mem.t * Mem.t
 (** [(l2, l1)] of the calling domain's arena, rewound to the exact state a
-    fresh {!Machine.run} would build: L2 holding the weight images with its
-    post-load high-water mark, L1 poisoned with [0x5A]. The first call in a
+    fresh {!Machine.run} would build: L2 holding the weight prefix, zeroed
+    past it, with its post-load high-water mark, L1 poisoned with [0x5A].
+    The first call in a
     domain allocates the arena; [~fresh:true] discards any cached arena and
     allocates anew (benchmarks use it to measure the no-reuse path). *)
 
@@ -69,7 +75,8 @@ val run_accel_step :
   Counters.t
 (** Execute the accelerator step at [step_index] of the plan's program: re-
     play the precomputed DMA blits, run the flat kernels over the domain
-    arena's scratch, encode the result, replay the recorded trace timeline
+    arena's scratch (reading weights and biases from [l2]), encode the
+    result, replay the recorded trace timeline
     shifted to cycle [t0], and return a fresh copy of the step's counters.
     With an active [faults] session every tile is guarded like
     {!Exec_accel.run}'s ([retry_budget], default 3): the counters gain
@@ -77,5 +84,7 @@ val run_accel_step :
     the fault events follow the timeline on the ["fault"] track.
     @raise Fault.Session.Unrecovered past the retry budget.
     @raise Invalid_argument when the step is a CPU step.
+    @raise Mem.Fault with the slow path's message when a weight or bias
+    slice lies outside [l2].
     @raise Mem.Fault / [Invalid_argument] with the slow path's exception
     when the step was recorded as malformed at build time. *)

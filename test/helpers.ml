@@ -20,6 +20,32 @@ let contains s needle =
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick (QCheck.Test.make ~count ~name gen prop)
 
+(* Sorted by group, then key: starts never decrease within a group. *)
+let monotone_starts triples =
+  let rec go = function
+    | (g, _, s) :: ((g', _, s') :: _ as rest) -> (g <> g' || s <= s') && go rest
+    | _ -> true
+  in
+  go (List.sort compare triples)
+
+(* Observed-plane time order of an open-loop serving run, over its served
+   requests as [(instance, batch, window, start)]: on each instance, batch
+   start times never decrease as the window index grows, and no request
+   starts before its window closes. *)
+let served_in_time_order ~window served =
+  let batch_starts = Hashtbl.create 16 in
+  List.iter
+    (fun (inst, b, w, start) ->
+      let first =
+        match Hashtbl.find_opt batch_starts b with
+        | Some (_, _, s) -> min s start
+        | None -> start
+      in
+      Hashtbl.replace batch_starts b (inst, w, first))
+    served;
+  monotone_starts (Hashtbl.fold (fun _ b acc -> b :: acc) batch_starts [])
+  && List.for_all (fun (_, _, w, start) -> start >= (w + 1) * window) served
+
 (* QCheck generator for small activation tensors [|c;h;w|] of a dtype. *)
 let small_chw dtype =
   let open QCheck.Gen in

@@ -514,6 +514,66 @@ let prop_invariance =
       && Serve.mt_tally reference = Serve.mt_tally again
       && cycles_track reference = cycles_track again)
 
+(* Open loop, the observed plane keeps time order: on each instance,
+   batch starts never decrease as the window index grows, no request
+   starts before its window closes, and one worker serves FIFO across
+   windows (within one, batches group requests per model). *)
+let prop_observed_time_order =
+  let gen =
+    QCheck.Gen.(
+      let* workers = int_range 1 4 in
+      let* mode = int_range 1 3 in
+      let* placement = oneofl [ Serve.Pinned; Serve.Swap ] in
+      let* max_batch = oneofl [ 0; 1; 2; 4 ] in
+      let* queue_depth = int_range 1 6 in
+      let* requests = int_range 2 24 in
+      let* seed = int_range 0 10_000 in
+      return (workers, mode, placement, max_batch, queue_depth, requests, seed))
+  in
+  let print (w, m, p, b, qd, n, seed) =
+    Printf.sprintf "workers=%d mode=%d placement=%s batch=%d depth=%d requests=%d seed=%d"
+      w m
+      (match p with Serve.Pinned -> "pinned" | Serve.Swap -> "swap")
+      b qd n seed
+  in
+  Helpers.qtest ~count:20 "mt observed plane keeps time order"
+    (QCheck.make ~print gen)
+    (fun (workers, mode, placement, max_batch, queue_depth, requests, seed) ->
+      let served workers placement =
+        let r =
+          run_ok
+            {
+              base with
+              Serve.mt_workers = workers;
+              mt_arrival =
+                (match mode with
+                | 1 -> Serve.Mt_poisson { mean_gap = 0 }
+                | 2 -> Serve.Mt_diurnal { mean_gap = 0; period = 0 }
+                | _ -> Serve.Mt_bursty { mean_gap = 0; burst = 3 });
+              mt_placement = placement;
+              mt_max_batch = max_batch;
+              mt_queue_depth = queue_depth;
+              mt_requests = requests;
+              mt_seed = seed;
+            }
+        in
+        let window = r.Serve.mt_resolved_window in
+        ( window,
+          List.filter_map
+            (fun ((q : Serve.mt_request), o) ->
+              match o with
+              | Serve.Mt_served { mo_instance; mo_batch; mo_start; _ } ->
+                  Some (mo_instance, mo_batch, q.Serve.q_arrival / window, mo_start)
+              | Serve.Mt_shed_queue _ | Serve.Mt_shed_slo _ -> None)
+            r.Serve.mt_outcomes )
+      in
+      (* Pinned placement needs a worker per model. *)
+      let workers = if placement = Serve.Pinned then max workers 2 else workers in
+      let window, fleet = served workers placement in
+      let _, single = served 1 Serve.Swap in
+      Helpers.served_in_time_order ~window fleet
+      && Helpers.monotone_starts (List.map (fun (_, _, w, s) -> (0, w, s)) single))
+
 let suites =
   [ ( "mtserve",
       [ Alcotest.test_case "tally invariant over fleet shape" `Quick
@@ -531,5 +591,6 @@ let suites =
         Alcotest.test_case "typed errors" `Quick test_typed_errors;
         Alcotest.test_case "renderings" `Quick test_renderings;
         prop_invariance;
+        prop_observed_time_order;
       ] )
   ]

@@ -163,9 +163,88 @@ let test_stats () =
   Alcotest.(check bool) "at least one tile per step" true
     (stats.Sim.Plan.tiles >= stats.Sim.Plan.accel_steps);
   Alcotest.(check bool) "scratch allocated" true (stats.Sim.Plan.scratch_words > 0);
-  Alcotest.(check bool) "weight image captured" true (stats.Sim.Plan.image_bytes > 0);
+  Alcotest.(check bool) "weight prefix captured, within the static region" true
+    (stats.Sim.Plan.image_bytes > 0
+    && stats.Sim.Plan.image_bytes <= artifact.C.l2_static_bytes);
   Alcotest.(check bool) "program identity" true
-    (Sim.Plan.program artifact.C.plan == artifact.C.program)
+    (Sim.Plan.program artifact.C.plan == artifact.C.program);
+  let cpu, _ = compile_zoo "ds_cnn" "cpu" in
+  Alcotest.(check int) "a cpu deployment has no weight image" 0
+    (Sim.Plan.stats cpu.C.plan).Sim.Plan.image_bytes
+
+(* The plan reads each tile's weights from the L2 it runs on, like the
+   oracle. Here the program's first accelerator step writes its output
+   over the last one's weight image; both paths must see the overwritten
+   weights. *)
+let test_dma_out_over_weights () =
+  let artifact, g = Lazy.force digital_artifact in
+  let platform = artifact.C.cfg.C.platform in
+  let prog = artifact.C.program in
+  let accel =
+    List.filter_map
+      (function
+        | Sim.Program.Accel { out; weights_offset; _ } -> Some (out, weights_offset)
+        | Sim.Program.Cpu _ -> None)
+      prog.Sim.Program.steps
+  in
+  let first_out = fst (List.hd accel) in
+  let last_weights = snd (List.nth accel (List.length accel - 1)) in
+  Alcotest.(check bool) "the last accelerator step has weights" true (last_weights >= 0);
+  let moved =
+    {
+      prog with
+      Sim.Program.buffers =
+        List.map
+          (fun (b : Sim.Program.buffer) ->
+            if b.Sim.Program.buf_id = first_out then
+              { b with Sim.Program.l2_offset = last_weights }
+            else b)
+          prog.Sim.Program.buffers;
+    }
+  in
+  Alcotest.(check bool) "still a valid program" true (Sim.Program.validate moved = Ok ());
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  let tr_slow = Trace.create () and tr_fast = Trace.create () in
+  let out_slow, rep_slow = Sim.Machine.run ~platform ~trace:tr_slow moved ~inputs in
+  let plan = Sim.Plan.build ~platform moved in
+  let out_fast, rep_fast =
+    Sim.Machine.run ~platform ~trace:tr_fast ~plan moved ~inputs
+  in
+  let out_intact, _ = C.run ~use_plan:false artifact ~inputs in
+  Alcotest.(check bool) "the overwritten weights reach the output" false
+    (Tensor.equal out_intact out_slow);
+  compare_outputs "dma-out over weights" out_slow out_fast;
+  compare_reports "dma-out over weights" rep_slow rep_fast;
+  compare_traces "dma-out over weights" tr_slow tr_fast
+
+(* A weight slice past L2 is no build error: like the oracle, the plan
+   faults when the step reads it, with the oracle's message. *)
+let test_weights_past_l2 () =
+  let artifact, g = Lazy.force digital_artifact in
+  let platform = artifact.C.cfg.C.platform in
+  let prog = artifact.C.program in
+  let l2_size = platform.Arch.Platform.l2.Arch.Memory.size_bytes in
+  let moved = ref false in
+  let steps =
+    List.map
+      (function
+        | Sim.Program.Accel a when (not !moved) && a.weights_offset >= 0 ->
+            moved := true;
+            Sim.Program.Accel { a with weights_offset = l2_size }
+        | step -> step)
+      prog.Sim.Program.steps
+  in
+  let bad = { prog with Sim.Program.steps } in
+  let plan = Sim.Plan.build ~platform bad in
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  let fault label run =
+    match run () with
+    | _ -> Alcotest.failf "%s: reading weights past L2 did not fault" label
+    | exception Sim.Mem.Fault msg -> msg
+  in
+  Alcotest.(check string) "the oracle's fault"
+    (fault "oracle" (fun () -> Sim.Machine.run ~platform bad ~inputs))
+    (fault "plan" (fun () -> Sim.Machine.run ~platform ~plan bad ~inputs))
 
 (* The per-domain arena is cached across checkouts; [~fresh] discards it. *)
 let test_arena_reuse () =
@@ -296,9 +375,8 @@ let differential ~retry_budget artifact ~inputs plan =
   (oracle, faulted_diff oracle fast)
 
 (* Every site x kind, under always / every / nth / p= triggers. [l2] rot
-   reaches the weight images the plan decoded at build time (the machine
-   then hands the request to the oracle); the last spec, at retry budget
-   0, must abort with [Unrecovered] on both paths. *)
+   reaches the weight images both paths read from L2; the last spec, at
+   retry budget 0, must abort with [Unrecovered] on both paths. *)
 let fault_specs =
   [ ("seed=1,dma_in@every=3:flip", 3);
     ("seed=2,dma_in@p=0.1:drop,dma_out@every=4:stall=40", 3);
@@ -415,6 +493,10 @@ let suites =
           test_zero_filter_differential;
         Alcotest.test_case "random differential" `Quick test_random_differential;
         Alcotest.test_case "stats" `Quick test_stats;
+        Alcotest.test_case "dma-out over a weight image" `Quick
+          test_dma_out_over_weights;
+        Alcotest.test_case "weights past L2 fault at run time" `Quick
+          test_weights_past_l2;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         Alcotest.test_case "arena dies with its plan" `Quick
           test_arena_dies_with_plan;

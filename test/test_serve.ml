@@ -372,6 +372,59 @@ let prop_tally_invariance =
       in
       at 1 1 = at workers jobs)
 
+(* Open loop, the observed plane keeps time order: on each instance,
+   batch starts never decrease as the window index grows, no request
+   starts before its window closes, and one worker serves in arrival
+   order. *)
+let prop_observed_time_order =
+  let gen =
+    QCheck.Gen.(
+      let* workers = int_range 1 4 in
+      let* max_batch = int_range 1 4 in
+      let* queue_depth = int_range 1 6 in
+      let* faulty = bool in
+      let* requests = int_range 2 24 in
+      let* seed = int_range 0 10_000 in
+      return (workers, max_batch, queue_depth, faulty, requests, seed))
+  in
+  let print (w, b, qd, f, n, seed) =
+    Printf.sprintf "workers=%d batch=%d depth=%d faulty=%b requests=%d seed=%d" w b
+      qd f n seed
+  in
+  Helpers.qtest ~count:20 "serve observed plane keeps time order"
+    (QCheck.make ~print gen)
+    (fun (workers, max_batch, queue_depth, faulty, requests, seed) ->
+      let served workers =
+        let r =
+          serve
+            ~cfg:
+              {
+                base with
+                Serve.workers;
+                max_batch;
+                queue_depth;
+                requests;
+                seed;
+                arrival = Serve.Poisson { mean_gap = 0 };
+                plan = (if faulty then flip_plan else Fault.Plan.empty);
+                retry_budget = 2;
+              }
+            ()
+        in
+        ( r.Serve.r_window,
+          List.filter_map
+            (fun ((q : Serve.request), o) ->
+              match o with
+              | Serve.Served { o_instance; o_batch; o_start; _ } ->
+                  Some (o_instance, o_batch, q.Serve.r_arrival / r.Serve.r_window, o_start)
+              | Serve.Rejected _ | Serve.Aborted _ -> None)
+            r.Serve.r_outcomes )
+      in
+      let window, fleet = served workers in
+      let _, single = served 1 in
+      Helpers.served_in_time_order ~window fleet
+      && Helpers.monotone_starts (List.mapi (fun i (_, _, _, s) -> (0, i, s)) single))
+
 let test_rejects_bad_config () =
   let expect field cfg =
     match serve ~cfg () with
@@ -456,5 +509,6 @@ let suites =
           test_validate_typed_errors;
         Alcotest.test_case "report renderings" `Quick test_report_renderings;
         prop_tally_invariance;
+        prop_observed_time_order;
       ] )
   ]

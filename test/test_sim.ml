@@ -53,10 +53,54 @@ let test_mem_tensor_roundtrip () =
   Sim.Mem.write_tensor m 200 t32;
   Helpers.check_tensor "i32 roundtrip" t32 (Sim.Mem.read_tensor m 200 Dtype.I32 [| 7 |])
 
-(* The tensor codecs run in bulk. For every dtype they must match
-   [read_elt]/[write_elt] in a loop: the ternary rot fold and the I16/I32
-   sign extension on reads over arbitrary bytes, and on writes the same
-   bytes, high-water mark and, for an out-of-range element, message. *)
+(* The arena snapshot: [written_prefix] then [restore] rewinds a reused
+   memory to the written state, and a memory whose tail past the mark is
+   not zero has no faithful prefix snapshot, so taking one raises. *)
+let test_mem_written_prefix () =
+  let m = Sim.Mem.create "m" 16 in
+  Sim.Mem.write_elt m Dtype.I16 2 (-2);
+  let img = Sim.Mem.written_prefix m in
+  Alcotest.(check int) "prefix length" 4 (Bytes.length img);
+  Sim.Mem.fill m 0x5A;
+  Sim.Mem.restore m img;
+  Alcotest.(check int) "restored element" (-2) (Sim.Mem.read_elt m Dtype.I16 2);
+  Alcotest.(check int) "tail zeroed" 0 (Sim.Mem.read_byte m 15);
+  Alcotest.(check int) "mark" 4 (Sim.Mem.high_water m);
+  let expect_invalid what m =
+    match Sim.Mem.written_prefix m with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  Sim.Mem.flip_bit m ~off:9 ~bit:0;
+  expect_invalid "flip past the mark" m;
+  let filled = Sim.Mem.create "m" 16 in
+  Sim.Mem.fill filled 1;
+  expect_invalid "filled" filled;
+  let reset = Sim.Mem.create "m" 16 in
+  Sim.Mem.write_byte reset 3 7;
+  Sim.Mem.reset_high_water reset;
+  expect_invalid "mark reset" reset
+
+(* The element decoding every read shares, spelled out from the bytes:
+   little-endian, sign-extended, a ternary byte outside {-1,0,1} folded
+   back into range. *)
+let decode_reference m (dt : Dtype.t) off =
+  let b i = Sim.Mem.read_byte m (off + i) in
+  let sext bits v = (v lsl (Sys.int_size - bits)) asr (Sys.int_size - bits) in
+  match dt with
+  | Dtype.I8 -> sext 8 (b 0)
+  | Dtype.Ternary ->
+      let v = sext 8 (b 0) in
+      if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1
+  | Dtype.U7 -> b 0 land 0x7F
+  | Dtype.I16 -> sext 16 (b 0 lor (b 1 lsl 8))
+  | Dtype.I32 -> sext 32 (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24))
+
+(* The tensor codecs and [dot] run in bulk. For every dtype they must
+   match [read_elt]/[write_elt] in a loop, and reads the reference
+   decoding, over arbitrary bytes (the ternary rot fold, the I16/I32 sign
+   extension); on writes the same bytes, high-water mark and, for an
+   out-of-range element, message. *)
 let qtest_mem_bulk_codecs =
   let dtypes = [| Dtype.I8; Dtype.U7; Dtype.I16; Dtype.I32; Dtype.Ternary |] in
   Helpers.qtest ~count:300 "mem tensor codecs match per-element"
@@ -71,9 +115,13 @@ let qtest_mem_bulk_codecs =
       for i = 0 to size - 1 do
         Sim.Mem.write_byte noise i (Util.Rng.int rng 256)
       done;
+      let elts = Array.init n (fun i -> Sim.Mem.read_elt noise dt (off + (i * w))) in
+      let weights = Array.init n (fun _ -> Util.Rng.int_in rng (-300) 300) in
       let reads_match =
-        Tensor.unsafe_data (Sim.Mem.read_tensor noise off dt [| n |])
-        = Array.init n (fun i -> Sim.Mem.read_elt noise dt (off + (i * w)))
+        elts = Array.init n (fun i -> decode_reference noise dt (off + (i * w)))
+        && Tensor.unsafe_data (Sim.Mem.read_tensor noise off dt [| n |]) = elts
+        && Sim.Mem.dot noise dt off weights ~len:n
+           = Array.fold_left ( + ) 0 (Array.map2 ( * ) elts weights)
       in
       let lo = Dtype.min_value dt and hi = Dtype.max_value dt in
       let values = Array.init n (fun _ -> Util.Rng.int_in rng lo hi) in
@@ -85,7 +133,8 @@ let qtest_mem_bulk_codecs =
       let outcome write =
         let m = Sim.Mem.create "m" size in
         let raised = try write m; None with Sim.Mem.Fault msg -> Some msg in
-        (raised, Sim.Mem.high_water m, Sim.Mem.image m)
+        let bytes = String.init size (fun i -> Char.chr (Sim.Mem.read_byte m i)) in
+        (raised, Sim.Mem.high_water m, bytes)
       in
       reads_match
       && outcome (fun m -> Sim.Mem.write_tensor m off tensor)
@@ -387,6 +436,7 @@ let suites =
         Alcotest.test_case "mem fault" `Quick test_mem_fault;
         Alcotest.test_case "mem range check" `Quick test_mem_range_check;
         Alcotest.test_case "mem tensor roundtrip" `Quick test_mem_tensor_roundtrip;
+        Alcotest.test_case "mem written prefix" `Quick test_mem_written_prefix;
         qtest_mem_bulk_codecs;
         Alcotest.test_case "counters" `Quick test_counters;
         Alcotest.test_case "conv untiled exact" `Quick test_conv_untiled_exact;

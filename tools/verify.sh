@@ -64,8 +64,8 @@ if ! diff _build/serve-tally-w1.txt _build/serve-tally-noplan.txt; then
 fi
 
 # The same under fault injection: the plan serves faulted requests
-# (transfer flips, silent compute flips, L2 rot that forces the per-step
-# oracle fallback) and must match the oracle's tally byte for byte.
+# (transfer flips, silent compute flips, L2 rot in the weights it reads
+# from L2) and must match the oracle's tally byte for byte.
 echo "== htvmc serve smoke (faulted, plan on vs --no-plan) =="
 INJECT='seed=3,dma_in@p=0.05:flip,compute@p=0.02:flip,l2@p=0.01:flip'
 dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
