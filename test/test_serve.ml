@@ -483,6 +483,243 @@ let test_report_renderings () =
   Alcotest.(check bool) "summary mentions throughput" true
     (Helpers.contains (Serve.summary r) "throughput")
 
+(* --- serving goldens --------------------------------------------------
+
+   Byte-level pins of serving output across commits (every other serving
+   test compares two runs of one binary). Each golden under
+   [golden/serve/] holds one run's tally, JSON report, Prometheus dump
+   and Chrome trace. On a mismatch the test names the first differing
+   line and writes the fresh rendering to [<golden>.actual] next to the
+   golden; an intentional change is re-blessed by copying that file over
+   the golden. *)
+
+let golden_dir = Filename.concat "golden" "serve"
+
+let sections parts =
+  String.concat ""
+    (List.map (fun (title, body) -> Printf.sprintf "==== %s ====\n%s\n" title body) parts)
+
+(* The first line where [expected] and [actual] differ, with a short
+   excerpt around the first differing column (JSON renders on one
+   line). *)
+let first_difference expected actual =
+  let rec go n = function
+    | e :: es, a :: as_ when e = a -> go (n + 1) (es, as_)
+    | e :: _, a :: _ ->
+        let col =
+          let rec c i =
+            if i < String.length e && i < String.length a && e.[i] = a.[i] then c (i + 1)
+            else i
+          in
+          c 0
+        in
+        let excerpt s =
+          let lo = max 0 (col - 40) in
+          String.sub s lo (min 100 (String.length s - lo))
+        in
+        Printf.sprintf "line %d, column %d:\n  expected: %s\n  actual:   %s" n (col + 1)
+          (excerpt e) (excerpt a)
+    | [], _ -> Printf.sprintf "line %d: expected end of file" n
+    | _, [] -> Printf.sprintf "line %d: actual output ends early" n
+  in
+  go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
+
+let check_golden name actual =
+  let path = Filename.concat golden_dir (name ^ ".txt") in
+  let expected =
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+    else ""
+  in
+  if actual <> expected then begin
+    let out = path ^ ".actual" in
+    (try if not (Sys.file_exists golden_dir) then Sys.mkdir golden_dir 0o755
+     with Sys_error _ -> ());
+    Out_channel.with_open_bin out (fun oc -> output_string oc actual);
+    Alcotest.failf "golden %s differs at %s\n(wrote %s; copy it over %s to re-bless)"
+      name
+      (first_difference expected actual)
+      (Sys.getcwd () ^ "/" ^ out)
+      path
+  end
+
+let single_golden cfg () =
+  let artifact, g = Lazy.force fixture in
+  let trace = Trace.create () in
+  let r = Serve.run ~trace cfg artifact ~graph:g in
+  sections
+    [
+      ("tally", Serve.tally r);
+      ("json", Trace.Json.to_string (Serve.to_json r));
+      ("prometheus", Metrics.to_prometheus r.Serve.r_metrics);
+      ("chrome trace", Trace.to_chrome_json trace);
+    ]
+
+let mt_golden ?(classes = Test_mtserve.classes) cfg () =
+  let trace = Trace.create () in
+  match
+    Serve.mt_run ~trace cfg ~models:(Lazy.force Test_mtserve.fixture) ~classes
+  with
+  | Error e -> Alcotest.failf "mt_run failed: %s" (Serve.mt_error_to_string e)
+  | Ok r ->
+      sections
+        [
+          ("tally", Serve.mt_tally r);
+          ("json", Trace.Json.to_string (Serve.mt_to_json r));
+          ("prometheus", Metrics.to_prometheus r.Serve.mt_metrics);
+          ("chrome trace", Trace.to_chrome_json trace);
+        ]
+
+(* A short probation so lifecycles turn over within a few dozen
+   requests; probes fail often enough to relapse. *)
+let health =
+  Some
+    {
+      Health.default with
+      Health.probation_window = 8_000;
+      probe_interval = 1_000;
+      probe_cost = 500;
+      probe_fail_prob = 0.3;
+    }
+let poisson = Serve.Poisson { mean_gap = 0 }
+let mt_poisson = Serve.Mt_poisson { mean_gap = 0 }
+let mt_base = Test_mtserve.base
+
+let campaign_golden () =
+  let artifact, g = Lazy.force fixture in
+  let cfg =
+    {
+      Campaign.default with
+      Campaign.c_serve =
+        {
+          base with
+          Serve.workers = 2;
+          arrival = Serve.Poisson { mean_gap = 0 };
+          queue_depth = 2;
+          retry_budget = 1;
+          slo_sojourn = Some 7_000;
+          health;
+        };
+      c_rates = [ 0.0; 0.1; 0.5 ];
+    }
+  in
+  match Campaign.run cfg artifact ~graph:g with
+  | Error msg -> Alcotest.failf "campaign failed: %s" msg
+  | Ok t ->
+      sections
+        [
+          ("tally", Campaign.tally t);
+          ("json", Trace.Json.to_string (Campaign.to_json t));
+        ]
+
+
+let goldens =
+  [
+    ("closed", single_golden { base with Serve.workers = 3 });
+    ( "closed-health",
+      single_golden
+        {
+          base with
+          Serve.workers = 2;
+          plan = flip_plan;
+          retry_budget = 2;
+          health;
+          degraded_instances = [ 1 ];
+        } );
+    ( "poisson-faults-health",
+      single_golden
+        {
+          base with
+          Serve.workers = 3;
+          requests = 24;
+          arrival = poisson;
+          queue_depth = 2;
+          slo_sojourn = Some 7_000;
+          plan = flip_plan;
+          retry_budget = 1;
+          health;
+          degraded_instances = [ 0 ];
+        } );
+    ( "memoize",
+      single_golden
+        {
+          base with
+          Serve.workers = 2;
+          requests = 16;
+          arrival = poisson;
+          queue_depth = 3;
+          memoize = true;
+          input_mix = 4;
+        } );
+    ( "degrade-after",
+      single_golden
+        {
+          base with
+          Serve.workers = 3;
+          plan = flip_plan;
+          retry_budget = 2;
+          degrade_after = Some 2;
+        } );
+    ( "mt-swap-slo",
+      mt_golden
+        ~classes:
+          [
+            {
+              Serve.k_name = "interactive";
+              k_model = "alpha";
+              k_slo = Some 12_000;
+              k_weight = 2;
+            };
+            { Serve.k_name = "batch"; k_model = "beta"; k_slo = Some 20_000; k_weight = 1 };
+          ]
+        {
+          mt_base with
+          Serve.mt_requests = 24;
+          mt_arrival = mt_poisson;
+          mt_placement = Serve.Swap;
+        } );
+    ( "mt-pinned-health",
+      mt_golden
+        {
+          mt_base with
+          Serve.mt_workers = 3;
+          mt_requests = 24;
+          mt_arrival = mt_poisson;
+          mt_placement = Serve.Pinned;
+          mt_health = health;
+          mt_degraded_instances = [ 1 ];
+        } );
+    ( "mt-autotune-diurnal",
+      mt_golden
+        {
+          mt_base with
+          Serve.mt_max_batch = 0;
+          mt_requests = 24;
+          mt_arrival = Serve.Mt_diurnal { mean_gap = 0; period = 0 };
+        } );
+    ( "mt-autotune-bursty",
+      mt_golden
+        {
+          mt_base with
+          Serve.mt_max_batch = 0;
+          mt_requests = 24;
+          mt_arrival = Serve.Mt_bursty { mean_gap = 0; burst = 4 };
+        } );
+    ( "mt-replay",
+      fun () ->
+        match Serve.load_arrival_trace "golden/mtserve.trace" with
+        | Error e -> Alcotest.failf "golden trace: %s" (Serve.mt_error_to_string e)
+        | Ok entries -> mt_golden { mt_base with Serve.mt_arrival = Serve.Mt_replay entries } ()
+    );
+    ("campaign", campaign_golden);
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, render) ->
+      Alcotest.test_case ("golden " ^ name) `Quick (fun () ->
+          check_golden name (render ())))
+    goldens
+
 let suites =
   [ ( "serve",
       [ Alcotest.test_case "tally invariant over workers/jobs" `Quick
@@ -510,5 +747,6 @@ let suites =
         Alcotest.test_case "report renderings" `Quick test_report_renderings;
         prop_tally_invariance;
         prop_observed_time_order;
-      ] )
+      ]
+      @ golden_tests )
   ]

@@ -38,6 +38,18 @@ dune exec bench/main.exe -- mtserve-smoke
 echo "== bench smoke: simfast (plan fast path byte-identical to the oracle) =="
 dune exec bench/main.exe -- simfast-smoke
 
+# Committed serving goldens: the tallies and metrics cycles tracks the
+# smokes below produce are pinned byte for byte across commits, not just
+# between two runs of one binary. After an intentional change, re-bless
+# by copying the _build file named in the failure over the golden.
+GOLDEN=test/golden/serve/cli
+golden_diff() {
+  if ! diff "$GOLDEN/$1" "$2"; then
+    echo "verify: $2 differs from the committed golden $GOLDEN/$1" >&2
+    exit 1
+  fi
+}
+
 # Serving smoke: the per-request tally of `htvmc serve` is a pure
 # function of the seed — byte-identical at any fleet size and any host
 # job count. Diff a 1-worker and a 4-worker run of the same stream.
@@ -51,6 +63,7 @@ if ! diff _build/serve-tally-w1.txt _build/serve-tally-w4.txt; then
   echo "verify: serve tallies differ between workers 1 and 4" >&2
   exit 1
 fi
+golden_diff serve.tally _build/serve-tally-w1.txt
 
 # The compiled execution plan is a pure fast path: disabling it
 # (--no-plan forces the slow interpretive oracle) must leave the
@@ -78,6 +91,7 @@ if ! diff _build/serve-faulted-plan.txt _build/serve-faulted-noplan.txt; then
   echo "verify: faulted serve tallies differ between plan on and --no-plan" >&2
   exit 1
 fi
+golden_diff serve-faulted.tally _build/serve-faulted-plan.txt
 
 # Telemetry smoke: the cycles track of a serve metrics dump — admission
 # counters, service and predicted-sojourn histograms, per-window series,
@@ -101,6 +115,7 @@ if ! diff _build/serve-metrics-w1.cycles _build/serve-metrics-w4.cycles; then
   echo "verify: metrics cycles tracks differ between workers 1 and 4" >&2
   exit 1
 fi
+golden_diff serve-metrics.cycles _build/serve-metrics-w1.cycles
 if ! grep -q '^htvm_serve_slo_pred_violations_total ' _build/serve-metrics-w1.cycles; then
   echo "verify: metrics dump is missing SLO accounting" >&2
   exit 1
@@ -142,6 +157,8 @@ if ! diff _build/mtserve-metrics-w1.cycles _build/mtserve-metrics-w4.cycles; the
   echo "verify: multi-tenant metrics cycles tracks differ" >&2
   exit 1
 fi
+golden_diff mtserve.tally _build/mtserve-tally-w1.txt
+golden_diff mtserve-metrics.cycles _build/mtserve-metrics-w1.cycles
 if ! grep -q 'htvm_mtserve_class_slo_pred_violations_total{class="keyword"}' \
      _build/mtserve-metrics-w1.cycles; then
   echo "verify: multi-tenant metrics dump is missing per-class SLO accounting" >&2
@@ -181,6 +198,7 @@ if ! diff _build/serve-health-w2.txt _build/serve-health-w4.txt; then
   echo "verify: serve health tallies differ between workers 2 and 4" >&2
   exit 1
 fi
+golden_diff serve-health.tally _build/serve-health-w2.txt
 if ! grep -q '^health pred-state=' _build/serve-health-w2.txt; then
   echo "verify: serve health tally is missing the lifecycle footer" >&2
   exit 1
@@ -201,6 +219,7 @@ if ! diff _build/campaign-tally-w1.txt _build/campaign-tally-w4.txt; then
   echo "verify: campaign tallies differ between w1/j1 and w4/j4" >&2
   exit 1
 fi
+golden_diff campaign.tally _build/campaign-tally-w1.txt
 if [ "$(grep -c '^rate ' _build/campaign-tally-w1.txt)" != 3 ]; then
   echo "verify: campaign tally does not carry one line per rate point" >&2
   exit 1
