@@ -574,6 +574,114 @@ let prop_observed_time_order =
       Helpers.served_in_time_order ~window fleet
       && Helpers.monotone_starts (List.map (fun (_, _, w, s) -> (0, w, s)) single))
 
+(* The shared semantics of the two front ends: [Serve.run] and a
+   one-model, one-class, [Pinned] [mt_run] replaying [run]'s own arrivals
+   (same seed, same resolved window) agree request for request —
+   instance, batch, start, finish, predicted sojourn, digest, service
+   and shed window — and on makespan and fail-open count.
+
+   Open loop only (closed-loop arrivals cannot be replayed; the goldens
+   cover them), with no faults, memoization or SLO. Health on together
+   with a degraded instance is excluded by design: only [run] has the
+   predicted plane and its health-aware shedding, so the two legitimately
+   diverge there. *)
+let prop_run_matches_single_class_mt_run =
+  let gen =
+    QCheck.Gen.(
+      let* workers = int_range 1 5 in
+      let* max_batch = int_range 1 6 in
+      let* queue_depth = int_range 1 8 in
+      let* requests = int_range 0 30 in
+      let* overhead = int_range 0 3000 in
+      let* mean_gap = oneof [ return 0; int_range 500 5000 ] in
+      let* window = oneof [ return 0; int_range 1000 8000 ] in
+      let* health = bool in
+      let* mask = int_bound ((1 lsl workers) - 1) in
+      let* seed = int_range 0 10_000 in
+      let degraded =
+        if health then []
+        else List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init workers Fun.id)
+      in
+      return
+        (workers, max_batch, queue_depth, requests, overhead, mean_gap, window,
+         health, degraded, seed))
+  in
+  let print (w, b, qd, n, o, gap, win, h, deg, seed) =
+    Printf.sprintf
+      "workers=%d batch=%d depth=%d requests=%d overhead=%d gap=%d window=%d \
+       health=%b degraded=[%s] seed=%d"
+      w b qd n o gap win h
+      (String.concat ";" (List.map string_of_int deg))
+      seed
+  in
+  Helpers.qtest ~count:350 "run = one-class pinned mt_run on replayed arrivals"
+    (QCheck.make ~print gen)
+    (fun (workers, max_batch, queue_depth, requests, overhead, mean_gap, window,
+          health, degraded, seed) ->
+      let alpha = List.hd (Lazy.force fixture) in
+      let health = if health then Some Health.default else None in
+      let r =
+        Serve.run
+          {
+            Serve.default with
+            Serve.workers;
+            max_batch;
+            queue_depth;
+            requests;
+            seed;
+            arrival = Serve.Poisson { mean_gap };
+            window;
+            dispatch_overhead = overhead;
+            degraded_instances = degraded;
+            health;
+          }
+          alpha.Serve.m_artifact ~graph:alpha.Serve.m_graph
+      in
+      let entries =
+        List.map
+          (fun ((q : Serve.request), _) ->
+            {
+              Serve.t_cycle = q.Serve.r_arrival;
+              t_class = "main";
+              t_seed = q.Serve.r_input_seed;
+              t_line = q.Serve.r_id + 2;
+            })
+          r.Serve.r_outcomes
+      in
+      let m =
+        run_ok ~models:[ alpha ]
+          ~classes:
+            [ { Serve.k_name = "main"; k_model = "alpha"; k_slo = None; k_weight = 1 } ]
+          {
+            Serve.mt_default with
+            Serve.mt_workers = workers;
+            mt_max_batch = max_batch;
+            mt_queue_depth = queue_depth;
+            mt_seed = seed;
+            mt_arrival = Serve.Mt_replay entries;
+            mt_window = r.Serve.r_window;
+            mt_dispatch_overhead = overhead;
+            mt_placement = Serve.Pinned;
+            mt_degraded_instances = degraded;
+            mt_health = health;
+          }
+      in
+      let same (_, o) (_, mo) =
+        match (o, mo) with
+        | Serve.Served s, Serve.Mt_served t ->
+            s.o_instance = t.mo_instance && s.o_batch = t.mo_batch
+            && s.o_start = t.mo_start && s.o_finish = t.mo_finish
+            && s.o_pred_sojourn = t.mo_pred_sojourn && s.o_digest = t.mo_digest
+            && s.o_service = t.mo_service
+        | Serve.Rejected { o_window }, Serve.Mt_shed_queue { mo_window } ->
+            o_window = mo_window
+        | _ -> false
+      in
+      List.length r.Serve.r_outcomes = List.length m.Serve.mt_outcomes
+      && List.for_all2 same r.Serve.r_outcomes m.Serve.mt_outcomes
+      && r.Serve.r_makespan = m.Serve.mt_makespan
+      && r.Serve.r_fail_open = m.Serve.mt_fail_open)
+
 let suites =
   [ ( "mtserve",
       [ Alcotest.test_case "tally invariant over fleet shape" `Quick
@@ -592,5 +700,6 @@ let suites =
         Alcotest.test_case "renderings" `Quick test_renderings;
         prop_invariance;
         prop_observed_time_order;
+        prop_run_matches_single_class_mt_run;
       ] )
   ]
