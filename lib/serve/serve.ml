@@ -1,32 +1,45 @@
 (* Batched inference serving over a simulated DIANA fleet.
 
-   The runtime is split so its determinism guarantee is structural
-   rather than accidental:
+   One serving engine, two front ends. [run] serves one compiled model to
+   a single request population; [mt_run] hosts several models behind one
+   fleet for weighted request classes with per-class SLOs. Each front end
+   owns only what really differs: its validation and error contract
+   ([run] raises, [mt_run] returns a typed [mt_error]), request
+   generation (the single-tenant input-mix pool draws no class, the
+   multi-tenant stream draws one per request, so the two RNG streams stay
+   separate), and the projection into its public report, metric names,
+   trace event names and tally format. Everything after generation is
+   the private [serve_engine] below, so a scheduling fix lands once.
 
-   1. Generation + admission are pure functions of the config seed: the
-      request stream (payload seeds, arrival cycles) comes from one
-      Util.Rng stream, and the per-window ingress cap decides shedding
-      from arrivals alone — never from how fast the fleet drains.
+   The engine is split so its determinism guarantee is structural rather
+   than accidental:
+
+   1. Admission is a pure function of the arrival stream: the
+      per-window ingress cap sheds from arrivals alone — never from how
+      fast the fleet drains.
    2. Execution is a pure function of the request: each request runs on
       a fresh simulated machine under its own fault session (seed
       derived from plan seed + request id), fanned out over a Util.Pool
       whose map is order-preserving. Outputs, service cycles and fault
       tallies cannot depend on routing, fleet size or host parallelism.
-   3. Scheduling is plain arithmetic over the execution records: batch
-      assembly, earliest-free healthy routing, per-instance clocks,
-      degradation bookkeeping and the trace all happen on the
-      submitting domain. Only this layer sees the worker count, and
-      only serving metrics (throughput, waits, utilization) flow out of
-      it — the functional tally is assembled from layers 1 and 2.
+   3. Batch assembly precedes routing: batches, predicted sojourns, SLO
+      sheds and the autotuned batch size come from a queueing-free model
+      of the batch timeline that never sees the fleet.
+   4. Scheduling is plain arithmetic over the execution records:
+      placement, earliest-free healthy routing, hot swaps, per-instance
+      clocks, degradation bookkeeping and the trace all happen on the
+      submitting domain. Only this layer sees the worker count, and only
+      serving metrics (throughput, waits, utilization) flow out of it —
+      the functional tallies are assembled from layers 1 to 3.
 
    The health lifecycle (lib/health) keeps that split by running on two
    planes, mirroring the predicted/observed SLO accounting:
 
-   - The *predicted* plane is one logical Health.t advanced along the
-     queueing-free batch timeline (window closes, dispatch overheads,
-     exact service cycles). It never sees the fleet shape, so the
-     health-aware admission cap, the health-shed set, the predicted
-     fail-open count, readmission totals and every htvm_health_*
+   - The *predicted* plane (single-tenant) is one logical Health.t
+     advanced along the queueing-free batch timeline (window closes,
+     dispatch overheads, exact service cycles). It never sees the fleet
+     shape, so the health-aware admission cap, the health-shed set, the
+     predicted fail-open count, readmission totals and every htvm_health_*
      cycles-track counter stay byte-identical at any workers/jobs and
      may appear in the tally.
    - The *observed* plane is one Health.t per instance, fed by the
@@ -211,1153 +224,7 @@ type report = {
   r_metrics : Metrics.snapshot;
 }
 
-(* --- generation ------------------------------------------------------- *)
-
-(* One exponential inter-arrival gap. The uniform draw is an integer
-   grid point, so the stream is reproducible without trusting float
-   rounding across draws. *)
-let exp_gap rng ~mean =
-  let u = (float_of_int (Util.Rng.int rng 1_000_000) +. 1.0) /. 1_000_001.0 in
-  max 0 (int_of_float (-.float_of_int mean *. log u))
-
-let generate cfg ~mean_gap =
-  let rng = Util.Rng.create cfg.seed in
-  (* Input-mix pool: [input_mix = 0] keeps the historical fully-unique
-     stream byte-for-byte; [input_mix = k > 0] folds every per-request
-     draw into a pool of k seeds from a derived stream. The fold happens
-     after the main draw, so arrivals are identical at any mix. *)
-  let pool =
-    if cfg.input_mix <= 0 then [||]
-    else
-      let prng = Util.Rng.create (cfg.seed + 999_983) in
-      Array.init cfg.input_mix (fun _ -> Util.Rng.int_in prng 1 1_000_000)
-  in
-  let clock = ref 0 in
-  List.init cfg.requests (fun k ->
-      let draw = Util.Rng.int_in rng 1 1_000_000 in
-      let input_seed =
-        if cfg.input_mix <= 0 then draw else pool.(draw mod cfg.input_mix)
-      in
-      let arrival =
-        match cfg.arrival with
-        | Closed -> 0
-        | Poisson _ ->
-            clock := !clock + exp_gap rng ~mean:mean_gap;
-            !clock
-      in
-      { r_id = k; r_input_seed = input_seed; r_arrival = arrival })
-
-(* --- execution -------------------------------------------------------- *)
-
-let digest_tensor t =
-  let b = Buffer.create (16 + (Tensor.numel t * 4)) in
-  Buffer.add_string b (Tensor.Dtype.to_string (Tensor.dtype t));
-  Buffer.add_char b '|';
-  Array.iter
-    (fun d ->
-      Buffer.add_string b (string_of_int d);
-      Buffer.add_char b 'x')
-    (Tensor.shape t);
-  Buffer.add_char b '|';
-  for i = 0 to Tensor.numel t - 1 do
-    Buffer.add_string b (string_of_int (Tensor.get_flat t i));
-    Buffer.add_char b ','
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* Each request owns an independent fault campaign: same rules, a seed
-   derived from the plan seed and the request id. This is what divorces
-   a request's faults from the instance that happens to serve it. *)
-let request_plan plan r_id =
-  { plan with Fault.Plan.seed = plan.Fault.Plan.seed + ((r_id + 1) * 1_000_003) }
-
-type exec =
-  | Done of {
-      e_digest : string;
-      e_service : int;
-      e_detected : int;
-      e_silent : int;
-      e_retries : int;
-      e_totals : Sim.Counters.t;
-    }
-  | Abort of { a_site : string; a_attempts : int; a_detected : int; a_silent : int }
-
-let execute cfg artifact ~graph (r : request) =
-  let inputs = Models.Zoo.random_input ~seed:r.r_input_seed graph in
-  let session =
-    if Fault.Plan.is_empty cfg.plan then None
-    else Some (Fault.Session.create (request_plan cfg.plan r.r_id))
-  in
-  let fault_stats () =
-    match session with
-    | None -> (0, 0, 0)
-    | Some s ->
-        let st = Fault.Session.stats s in
-        (st.Fault.Session.detected, st.Fault.Session.silent, st.Fault.Session.retries)
-  in
-  match
-    C.run ?faults:session ~retry_budget:cfg.retry_budget ~use_plan:cfg.use_plan
-      artifact ~inputs
-  with
-  | out, report ->
-      let detected, silent, retries = fault_stats () in
-      Done
-        {
-          e_digest = digest_tensor out;
-          e_service = C.full_cycles report;
-          e_detected = detected;
-          e_silent = silent;
-          e_retries = retries;
-          e_totals = report.Sim.Machine.totals;
-        }
-  | exception Fault.Session.Unrecovered { site; attempts } ->
-      let detected, silent, _ = fault_stats () in
-      Abort { a_site = site; a_attempts = attempts; a_detected = detected; a_silent = silent }
-
-(* --- scheduling ------------------------------------------------------- *)
-
-type instance = {
-  id : int;
-  mutable free_at : int;
-  mutable busy : int;
-  mutable served : int;
-  mutable aborted : int;
-  mutable batches : int;
-  mutable faults : int;
-  mutable degraded_at : int option;
-  mutable probe_cyc : int;  (* observed-plane probe cycles charged *)
-  hm : Health.t option;  (* observed-plane machine (health mode only) *)
-  totals : Sim.Counters.t;
-}
-
-let healthy_at inst t =
-  match inst.hm with
-  | Some m -> Health.eligible m
-  | None -> (
-      match inst.degraded_at with None -> true | Some d -> t < d)
-
-(* Earliest-free eligible instance, lowest id on ties. Falls open to the
-   whole fleet when every instance is out of the rotation: a fully
-   degraded fleet keeps serving rather than shedding everything. The
-   second component reports that fail-open, for the dedicated counter. *)
-let route instances t =
-  let all = Array.to_list instances in
-  let eligible = List.filter (fun i -> healthy_at i t) all in
-  let fail_open = eligible = [] in
-  let pool = if fail_open then all else eligible in
-  ( List.fold_left
-      (fun best i -> if i.free_at < best.free_at then i else best)
-      (List.hd pool) (List.tl pool),
-    fail_open )
-
-(* Fill a health config's auto fields from the probe request's service
-   time: probation two probe-services, probes every quarter service
-   costing a tenth, escalation capped at 8 probation windows. A pure
-   function of (config, artifact, seed), like the window auto. *)
-let resolve_health hc ~probe_cycles =
-  let probation =
-    if hc.Health.probation_window > 0 then hc.Health.probation_window
-    else 2 * probe_cycles
-  in
-  let resolved =
-    {
-      hc with
-      Health.probation_window = probation;
-      probe_interval =
-        (if hc.Health.probe_interval >= 0 then hc.Health.probe_interval
-         else max 1 (probe_cycles / 4));
-      probe_cost =
-        (if hc.Health.probe_cost > 0 then hc.Health.probe_cost
-         else max 1 (probe_cycles / 10));
-      backoff_cap =
-        (if hc.Health.backoff_cap > 0 then hc.Health.backoff_cap
-         else 8 * probation);
-    }
-  in
-  match Health.validate resolved with
-  | Ok () -> Ok resolved
-  | Error msg -> Error msg
-
-let health_stat_of m =
-  {
-    hs_state = Health.state m;
-    hs_transitions = List.length (Health.transitions m);
-    hs_readmissions = Health.readmissions m;
-    hs_relapses = Health.relapses m;
-    hs_probes_passed = Health.probes_passed m;
-    hs_probes_failed = Health.probes_failed m;
-    hs_probe_cycles = Health.probe_cycles m;
-  }
-
-(* Group admitted [((window, request), execution)] items by dispatch
-   window, oldest window first and each window's items in arrival order,
-   so batches dispatch in time order. *)
-let group_windows work =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (((w, _), _) as item) ->
-      match Hashtbl.find_opt tbl w with
-      | None ->
-          Hashtbl.add tbl w (ref [ item ]);
-          order := w :: !order
-      | Some cell -> cell := item :: !cell)
-    work;
-  List.rev_map (fun w -> (w, List.rev !(Hashtbl.find tbl w))) !order
-
-(* Split [xs] into consecutive chunks of at most [n]. *)
-let rec chunk n xs =
-  if xs = [] then []
-  else
-    let rec take k acc rest =
-      match rest with
-      | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-      | _ -> (List.rev acc, rest)
-    in
-    let head, rest = take n [] xs in
-    head :: chunk n rest
-
-(* Typed errors, shared between the single-tenant and multi-tenant
-   surfaces: the mt path returns them from [mt_run]; the single-tenant
-   path diagnoses config violations through [validate] (callers like
-   [htvmc serve] print the message and exit nonzero) while [run] itself
-   keeps its raising contract for programmatic misuse. *)
-type mt_error =
-  | Unknown_model of { class_name : string; model : string }
-  | Unknown_class of { class_name : string; context : string }
-  | Bad_trace of { line : int; reason : string }
-  | Bad_config of string
-
-let mt_error_to_string = function
-  | Unknown_model { class_name; model } ->
-      Printf.sprintf "class %S names model %S, which is not in the registry"
-        class_name model
-  | Unknown_class { class_name; context } ->
-      Printf.sprintf "%s references class %S, which is not configured" context
-        class_name
-  | Bad_trace { line; reason } ->
-      Printf.sprintf "arrival trace line %d: %s" line reason
-  | Bad_config msg -> msg
-
-(* Single-tenant config validation. Raises [Invalid_argument] — [run]'s
-   historical contract — with [validate] below wrapping the same checks
-   into a typed result. *)
-let check_config cfg =
-  if cfg.workers < 1 then invalid_arg "Serve.run: workers must be >= 1";
-  if cfg.max_batch < 1 then invalid_arg "Serve.run: max_batch must be >= 1";
-  if cfg.queue_depth < 1 then invalid_arg "Serve.run: queue_depth must be >= 1";
-  if cfg.requests < 0 then invalid_arg "Serve.run: requests must be >= 0";
-  (match cfg.slo_sojourn with
-  | Some t when t < 1 -> invalid_arg "Serve.run: slo_sojourn must be >= 1"
-  | _ -> ());
-  if cfg.input_mix < 0 then invalid_arg "Serve.run: input_mix must be >= 0";
-  (* Degraded ids must name real instances, once each — out-of-range or
-     duplicate ids were silently ignored before and always indicate a
-     config bug (a typo'd fleet size, a doubled flag). *)
-  (match
-     List.find_opt
-       (fun id -> id < 0 || id >= cfg.workers)
-       cfg.degraded_instances
-   with
-  | Some id ->
-      invalid_arg
-        (Printf.sprintf
-           "Serve.run: degraded instance id %d out of range [0, %d)" id
-           cfg.workers)
-  | None -> ());
-  if
-    List.length (List.sort_uniq compare cfg.degraded_instances)
-    <> List.length cfg.degraded_instances
-  then invalid_arg "Serve.run: degraded instance ids must be distinct";
-  (* The health lifecycle replaces the one-way degrade_after flag; the
-     two accounting schemes would fight over instance eligibility. *)
-  if cfg.health <> None && cfg.degrade_after <> None then
-    invalid_arg "Serve.run: health and degrade_after are mutually exclusive";
-  (* Memoization reuses one execution across identical inputs, which is
-     only sound when executions are input-pure — per-request fault
-     sessions make them input-impure by design. *)
-  if cfg.memoize && not (Fault.Plan.is_empty cfg.plan) then
-    invalid_arg "Serve.run: memoize requires an empty fault plan"
-
-let validate cfg =
-  match check_config cfg with
-  | () -> Ok ()
-  | exception Invalid_argument msg -> Error (Bad_config msg)
-
-let run ?trace ?metrics cfg artifact ~graph =
-  check_config cfg;
-  (* The run always records into a registry — the caller's (so a serve
-     dump can carry the compile-side metrics too) or a private one — and
-     the report carries its snapshot. Registration is strict, so a
-     caller-supplied registry must not have seen a serve run before. *)
-  let reg = match metrics with Some r -> r | None -> Metrics.create () in
-  let m_requests =
-    Metrics.counter reg ~help:"Requests generated from the seed."
-      "htvm_serve_requests_total"
-  in
-  let m_admitted =
-    Metrics.counter reg ~help:"Requests admitted past the per-window ingress cap."
-      "htvm_serve_admitted_total"
-  in
-  let m_shed =
-    Metrics.counter reg ~help:"Requests shed at admission." "htvm_serve_shed_total"
-  in
-  let m_served =
-    Metrics.counter reg ~help:"Requests served to completion."
-      "htvm_serve_served_total"
-  in
-  let m_aborted =
-    Metrics.counter reg ~help:"Requests aborted after exhausting the retry budget."
-      "htvm_serve_aborted_total"
-  in
-  let m_faults_detected =
-    Metrics.counter reg ~help:"Detected faults across all request executions."
-      "htvm_serve_faults_detected_total"
-  in
-  let m_faults_silent =
-    Metrics.counter reg ~help:"Silent corruptions across all request executions."
-      "htvm_serve_faults_silent_total"
-  in
-  let m_retries =
-    Metrics.counter reg ~help:"Retries across all request executions."
-      "htvm_serve_retries_total"
-  in
-  let m_memo_hits =
-    Metrics.counter reg
-      ~help:"Admitted requests whose output was reused from an identical input."
-      "htvm_serve_memo_hits_total"
-  in
-  let m_memo_misses =
-    Metrics.counter reg
-      ~help:"Distinct inputs actually executed under memoization."
-      "htvm_serve_memo_misses_total"
-  in
-  let cycle_buckets =
-    [ 1_000; 3_000; 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000;
-      10_000_000 ]
-  in
-  let m_service =
-    Metrics.histogram reg ~buckets:cycle_buckets
-      ~help:"Per-request service cycles on a dedicated machine."
-      "htvm_serve_service_cycles"
-  in
-  let m_pred_sojourn =
-    Metrics.histogram reg ~buckets:cycle_buckets
-      ~help:"Predicted (queueing-free) sojourn cycles of served requests."
-      "htvm_serve_pred_sojourn_cycles"
-  in
-  let m_slo_pred =
-    Metrics.counter reg
-      ~help:"Served requests whose predicted sojourn exceeded the SLO target."
-      "htvm_serve_slo_pred_violations_total"
-  in
-  let m_window =
-    Metrics.series reg
-      ~columns:
-        [ "arrivals"; "admitted"; "shed"; "slo_pred_violations";
-          "slo_pred_violation_rate" ]
-      ~help:"Per dispatch window: admission and predicted-SLO accounting."
-      "htvm_serve_window"
-  in
-  let m_sim =
-    List.map
-      (fun (name, _) ->
-        ( name,
-          Metrics.counter reg
-            ~help:("Simulator counter " ^ name ^ " summed over served requests.")
-            ("htvm_sim_" ^ name ^ "_total") ))
-      (Sim.Counters.fields (Sim.Counters.create ()))
-  in
-  let m_slo_observed =
-    Metrics.counter reg ~track:Metrics.Sched
-      ~help:"Served requests whose observed sojourn exceeded the SLO target."
-      "htvm_serve_slo_observed_violations_total"
-  in
-  let m_sched_window =
-    Metrics.series reg ~track:Metrics.Sched
-      ~columns:[ "in_flight"; "free_max"; "served_cum"; "throughput_rps" ]
-      ~help:"Fleet state at each dispatch-window close."
-      "htvm_sched_window"
-  in
-  (* Fail-open accounting is split like the SLO counters: the dedicated
-     htvm_serve_fail_open_total counts predicted-plane fail-opens
-     (cycles track, worker-invariant, 0 without health); the observed
-     fleet-shaped count lands on the sched track. *)
-  let m_fail_open_pred =
-    Metrics.counter reg
-      ~help:
-        "Batches predicted to dispatch with no healthy capacity \
-         (fail-open), on the predicted health plane."
-      "htvm_serve_fail_open_total"
-  in
-  let m_health_shed =
-    Metrics.counter reg
-      ~help:
-        "Requests shed by health-aware admission while the predicted \
-         plane was out of the rotation."
-      "htvm_serve_health_shed_total"
-  in
-  let m_fail_open_observed =
-    Metrics.counter reg ~track:Metrics.Sched
-      ~help:
-        "Scheduled batches dispatched with every instance out of the \
-         healthy rotation (fail-open)."
-      "htvm_sched_fail_open_total"
-  in
-  let health_pair_labels (f, t) =
-    [ ("from", Health.state_label f); ("to", Health.state_label t) ]
-  in
-  let m_health_pred_transitions =
-    match cfg.health with
-    | None -> []
-    | Some _ ->
-        List.map
-          (fun pair ->
-            ( pair,
-              Metrics.counter reg ~labels:(health_pair_labels pair)
-                ~help:"Predicted-plane health transitions by (from, to)."
-                "htvm_health_pred_transitions_total" ))
-          Health.legal_pairs
-  in
-  let m_health_pred_counter name help =
-    match cfg.health with
-    | None -> None
-    | Some _ -> Some (Metrics.counter reg ~help name)
-  in
-  let m_health_pred_readmissions =
-    m_health_pred_counter "htvm_health_pred_readmissions_total"
-      "Predicted-plane readmissions to the healthy rotation."
-  in
-  let m_health_pred_relapses =
-    m_health_pred_counter "htvm_health_pred_relapses_total"
-      "Predicted-plane entries into the degraded state."
-  in
-  let m_health_pred_probe_cycles =
-    m_health_pred_counter "htvm_health_pred_probe_cycles_total"
-      "Predicted-plane cycles spent on health-check probes."
-  in
-  let m_health_observed_transitions =
-    match cfg.health with
-    | None -> []
-    | Some _ ->
-        List.map
-          (fun pair ->
-            ( pair,
-              Metrics.counter reg ~track:Metrics.Sched
-                ~labels:(health_pair_labels pair)
-                ~help:
-                  "Observed per-instance health transitions by (from, \
-                   to), summed over the fleet."
-                "htvm_health_observed_transitions_total" ))
-          Health.legal_pairs
-  in
-  (* Auto window / gap probe: one fault-free execution of a seed-derived
-     payload. A pure function of (artifact, seed) — independent of the
-     fleet size, so auto values never leak worker count into the
-     arrival process. *)
-  let probe =
-    lazy
-      (let inputs = Models.Zoo.random_input ~seed:cfg.seed graph in
-       let _, rep = C.run artifact ~inputs in
-       max 1 (C.full_cycles rep))
-  in
-  let mean_gap =
-    match cfg.arrival with
-    | Closed -> 0
-    | Poisson { mean_gap } ->
-        if mean_gap > 0 then mean_gap else max 1 (Lazy.force probe / 2)
-  in
-  let window =
-    match cfg.arrival with
-    | Closed -> 0
-    | Poisson _ -> if cfg.window > 0 then cfg.window else Lazy.force probe
-  in
-  let health_cfg =
-    match cfg.health with
-    | None -> None
-    | Some hc -> (
-        match resolve_health hc ~probe_cycles:(Lazy.force probe) with
-        | Ok resolved -> Some resolved
-        | Error msg -> invalid_arg ("Serve.run: " ^ msg))
-  in
-  let requests = generate cfg ~mean_gap in
-  (* Admission: per dispatch window, the first [queue_depth] arrivals
-     are buffered, the rest shed. Requests are already in arrival order
-     (ids break ties), so one left-to-right scan decides. *)
-  let outcomes = Array.make cfg.requests None in
-  let admitted =
-    match cfg.arrival with
-    | Closed -> List.map (fun r -> (0, r)) requests
-    | Poisson _ ->
-        let in_window = Hashtbl.create 16 in
-        List.filter_map
-          (fun r ->
-            let w = r.r_arrival / window in
-            let n = Option.value ~default:0 (Hashtbl.find_opt in_window w) in
-            if n >= cfg.queue_depth then begin
-              outcomes.(r.r_id) <- Some (Rejected { o_window = w });
-              Trace.interval trace ~track:"serve" ~cat:"serve" ~ts:r.r_arrival
-                ~dur:0
-                ~args:[ ("request", J.Int r.r_id); ("window", J.Int w) ]
-                "shed";
-              (* Re-sample the occupancy at the shed point so the counter
-                 track shows the plateau pressing against the cap. *)
-              Trace.counter trace ~track:"queue" ~cat:"serve" ~ts:r.r_arrival
-                ~value:n "queue_depth";
-              None
-            end
-            else begin
-              Hashtbl.replace in_window w (n + 1);
-              Trace.counter trace ~track:"queue" ~cat:"serve" ~ts:r.r_arrival
-                ~value:(n + 1) "queue_depth";
-              Some (w, r)
-            end)
-          requests
-  in
-  (* Execute every admitted request on the pool. Order-preserving map +
-     per-request fault sessions keep this identical at any [jobs]. *)
-  let memo_hits = ref 0 and memo_misses = ref 0 in
-  let execs =
-    if not cfg.memoize then
-      Util.Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-          Util.Pool.map pool
-            (fun (_, r) -> execute cfg artifact ~graph r)
-            admitted)
-    else begin
-      (* Memoization: dedupe admitted requests by input digest before the
-         fan-out, execute one representative per distinct input, share its
-         result. Executions are input-pure here (empty fault plan is
-         enforced above), so the tally is byte-identical with and without
-         memoization — only hit/miss telemetry and wall time move. A key
-         is a pure function of the input seed, so it is computed once per
-         distinct seed. *)
-      let digests = Hashtbl.create 16 in
-      let input_digest r =
-        match Hashtbl.find_opt digests r.r_input_seed with
-        | Some key -> key
-        | None ->
-            let inputs = Models.Zoo.random_input ~seed:r.r_input_seed graph in
-            let key =
-              String.concat "+"
-                (List.map (fun (n, t) -> n ^ ":" ^ digest_tensor t) inputs)
-            in
-            Hashtbl.add digests r.r_input_seed key;
-            key
-      in
-      let keys = List.map (fun (_, r) -> input_digest r) admitted in
-      let seen = Hashtbl.create 16 in
-      let reps =
-        List.filter_map
-          (fun (item, key) ->
-            if Hashtbl.mem seen key then begin
-              incr memo_hits;
-              None
-            end
-            else begin
-              Hashtbl.add seen key ();
-              incr memo_misses;
-              Some (key, item)
-            end)
-          (List.combine admitted keys)
-      in
-      let rep_execs =
-        Util.Pool.with_pool ~jobs:cfg.jobs (fun pool ->
-            Util.Pool.map pool
-              (fun (_, (_, r)) -> execute cfg artifact ~graph r)
-              reps)
-      in
-      let table = Hashtbl.create 16 in
-      List.iter2 (fun (key, _) e -> Hashtbl.replace table key e) reps rep_execs;
-      List.map (fun key -> Hashtbl.find table key) keys
-    end
-  in
-  let work = List.combine admitted execs in
-  (* Batch assembly: chunk each window's admitted requests. *)
-  let windows = group_windows work in
-  (* Predicted (queueing-free) sojourn + the predicted health plane, one
-     forward pass in window order. Every batch is predicted to dispatch
-     the moment its window closes onto an idle machine; batch assembly
-     happens before routing, so this pass never sees the fleet shape —
-     pred_sojourn is the deterministic lower bound the SLO tally counts
-     against, and it never exceeds the scheduled sojourn (the real start
-     is the same expression with instance availability maxed in).
-
-     The health plane rides the same pass: one logical machine advanced
-     to each window open (admission consults it: the effective ingress
-     cap halves while it is out of the rotation) and to each predicted
-     dispatch (an ineligible dispatch is a predicted fail-open), then
-     fed the batch's fault count at the predicted finish. In closed mode
-     there are no windows, so the machine advances along the serialized
-     batch cursor instead; pred_sojourn keeps its historical zero-based
-     timing either way. *)
-  let pred_health =
-    Option.map
-      (fun hc ->
-        Health.create
-          ~degraded_at_start:(cfg.degraded_instances <> [])
-          hc ~instance:(-1))
-      health_cfg
-  in
-  let pred_fail_open = ref 0 and health_shed = ref 0 in
-  let pred_sojourn = Array.make cfg.requests 0 in
-  let pclock = ref 0 in
-  let process_window (w, items) =
-    let items =
-      match (pred_health, cfg.arrival) with
-      | Some pm, Poisson _ ->
-          ignore (Health.advance pm ~now:(w * window));
-          if Health.eligible pm then items
-          else begin
-            let cap = max 1 (cfg.queue_depth / 2) in
-            let rec split k acc = function
-              | x :: rest when k > 0 -> split (k - 1) (x :: acc) rest
-              | rest -> (List.rev acc, rest)
-            in
-            let kept, dropped = split cap [] items in
-            List.iter
-              (fun ((_, r), _) ->
-                incr health_shed;
-                outcomes.(r.r_id) <- Some (Rejected { o_window = w });
-                Trace.interval trace ~track:"serve" ~cat:"serve"
-                  ~ts:r.r_arrival ~dur:0
-                  ~args:[ ("request", J.Int r.r_id); ("window", J.Int w) ]
-                  "health-shed")
-              dropped;
-            kept
-          end
-      | _ -> items
-    in
-    let wbatches = chunk cfg.max_batch items in
-    List.iter
-      (fun b ->
-        let dispatch_t =
-          match cfg.arrival with Closed -> 0 | Poisson _ -> (w + 1) * window
-        in
-        let pdispatch =
-          match cfg.arrival with Closed -> !pclock | Poisson _ -> dispatch_t
-        in
-        (match pred_health with
-        | Some pm ->
-            ignore (Health.advance pm ~now:pdispatch);
-            if not (Health.eligible pm) then incr pred_fail_open
-        | None -> ());
-        let cursor = ref (dispatch_t + cfg.dispatch_overhead) in
-        let pcursor = ref (pdispatch + cfg.dispatch_overhead) in
-        let faults = ref 0 in
-        List.iter
-          (fun ((_, r), exec) ->
-            match exec with
-            | Done e ->
-                cursor := !cursor + e.e_service;
-                pcursor := !pcursor + e.e_service;
-                pred_sojourn.(r.r_id) <- !cursor - r.r_arrival;
-                faults := !faults + e.e_detected + e.e_silent
-            | Abort a -> faults := !faults + a.a_detected + a.a_silent)
-          b;
-        (match pred_health with
-        | Some pm -> Health.observe_faults pm ~now:!pcursor !faults
-        | None -> ());
-        pclock := !pcursor)
-      wbatches;
-    List.map (fun b -> (w, b)) wbatches
-  in
-  let batches = List.concat_map process_window windows in
-  (* Health shedding may have dropped executions from the stream; only
-     the work that survived to batch assembly counts downstream. *)
-  let kept_work = List.concat_map snd batches in
-  let instances =
-    Array.init cfg.workers (fun id ->
-        let boot_degraded = List.mem id cfg.degraded_instances in
-        {
-          id;
-          free_at = 0;
-          busy = 0;
-          served = 0;
-          aborted = 0;
-          batches = 0;
-          faults = 0;
-          degraded_at =
-            (* with health, filled post-run from the machine's log *)
-            (if boot_degraded && health_cfg = None then Some 0 else None);
-          probe_cyc = 0;
-          hm =
-            Option.map
-              (fun hc ->
-                Health.create ~degraded_at_start:boot_degraded hc ~instance:id)
-              health_cfg;
-          totals = Sim.Counters.create ();
-        })
-  in
-  let freq_hz =
-    float_of_int artifact.C.cfg.C.platform.Arch.Platform.freq_mhz *. 1.0e6
-  in
-  (* Sched-track window sampling: fleet state when a dispatch window
-     closes (batches arrive in window order, so a window change means
-     the previous one is fully scheduled). *)
-  let served_running = ref 0 in
-  let open_window = ref None in
-  let sample_sched w =
-    let free_max = Array.fold_left (fun acc i -> max acc i.free_at) 0 instances in
-    let ts =
-      match cfg.arrival with Closed -> free_max | Poisson _ -> (w + 1) * window
-    in
-    let in_flight =
-      Array.fold_left (fun acc i -> acc + if i.free_at > ts then 1 else 0) 0 instances
-    in
-    let throughput =
-      if free_max = 0 then 0.0
-      else float_of_int !served_running /. (float_of_int free_max /. freq_hz)
-    in
-    Metrics.sample m_sched_window ~ts
-      [ float_of_int in_flight; float_of_int free_max;
-        float_of_int !served_running; throughput ]
-  in
-  let observed_fail_open = ref 0 in
-  (* Process every instance's pending health events (cooldown expiry,
-     probes — all scheduled at or before [now], so they never delay a
-     batch start) and charge the probe cycles to the probed instance. *)
-  let advance_machines now =
-    Array.iter
-      (fun i ->
-        match i.hm with
-        | None -> ()
-        | Some m ->
-            let pc = Health.advance m ~now in
-            if pc > 0 then begin
-              i.busy <- i.busy + pc;
-              i.probe_cyc <- i.probe_cyc + pc
-            end)
-      instances
-  in
-  List.iteri
-    (fun batch_idx (w, items) ->
-      (match !open_window with
-      | Some prev when prev <> w -> sample_sched prev
-      | _ -> ());
-      open_window := Some w;
-      let dispatch_t =
-        match cfg.arrival with
-        | Closed ->
-            (* backlog model: the router hands out the next batch as soon
-               as any instance frees *)
-            Array.fold_left (fun acc i -> min acc i.free_at) max_int instances
-        | Poisson _ -> (w + 1) * window
-      in
-      advance_machines dispatch_t;
-      let inst, fail_open = route instances dispatch_t in
-      if fail_open then incr observed_fail_open;
-      let start = max dispatch_t inst.free_at in
-      let cursor = ref (start + cfg.dispatch_overhead) in
-      let batch_faults = ref 0 in
-      List.iter
-        (fun ((_, r), exec) ->
-          match exec with
-          | Done e ->
-              outcomes.(r.r_id) <-
-                Some
-                  (Served
-                     {
-                       o_instance = inst.id;
-                       o_batch = batch_idx;
-                       o_start = !cursor;
-                       o_finish = !cursor + e.e_service;
-                       o_service = e.e_service;
-                       o_wait = !cursor - r.r_arrival;
-                       o_digest = e.e_digest;
-                       o_detected = e.e_detected;
-                       o_silent = e.e_silent;
-                       o_retries = e.e_retries;
-                       o_pred_sojourn = pred_sojourn.(r.r_id);
-                     });
-              cursor := !cursor + e.e_service;
-              served_running := !served_running + 1;
-              inst.served <- inst.served + 1;
-              inst.faults <- inst.faults + e.e_detected + e.e_silent;
-              batch_faults := !batch_faults + e.e_detected + e.e_silent;
-              Sim.Counters.add inst.totals e.e_totals
-          | Abort a ->
-              outcomes.(r.r_id) <-
-                Some
-                  (Aborted
-                     {
-                       o_instance = inst.id;
-                       o_batch = batch_idx;
-                       o_site = a.a_site;
-                       o_attempts = a.a_attempts;
-                     });
-              inst.aborted <- inst.aborted + 1;
-              inst.faults <- inst.faults + a.a_detected + a.a_silent;
-              batch_faults := !batch_faults + a.a_detected + a.a_silent)
-        items;
-      let finish = !cursor in
-      Trace.interval trace
-        ~track:(Printf.sprintf "instance %d" inst.id)
-        ~cat:"serve" ~ts:start ~dur:(finish - start)
-        ~args:
-          [
-            ("batch", J.Int batch_idx);
-            ("window", J.Int w);
-            ("requests", J.Int (List.length items));
-          ]
-        (Printf.sprintf "batch %d (%d req)" batch_idx (List.length items));
-      inst.free_at <- finish;
-      inst.busy <- inst.busy + (finish - start);
-      inst.batches <- inst.batches + 1;
-      (match inst.hm with
-      | Some m -> Health.observe_faults m ~now:finish !batch_faults
-      | None -> (
-          match (cfg.degrade_after, inst.degraded_at) with
-          | Some threshold, None when inst.faults >= threshold ->
-              inst.degraded_at <- Some finish;
-              Trace.interval trace
-                ~track:(Printf.sprintf "instance %d" inst.id)
-                ~cat:"serve" ~ts:finish ~dur:0
-                ~args:[ ("faults", J.Int inst.faults) ]
-                "degraded"
-          | _ -> ())))
-    batches;
-  (match !open_window with Some w -> sample_sched w | None -> ());
-  (* Drain the observed plane to the end of the run: probes scheduled
-     before the last completion still land, then each machine's log
-     yields the instance's first-degradation cycle (the JSON/summary
-     field the one-way flag used to fill) and the trace events. *)
-  (match health_cfg with
-  | None -> ()
-  | Some _ ->
-      let fleet_end =
-        Array.fold_left (fun acc i -> max acc i.free_at) 0 instances
-      in
-      advance_machines fleet_end;
-      Array.iter
-        (fun i ->
-          match i.hm with
-          | None -> ()
-          | Some m ->
-              i.degraded_at <-
-                List.find_opt
-                  (fun tr -> tr.Health.tr_to = Health.Degraded)
-                  (Health.transitions m)
-                |> Option.map (fun tr -> tr.Health.tr_at);
-              List.iter
-                (fun tr ->
-                  Trace.interval trace
-                    ~track:(Printf.sprintf "instance %d" i.id)
-                    ~cat:"health" ~ts:tr.Health.tr_at ~dur:0
-                    ~args:
-                      [
-                        ("from", J.Str (Health.state_label tr.Health.tr_from));
-                        ("to", J.Str (Health.state_label tr.Health.tr_to));
-                        ("cause", J.Str (Health.cause_label tr.Health.tr_cause));
-                      ]
-                    (Printf.sprintf "health %s"
-                       (Health.state_label tr.Health.tr_to)))
-                (Health.transitions m))
-        instances);
-  (* --- aggregation --- *)
-  let outcomes =
-    List.map
-      (fun r ->
-        match outcomes.(r.r_id) with
-        | Some o -> (r, o)
-        | None -> assert false (* every request is admitted, shed or aborted *))
-      requests
-  in
-  let service_list =
-    List.filter_map
-      (function _, Served { o_service; _ } -> Some o_service | _ -> None)
-      outcomes
-  in
-  let sojourn_list =
-    List.filter_map
-      (function
-        | r, Served { o_finish; _ } -> Some (o_finish - r.r_arrival) | _ -> None)
-      outcomes
-  in
-  let served = List.length service_list in
-  let rejected =
-    List.length (List.filter (function _, Rejected _ -> true | _ -> false) outcomes)
-  in
-  let aborted =
-    List.length (List.filter (function _, Aborted _ -> true | _ -> false) outcomes)
-  in
-  let makespan = Array.fold_left (fun acc i -> max acc i.free_at) 0 instances in
-  let throughput =
-    if makespan = 0 then 0.0
-    else float_of_int served /. (float_of_int makespan /. freq_hz)
-  in
-  (* --- metrics + SLO accounting (cycles track first, then sched) --- *)
-  let violates p = match cfg.slo_sojourn with Some t -> p > t | None -> false in
-  Metrics.inc m_requests cfg.requests;
-  Metrics.inc m_admitted (cfg.requests - rejected);
-  Metrics.inc m_shed rejected;
-  Metrics.inc m_served served;
-  Metrics.inc m_aborted aborted;
-  List.iter (Metrics.observe m_service) service_list;
-  List.iter
-    (fun (_, o) ->
-      match o with
-      | Served s -> Metrics.observe m_pred_sojourn s.o_pred_sojourn
-      | _ -> ())
-    outcomes;
-  let det, sil, ret =
-    List.fold_left
-      (fun (d, s, t) (_, e) ->
-        match e with
-        | Done e -> (d + e.e_detected, s + e.e_silent, t + e.e_retries)
-        | Abort a -> (d + a.a_detected, s + a.a_silent, t + max 0 (a.a_attempts - 1)))
-      (0, 0, 0) kept_work
-  in
-  Metrics.inc m_faults_detected det;
-  Metrics.inc m_faults_silent sil;
-  Metrics.inc m_retries ret;
-  Metrics.inc m_memo_hits !memo_hits;
-  Metrics.inc m_memo_misses !memo_misses;
-  let sim_totals = Sim.Counters.create () in
-  Array.iter (fun i -> Sim.Counters.add sim_totals i.totals) instances;
-  List.iter2
-    (fun (_, c) (_, v) -> Metrics.inc c v)
-    m_sim
-    (Sim.Counters.fields sim_totals);
-  (* Per-window admission + predicted-SLO series. Built from outcomes
-     alone, so sampling after scheduling changes nothing: timestamps are
-     explicit and the data never saw the fleet. *)
-  let win_of r =
-    match cfg.arrival with Closed -> 0 | Poisson _ -> r.r_arrival / window
-  in
-  let win_ids = ref [] in
-  let win_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (r, o) ->
-      let w = win_of r in
-      let cell =
-        match Hashtbl.find_opt win_tbl w with
-        | Some c -> c
-        | None ->
-            let c = ref (0, 0, 0, 0, 0) in
-            Hashtbl.add win_tbl w c;
-            win_ids := w :: !win_ids;
-            c
-      in
-      let arr, adm, shed, srv, viol = !cell in
-      let adm, shed = match o with Rejected _ -> (adm, shed + 1) | _ -> (adm + 1, shed) in
-      let srv, viol =
-        match o with
-        | Served s -> (srv + 1, if violates s.o_pred_sojourn then viol + 1 else viol)
-        | _ -> (srv, viol)
-      in
-      cell := (arr + 1, adm, shed, srv, viol))
-    outcomes;
-  let cum_srv = ref 0 and cum_viol = ref 0 in
-  List.iter
-    (fun w ->
-      let arr, adm, shed, srv, viol = !(Hashtbl.find win_tbl w) in
-      cum_srv := !cum_srv + srv;
-      cum_viol := !cum_viol + viol;
-      let rate =
-        if !cum_srv = 0 then 0.0
-        else float_of_int !cum_viol /. float_of_int !cum_srv
-      in
-      let ts = match cfg.arrival with Closed -> 0 | Poisson _ -> (w + 1) * window in
-      Metrics.sample m_window ~ts
-        [ float_of_int arr; float_of_int adm; float_of_int shed;
-          float_of_int viol; rate ])
-    (List.rev !win_ids);
-  let pred_violations = !cum_viol in
-  let observed_violations =
-    match cfg.slo_sojourn with
-    | None -> 0
-    | Some t ->
-        List.length
-          (List.filter
-             (function
-               | r, Served { o_finish; _ } -> o_finish - r.r_arrival > t
-               | _ -> false)
-             outcomes)
-  in
-  Metrics.inc m_slo_pred pred_violations;
-  Metrics.inc m_fail_open_pred !pred_fail_open;
-  Metrics.inc m_health_shed !health_shed;
-  (match pred_health with
-  | None -> ()
-  | Some pm ->
-      List.iter2
-        (fun (_, c) (_, n) -> Metrics.inc c n)
-        m_health_pred_transitions
-        (Health.transition_counts pm);
-      let inc_opt m v = Option.iter (fun c -> Metrics.inc c v) m in
-      inc_opt m_health_pred_readmissions (Health.readmissions pm);
-      inc_opt m_health_pred_relapses (Health.relapses pm);
-      inc_opt m_health_pred_probe_cycles (Health.probe_cycles pm));
-  Metrics.inc m_slo_observed observed_violations;
-  Metrics.inc m_fail_open_observed !observed_fail_open;
-  List.iter
-    (fun (pair, c) ->
-      let n =
-        Array.fold_left
-          (fun acc i ->
-            match i.hm with
-            | None -> acc
-            | Some m -> acc + List.assoc pair (Health.transition_counts m))
-          0 instances
-      in
-      Metrics.inc c n)
-    m_health_observed_transitions;
-  let slo =
-    match cfg.slo_sojourn with
-    | None -> None
-    | Some target ->
-        Some
-          {
-            s_target = target;
-            s_pred_violations = pred_violations;
-            s_observed_violations = observed_violations;
-            s_pred_violation_rate =
-              (if served = 0 then 0.0
-               else float_of_int pred_violations /. float_of_int served);
-          }
-  in
-  Array.iter
-    (fun i ->
-      let labels = [ ("instance", string_of_int i.id) ] in
-      let g name help = Metrics.gauge reg ~track:Metrics.Sched ~labels ~help name in
-      Metrics.set_int
-        (g "htvm_sched_instance_busy_cycles" "Busy cycles per instance.")
-        i.busy;
-      Metrics.set_int
-        (g "htvm_sched_instance_served" "Requests served per instance.")
-        i.served;
-      Metrics.set_int
-        (g "htvm_sched_instance_batches" "Batches dispatched per instance.")
-        i.batches;
-      Metrics.set_int
-        (g "htvm_sched_instance_degraded"
-           "1 when the instance left the healthy rotation.")
-        (match i.degraded_at with Some _ -> 1 | None -> 0);
-      match i.hm with
-      | None -> ()
-      | Some m ->
-          Metrics.set_int
-            (g "htvm_sched_instance_probe_cycles"
-               "Cycles the instance spent on health probes.")
-            i.probe_cyc;
-          Metrics.set_int
-            (g "htvm_sched_instance_readmissions"
-               "Times the instance rejoined the healthy rotation.")
-            (Health.readmissions m))
-    instances;
-  Metrics.set_int
-    (Metrics.gauge reg ~track:Metrics.Sched ~help:"End-to-end makespan cycles."
-       "htvm_sched_makespan_cycles")
-    makespan;
-  Metrics.set
-    (Metrics.gauge reg ~track:Metrics.Sched
-       ~help:"Served requests per second of simulated time."
-       "htvm_sched_throughput_rps")
-    throughput;
-  let health_sum =
-    match (pred_health, health_cfg) with
-    | Some pm, Some hc ->
-        Some
-          {
-            h_config = hc;
-            h_pred_state = Health.state pm;
-            h_pred_transitions = List.length (Health.transitions pm);
-            h_pred_readmissions = Health.readmissions pm;
-            h_pred_relapses = Health.relapses pm;
-            h_pred_probe_cycles = Health.probe_cycles pm;
-            h_pred_fail_open = !pred_fail_open;
-            h_shed = !health_shed;
-          }
-    | _ -> None
-  in
-  {
-    r_config = cfg;
-    r_window = window;
-    r_mean_gap = mean_gap;
-    r_outcomes = outcomes;
-    r_served = served;
-    r_rejected = rejected;
-    r_aborted = aborted;
-    r_shed_rate =
-      (if cfg.requests = 0 then 0.0
-       else float_of_int rejected /. float_of_int cfg.requests);
-    r_service = percentiles_of service_list;
-    r_sojourn = percentiles_of sojourn_list;
-    r_makespan = makespan;
-    r_throughput_rps = throughput;
-    r_instances =
-      Array.to_list
-        (Array.map
-           (fun i ->
-             {
-               i_id = i.id;
-               i_batches = i.batches;
-               i_served = i.served;
-               i_aborted = i.aborted;
-               i_busy = i.busy;
-               i_utilization =
-                 (if makespan = 0 then 0.0
-                  else float_of_int i.busy /. float_of_int makespan);
-               i_faults = i.faults;
-               i_degraded_at = i.degraded_at;
-               i_health = Option.map health_stat_of i.hm;
-               i_totals = i.totals;
-             })
-           instances);
-    r_slo = slo;
-    r_health = health_sum;
-    r_fail_open = !observed_fail_open;
-    r_memo_hits = !memo_hits;
-    r_memo_misses = !memo_misses;
-    r_metrics = Metrics.snapshot reg;
-  }
-
-let pp_percentiles buf label p =
-  Buffer.add_string buf
-    (Printf.sprintf "%s count=%d min=%d mean=%.3f p50=%d p95=%d p99=%d max=%d\n"
-       label p.p_count p.p_min p.p_mean p.p50 p.p95 p.p99 p.p_max)
-
-let percentiles_json p =
-  J.Obj
-    [
-      ("count", J.Int p.p_count);
-      ("min", J.Int p.p_min);
-      ("mean", J.Float p.p_mean);
-      ("p50", J.Int p.p50);
-      ("p95", J.Int p.p95);
-      ("p99", J.Int p.p99);
-      ("max", J.Int p.p_max);
-    ]
-
-let health_stat_json hs =
-  J.Obj
-    [
-      ("state", J.Str (Health.state_label hs.hs_state));
-      ("transitions", J.Int hs.hs_transitions);
-      ("readmissions", J.Int hs.hs_readmissions);
-      ("relapses", J.Int hs.hs_relapses);
-      ("probes_passed", J.Int hs.hs_probes_passed);
-      ("probes_failed", J.Int hs.hs_probes_failed);
-      ("probe_cycles", J.Int hs.hs_probe_cycles);
-    ]
-
-(* --- multi-tenant serving --------------------------------------------- *)
-
-(* The tenancy layer hosts several compiled artifacts behind one fleet.
-   It keeps the single-model determinism architecture intact:
-
-   1. Generation + admission are pure functions of the seed (or of the
-      replayed trace file): the class mix, payload seeds and arrival
-      cycles come from one Rng stream, the per-window ingress cap sheds
-      from arrivals alone, and the SLO shed pass compares *predicted*
-      queueing-free sojourns — computed from exact per-request service
-      cycles, which are themselves pure functions of the request —
-      against per-class targets. The shed set never sees the fleet.
-   2. Execution is per-request on a fresh machine (no faults in the
-      multi-tenant path: tenancy composes with the single-model fault
-      machinery, it does not duplicate it).
-   3. Scheduling (pinning, hot swaps, per-instance clocks) happens on
-      the submitting domain and only feeds sched-track metrics. *)
+(* --- multi-tenant types ----------------------------------------------- *)
 
 type model = {
   m_name : string;
@@ -1488,6 +355,1181 @@ type mt_report = {
   mt_metrics : Metrics.snapshot;
 }
 
+(* Typed errors, shared by both front ends: [mt_run] returns them; the
+   single-tenant [validate] diagnoses config violations with them, while
+   [run] itself keeps its raising contract for programmatic misuse. *)
+type mt_error =
+  | Unknown_model of { class_name : string; model : string }
+  | Unknown_class of { class_name : string; context : string }
+  | Bad_trace of { line : int; reason : string }
+  | Bad_config of string
+
+let mt_error_to_string = function
+  | Unknown_model { class_name; model } ->
+      Printf.sprintf "class %S names model %S, which is not in the registry"
+        class_name model
+  | Unknown_class { class_name; context } ->
+      Printf.sprintf "%s references class %S, which is not configured" context
+        class_name
+  | Bad_trace { line; reason } ->
+      Printf.sprintf "arrival trace line %d: %s" line reason
+  | Bad_config msg -> msg
+
+(* --- execution -------------------------------------------------------- *)
+
+let digest_tensor t =
+  let b = Buffer.create (16 + (Tensor.numel t * 4)) in
+  Buffer.add_string b (Tensor.Dtype.to_string (Tensor.dtype t));
+  Buffer.add_char b '|';
+  Array.iter
+    (fun d ->
+      Buffer.add_string b (string_of_int d);
+      Buffer.add_char b 'x')
+    (Tensor.shape t);
+  Buffer.add_char b '|';
+  for i = 0 to Tensor.numel t - 1 do
+    Buffer.add_string b (string_of_int (Tensor.get_flat t i));
+    Buffer.add_char b ','
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Each request owns an independent fault campaign: same rules, a seed
+   derived from the plan seed and the request id. This is what divorces
+   a request's faults from the instance that happens to serve it. *)
+let request_plan plan r_id =
+  { plan with Fault.Plan.seed = plan.Fault.Plan.seed + ((r_id + 1) * 1_000_003) }
+
+type exec =
+  | Done of {
+      e_digest : string;
+      e_service : int;
+      e_detected : int;
+      e_silent : int;
+      e_retries : int;
+      e_totals : Sim.Counters.t;
+    }
+  | Abort of { a_site : string; a_attempts : int; a_detected : int; a_silent : int }
+
+let service = function Done d -> d.e_service | Abort _ -> 0
+let fault_count = function
+  | Done d -> d.e_detected + d.e_silent
+  | Abort a -> a.a_detected + a.a_silent
+
+(* --- the engine -------------------------------------------------------
+
+   Everything after request generation, shared by both front ends: a
+   front end hands over its requests in arrival order (ids dense from 0,
+   [q_class] indexing [classes]) and the knobs below, and projects the
+   result into its own report. *)
+
+(* The front ends' trace vocabularies: event names and args are part of
+   their pinned output. *)
+type style = Single | Multi
+
+type engine = {
+  e_style : style;
+  e_workers : int;
+  e_queue_depth : int;
+  e_window : int;  (* resolved dispatch window; 0 = closed loop *)
+  e_max_batch : int;  (* 0 = autotune *)
+  e_dispatch_overhead : int;
+  e_swap_overhead : int;
+  e_placement : placement;
+  e_jobs : int;
+  e_use_plan : bool;
+  e_faults : (Fault.Plan.t * int) option;
+      (* (plan, retry budget): per-request fault sessions, and batch fault
+         counts fed to the observed health plane. [None] is the
+         fault-free multi-tenant path, whose machines move only on their
+         boot flag and their probe streams. *)
+  e_memoize : bool;
+  e_predict : bool;  (* run the predicted health plane (with [e_health]) *)
+  e_degrade_after : int option;
+  e_degraded : int list;
+  e_health : Health.config option;  (* resolved *)
+}
+
+let execute e m (q : mt_request) =
+  let inputs = Models.Zoo.random_input ~seed:q.q_input_seed m.m_graph in
+  let session =
+    match e.e_faults with
+    | Some (plan, _) when not (Fault.Plan.is_empty plan) ->
+        Some (Fault.Session.create (request_plan plan q.q_id))
+    | _ -> None
+  in
+  let fault_stats () =
+    match session with
+    | None -> (0, 0, 0)
+    | Some s ->
+        let st = Fault.Session.stats s in
+        (st.Fault.Session.detected, st.Fault.Session.silent, st.Fault.Session.retries)
+  in
+  match
+    C.run ?faults:session ?retry_budget:(Option.map snd e.e_faults)
+      ~use_plan:e.e_use_plan m.m_artifact ~inputs
+  with
+  | out, report ->
+      let detected, silent, retries = fault_stats () in
+      Done
+        {
+          e_digest = digest_tensor out;
+          e_service = C.full_cycles report;
+          e_detected = detected;
+          e_silent = silent;
+          e_retries = retries;
+          e_totals = report.Sim.Machine.totals;
+        }
+  | exception Fault.Session.Unrecovered { site; attempts } ->
+      let detected, silent, _ = fault_stats () in
+      Abort
+        { a_site = site; a_attempts = attempts; a_detected = detected; a_silent = silent }
+
+type instance = {
+  id : int;
+  mutable free_at : int;
+  mutable busy : int;  (* batch cycles plus observed-plane probe cycles *)
+  mutable served : int;
+  mutable aborted : int;
+  mutable batches : int;
+  mutable faults : int;
+  mutable swaps : int;
+  mutable degraded_at : int option;
+  mutable probe_cyc : int;  (* observed-plane probe cycles charged *)
+  mutable loaded : int option;  (* resident model *)
+  hm : Health.t option;  (* observed-plane machine (health mode only) *)
+  totals : Sim.Counters.t;
+}
+
+let healthy_at inst t =
+  match inst.hm with
+  | Some m -> Health.eligible m
+  | None -> ( match inst.degraded_at with None -> true | Some d -> t < d)
+
+(* Process an instance's pending health events (cooldown expiry, probes
+   — all scheduled at or before [now], so they never delay a batch
+   start) and charge the probe cycles to it. *)
+let advance_health inst now =
+  match inst.hm with
+  | None -> ()
+  | Some m ->
+      let pc = Health.advance m ~now in
+      inst.busy <- inst.busy + pc;
+      inst.probe_cyc <- inst.probe_cyc + pc
+
+(* Earliest-free eligible member of [pool], lowest id on ties. Falls
+   open to the whole pool when every member is out of the rotation: a
+   fully degraded pool keeps serving rather than shedding everything.
+   The second component reports that fail-open. *)
+let route pool t =
+  let eligible = List.filter (fun i -> healthy_at i t) pool in
+  let fail_open = eligible = [] in
+  let pool = if fail_open then pool else eligible in
+  ( List.fold_left
+      (fun best i -> if i.free_at < best.free_at then i else best)
+      (List.hd pool) (List.tl pool),
+    fail_open )
+
+let window_of ~window arrival = if window > 0 then arrival / window else 0
+let window_close ~window w = if window > 0 then (w + 1) * window else 0
+
+(* Fold [f] over [xs] per window, windows in first-seen order — oldest
+   first for anything in arrival order. *)
+let fold_windows window_of f init xs =
+  let tbl = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun x ->
+      let w = window_of x in
+      match Hashtbl.find_opt tbl w with
+      | Some cell -> cell := f !cell x
+      | None ->
+          Hashtbl.add tbl w (ref (f init x));
+          order := w :: !order)
+    xs;
+  List.rev_map (fun w -> (w, !(Hashtbl.find tbl w))) !order
+
+let rec split_at n = function
+  | x :: rest when n > 0 ->
+      let kept, dropped = split_at (n - 1) rest in
+      (x :: kept, dropped)
+  | rest -> ([], rest)
+
+(* What became of one request. [f_start] is the cycle its own service
+   began; [f_pred] its predicted (queueing-free) sojourn. *)
+type fate =
+  | Ran of { f_instance : int; f_batch : int; f_start : int; f_pred : int; f_exec : exec }
+  | Shed_queue of int  (* window: the ingress cap was full *)
+  | Shed_health of int  (* window: health-aware admission *)
+  | Shed_slo of int  (* the predicted sojourn that broke the class SLO *)
+
+(* One committed batch assembly. *)
+type assembly = {
+  a_size : int;
+  a_batches : (int * int * (mt_request * exec * int) list) list;
+      (* (window, model, (request, execution, predicted sojourn)) in
+         dispatch order *)
+  a_slo_shed : (mt_request * int) list;
+  a_health_shed : (int * mt_request) list;
+  a_pred : Health.t option;
+  a_pred_fail_open : int;
+}
+
+type served = {
+  x_fates : fate array;  (* by request id *)
+  x_instances : instance array;
+  x_batch_size : int;
+  x_batches : int;
+  x_fail_open : int;  (* observed: batches dispatched with no eligible instance *)
+  x_pred : Health.t option;  (* predicted plane, if it ran *)
+  x_pred_fail_open : int;
+  x_health_shed : int;
+  x_memo_hits : int;
+  x_memo_misses : int;
+  x_samples : (int * float list) list;
+      (* fleet state at each window close: in flight, latest free cycle,
+         served so far, running throughput *)
+  x_served : int;
+  x_service : percentiles;
+  x_sojourn : percentiles;
+  x_makespan : int;
+  x_throughput : float;
+}
+
+let utilization x busy =
+  if x.x_makespan = 0 then 0.0 else float_of_int busy /. float_of_int x.x_makespan
+
+let serve_engine ?trace e ~models ~classes requests =
+  let n_models = Array.length models in
+  let model_of q = fst classes.(q.q_class) in
+  let single = e.e_style = Single in
+  let open_loop = e.e_window > 0 in
+  let fates = Array.make (List.length requests) None in
+  let shed_event q w name =
+    Trace.interval trace ~track:"serve" ~cat:"serve" ~ts:q.q_arrival ~dur:0
+      ~args:[ ("request", J.Int q.q_id); ("window", J.Int w) ]
+      name
+  in
+  let queue_sample q n =
+    if single then
+      Trace.counter trace ~track:"queue" ~cat:"serve" ~ts:q.q_arrival ~value:n
+        "queue_depth"
+  in
+  (* Admission: per dispatch window, the first [queue_depth] arrivals
+     are buffered, the rest shed. Requests are already in arrival order
+     (ids break ties), so one left-to-right scan decides. The closed loop
+     never sheds: its generator only offers what it wants served. *)
+  let admitted =
+    if not open_loop then List.map (fun q -> (0, q)) requests
+    else
+      let in_window = Hashtbl.create 16 in
+      List.filter_map
+        (fun q ->
+          let w = q.q_arrival / e.e_window in
+          let n = Option.value ~default:0 (Hashtbl.find_opt in_window w) in
+          if n >= e.e_queue_depth then begin
+            fates.(q.q_id) <- Some (Shed_queue w);
+            shed_event q w (if single then "shed" else "shed-queue");
+            (* Re-sample the occupancy at the shed point so the counter
+               track shows the plateau pressing against the cap. *)
+            queue_sample q n;
+            None
+          end
+          else begin
+            Hashtbl.replace in_window w (n + 1);
+            queue_sample q (n + 1);
+            Some (w, q)
+          end)
+        requests
+  in
+  (* Execution: every admitted request on the pool, before batch
+     assembly — SLO shedding needs exact service cycles. *)
+  let execute_all items =
+    Util.Pool.with_pool ~jobs:e.e_jobs (fun pool ->
+        Util.Pool.map pool (fun (_, q) -> execute e models.(model_of q) q) items)
+  in
+  let memo_hits = ref 0 and memo_misses = ref 0 in
+  let execs =
+    if not e.e_memoize then execute_all admitted
+    else begin
+      (* Memoization: dedupe admitted requests by input digest before the
+         fan-out, execute one representative per distinct input, share its
+         result. Sound only for input-pure executions, which the front end
+         enforces (no fault plan), so outputs are unchanged — only hit/miss
+         telemetry and wall time move. A key is a pure function of the
+         model and input seed, so it is computed once per distinct pair. *)
+      let keys = Hashtbl.create 16 in
+      let input_key q =
+        let m = model_of q in
+        match Hashtbl.find_opt keys (m, q.q_input_seed) with
+        | Some key -> key
+        | None ->
+            let inputs =
+              Models.Zoo.random_input ~seed:q.q_input_seed models.(m).m_graph
+            in
+            let key =
+              String.concat "+"
+                (string_of_int m
+                :: List.map (fun (n, t) -> n ^ ":" ^ digest_tensor t) inputs)
+            in
+            Hashtbl.add keys (m, q.q_input_seed) key;
+            key
+      in
+      let item_keys = List.map (fun (_, q) -> input_key q) admitted in
+      let seen = Hashtbl.create 16 in
+      let reps =
+        List.filter_map
+          (fun (item, key) ->
+            if Hashtbl.mem seen key then begin
+              incr memo_hits;
+              None
+            end
+            else begin
+              Hashtbl.add seen key ();
+              incr memo_misses;
+              Some item
+            end)
+          (List.combine admitted item_keys)
+      in
+      let table = Hashtbl.create 16 in
+      List.iter2
+        (fun (_, q) exec -> Hashtbl.replace table (input_key q) exec)
+        reps (execute_all reps);
+      List.map (Hashtbl.find table) item_keys
+    end
+  in
+  let windows =
+    fold_windows
+      (fun ((w, _), _) -> w)
+      (fun acc item -> item :: acc)
+      [] (List.combine admitted execs)
+    |> List.map (fun (w, items) -> (w, List.rev items))
+  in
+  let swap_pred = match e.e_placement with Swap -> e.e_swap_overhead | Pinned -> 0 in
+  (* Batch assembly at one batch size. Per window, in arrival order, each
+     request joins its model's open batch (a batch executes on one
+     artifact), predicted to dispatch the moment its window closes onto
+     an idle machine: dispatch overhead, one cold load under [Swap], then
+     the in-batch service prefix. A request whose predicted sojourn
+     breaks its class SLO is shed and frees its slot for later arrivals.
+     Batch assembly precedes routing, so this pass never sees the fleet.
+
+     The predicted health plane rides the same pass: one logical machine
+     advanced to each window open — while it is out of the rotation the
+     ingress cap halves and the excess is shed — and to each predicted
+     dispatch (an ineligible dispatch is a predicted fail-open), then fed
+     the batch's faults at its predicted finish. The closed loop has no
+     windows, so there the machine advances along the serialized batch
+     cursor instead; predicted sojourns keep their zero-based timing.
+
+     Pure (a fresh predicted machine per call), so the autotuner can
+     score several sizes before one is committed. *)
+  let assemble max_batch =
+    let pred =
+      if not e.e_predict then None
+      else
+        Option.map
+          (fun hc ->
+            Health.create ~degraded_at_start:(e.e_degraded <> []) hc ~instance:(-1))
+          e.e_health
+    in
+    let batches = ref [] and slo_shed = ref [] and health_shed = ref [] in
+    let pred_fail_open = ref 0 and pclock = ref 0 in
+    List.iter
+      (fun (w, items) ->
+        let dispatch_t = window_close ~window:e.e_window w in
+        let items =
+          match pred with
+          | Some pm when open_loop ->
+              ignore (Health.advance pm ~now:(w * e.e_window));
+              if Health.eligible pm then items
+              else begin
+                let kept, dropped = split_at (max 1 (e.e_queue_depth / 2)) items in
+                List.iter
+                  (fun ((_, q), _) -> health_shed := (w, q) :: !health_shed)
+                  dropped;
+                kept
+              end
+          | _ -> items
+        in
+        let base = dispatch_t + e.e_dispatch_overhead + swap_pred in
+        let fill = Array.make n_models 0 and cursor = Array.make n_models 0 in
+        let current = Array.make n_models [] and closed = ref [] in
+        let flush m =
+          if current.(m) <> [] then closed := (w, m, List.rev current.(m)) :: !closed;
+          current.(m) <- [];
+          fill.(m) <- 0
+        in
+        List.iter
+          (fun ((_, q), exec) ->
+            let m = model_of q in
+            let finish = (if fill.(m) = 0 then base else cursor.(m)) + service exec in
+            let sojourn = finish - q.q_arrival in
+            match snd classes.(q.q_class) with
+            | Some slo when sojourn > slo -> slo_shed := (q, sojourn) :: !slo_shed
+            | _ ->
+                current.(m) <- (q, exec, sojourn) :: current.(m);
+                cursor.(m) <- finish;
+                fill.(m) <- fill.(m) + 1;
+                if fill.(m) >= max_batch then flush m)
+          items;
+        for m = 0 to n_models - 1 do
+          flush m
+        done;
+        let wbatches = List.rev !closed in
+        Option.iter
+          (fun pm ->
+            List.iter
+              (fun (_, _, b) ->
+                let pdispatch = if open_loop then dispatch_t else !pclock in
+                ignore (Health.advance pm ~now:pdispatch);
+                if not (Health.eligible pm) then incr pred_fail_open;
+                let pfinish =
+                  List.fold_left
+                    (fun acc (_, x, _) -> acc + service x)
+                    (pdispatch + e.e_dispatch_overhead + swap_pred)
+                    b
+                in
+                Health.observe_faults pm ~now:pfinish
+                  (List.fold_left (fun acc (_, x, _) -> acc + fault_count x) 0 b);
+                pclock := pfinish)
+              wbatches)
+          pred;
+        batches := List.rev_append wbatches !batches)
+      windows;
+    {
+      a_size = max_batch;
+      a_batches = List.rev !batches;
+      a_slo_shed = List.rev !slo_shed;
+      a_health_shed = List.rev !health_shed;
+      a_pred = pred;
+      a_pred_fail_open = !pred_fail_open;
+    }
+  in
+  (* Batch autotune ([e_max_batch = 0]): score candidate sizes on the
+     predicted schedule — fewest sheds first, then lowest predicted total
+     cost, then the smaller size. The cost is total work (each batch pays
+     the dispatch overhead and, under [Swap], one cold load, which wide
+     batches amortize) plus the summed predicted sojourns (which wide
+     batches inflate), so a dispatch overhead dwarfing per-request service
+     pushes the tuner toward wide batches and a cheap dispatch toward
+     narrow ones. A pure function of the arrival stream, so the choice is
+     workers/jobs-invariant like everything else in the tally. *)
+  let a =
+    if e.e_max_batch > 0 then assemble e.e_max_batch
+    else
+      let cost a =
+        let total =
+          List.fold_left
+            (fun acc (_, _, items) ->
+              List.fold_left
+                (fun acc (_, x, sojourn) -> acc + service x + sojourn)
+                (acc + e.e_dispatch_overhead + swap_pred)
+                items)
+            0 a.a_batches
+        in
+        (List.length a.a_slo_shed + List.length a.a_health_shed, total, a.a_size)
+      in
+      List.fold_left
+        (fun best b ->
+          let a = assemble b in
+          if compare (cost a) (cost best) < 0 then a else best)
+        (assemble 1) [ 2; 4; 8; 16; 32 ]
+  in
+  List.iter (fun (q, sojourn) -> fates.(q.q_id) <- Some (Shed_slo sojourn)) a.a_slo_shed;
+  List.iter
+    (fun (w, q) ->
+      fates.(q.q_id) <- Some (Shed_health w);
+      shed_event q w "health-shed")
+    a.a_health_shed;
+  (* Scheduling: the only fleet-shaped pass. Pinned placement maps
+     instance i to model (i mod n_models); Swap routes anywhere and
+     charges [e_swap_overhead] whenever the resident model changes. *)
+  let instances =
+    Array.init e.e_workers (fun id ->
+        let boot_degraded = List.mem id e.e_degraded in
+        {
+          id;
+          free_at = 0;
+          busy = 0;
+          served = 0;
+          aborted = 0;
+          batches = 0;
+          faults = 0;
+          swaps = 0;
+          degraded_at =
+            (* with health, filled after the run from the machine's log *)
+            (if boot_degraded && e.e_health = None then Some 0 else None);
+          probe_cyc = 0;
+          loaded =
+            (match e.e_placement with Pinned -> Some (id mod n_models) | Swap -> None);
+          hm =
+            Option.map
+              (fun hc -> Health.create ~degraded_at_start:boot_degraded hc ~instance:id)
+              e.e_health;
+          totals = Sim.Counters.create ();
+        })
+  in
+  let pools =
+    Array.init n_models (fun m ->
+        List.filter
+          (fun i -> e.e_placement = Swap || i.id mod n_models = m)
+          (Array.to_list instances))
+  in
+  let freq_hz =
+    float_of_int models.(0).m_artifact.C.cfg.C.platform.Arch.Platform.freq_mhz *. 1.0e6
+  in
+  let throughput served cycles =
+    if cycles = 0 then 0.0 else float_of_int served /. (float_of_int cycles /. freq_hz)
+  in
+  (* Fleet state when a dispatch window closes (batches arrive in window
+     order, so a window change means the previous one is fully
+     scheduled). *)
+  let served_so_far = ref 0 and samples = ref [] in
+  let sample w =
+    let free_max = Array.fold_left (fun acc i -> max acc i.free_at) 0 instances in
+    let ts = if open_loop then window_close ~window:e.e_window w else free_max in
+    let in_flight =
+      Array.fold_left (fun acc i -> if i.free_at > ts then acc + 1 else acc) 0 instances
+    in
+    samples :=
+      ( ts,
+        [ float_of_int in_flight; float_of_int free_max; float_of_int !served_so_far;
+          throughput !served_so_far free_max ] )
+      :: !samples
+  in
+  let fail_open = ref 0 and last_window = ref None in
+  List.iteri
+    (fun batch (w, m, items) ->
+      (match !last_window with Some prev when prev <> w -> sample prev | _ -> ());
+      last_window := Some w;
+      let pool = pools.(m) in
+      let dispatch_t =
+        if open_loop then window_close ~window:e.e_window w
+        else
+          (* backlog: the router hands out the next batch as soon as any
+             pool member frees *)
+          List.fold_left (fun acc i -> min acc i.free_at) max_int pool
+      in
+      (* Lifecycles catch up to the dispatch instant before routing. *)
+      List.iter (fun i -> advance_health i dispatch_t) pool;
+      let inst, failed_open = route pool dispatch_t in
+      if failed_open then incr fail_open;
+      let start = max dispatch_t inst.free_at in
+      (* A different resident model (or none yet) costs one reload;
+         unreachable under Pinned, whose pools match the batch's model. *)
+      let swap =
+        if inst.loaded = Some m then 0
+        else begin
+          inst.swaps <- inst.swaps + 1;
+          inst.loaded <- Some m;
+          e.e_swap_overhead
+        end
+      in
+      let cursor = ref (start + e.e_dispatch_overhead + swap) in
+      let batch_faults = ref 0 in
+      List.iter
+        (fun (q, exec, sojourn) ->
+          fates.(q.q_id) <-
+            Some
+              (Ran
+                 {
+                   f_instance = inst.id;
+                   f_batch = batch;
+                   f_start = !cursor;
+                   f_pred = sojourn;
+                   f_exec = exec;
+                 });
+          inst.faults <- inst.faults + fault_count exec;
+          batch_faults := !batch_faults + fault_count exec;
+          match exec with
+          | Done d ->
+              cursor := !cursor + d.e_service;
+              incr served_so_far;
+              inst.served <- inst.served + 1;
+              Sim.Counters.add inst.totals d.e_totals
+          | Abort _ -> inst.aborted <- inst.aborted + 1)
+        items;
+      let finish = !cursor in
+      let n = List.length items in
+      let track = Printf.sprintf "instance %d" inst.id in
+      (match e.e_style with
+      | Single ->
+          Trace.interval trace ~track ~cat:"serve" ~ts:start ~dur:(finish - start)
+            ~args:[ ("batch", J.Int batch); ("window", J.Int w); ("requests", J.Int n) ]
+            (Printf.sprintf "batch %d (%d req)" batch n)
+      | Multi ->
+          let name = models.(m).m_name in
+          Trace.interval trace ~track ~cat:"mtserve" ~ts:start ~dur:(finish - start)
+            ~args:[ ("batch", J.Int batch); ("model", J.Str name); ("requests", J.Int n) ]
+            (Printf.sprintf "batch %d [%s] (%d req)" batch name n));
+      inst.free_at <- finish;
+      inst.busy <- inst.busy + (finish - start);
+      inst.batches <- inst.batches + 1;
+      match inst.hm with
+      | Some hm ->
+          if e.e_faults <> None then Health.observe_faults hm ~now:finish !batch_faults
+      | None -> (
+          match (e.e_degrade_after, inst.degraded_at) with
+          | Some threshold, None when inst.faults >= threshold ->
+              inst.degraded_at <- Some finish;
+              Trace.interval trace ~track ~cat:"serve" ~ts:finish ~dur:0
+                ~args:[ ("faults", J.Int inst.faults) ]
+                "degraded"
+          | _ -> ()))
+    a.a_batches;
+  Option.iter sample !last_window;
+  let makespan = Array.fold_left (fun acc i -> max acc i.free_at) 0 instances in
+  (* Drain the observed plane to the end of the run: probes scheduled
+     before the last completion still land, then each machine's log
+     yields the instance's first-degradation cycle (and, single-tenant,
+     the trace events). *)
+  if e.e_health <> None then
+    Array.iter
+      (fun i ->
+        advance_health i makespan;
+        Option.iter
+          (fun m ->
+            i.degraded_at <-
+              List.find_opt
+                (fun tr -> tr.Health.tr_to = Health.Degraded)
+                (Health.transitions m)
+              |> Option.map (fun tr -> tr.Health.tr_at);
+            if single then
+              List.iter
+                (fun tr ->
+                  Trace.interval trace
+                    ~track:(Printf.sprintf "instance %d" i.id)
+                    ~cat:"health" ~ts:tr.Health.tr_at ~dur:0
+                    ~args:
+                      [
+                        ("from", J.Str (Health.state_label tr.Health.tr_from));
+                        ("to", J.Str (Health.state_label tr.Health.tr_to));
+                        ("cause", J.Str (Health.cause_label tr.Health.tr_cause));
+                      ]
+                    (Printf.sprintf "health %s" (Health.state_label tr.Health.tr_to)))
+                (Health.transitions m))
+          i.hm)
+      instances;
+  let fates = Array.map Option.get fates (* every request ran or was shed *) in
+  let services, sojourns =
+    List.fold_left
+      (fun (sv, sj) q ->
+        match fates.(q.q_id) with
+        | Ran { f_start; f_exec = Done d; _ } ->
+            (d.e_service :: sv, (f_start + d.e_service - q.q_arrival) :: sj)
+        | _ -> (sv, sj))
+      ([], []) requests
+  in
+  let served = List.length services in
+  {
+    x_fates = fates;
+    x_instances = instances;
+    x_batch_size = a.a_size;
+    x_batches = List.length a.a_batches;
+    x_fail_open = !fail_open;
+    x_pred = a.a_pred;
+    x_pred_fail_open = a.a_pred_fail_open;
+    x_health_shed = List.length a.a_health_shed;
+    x_memo_hits = !memo_hits;
+    x_memo_misses = !memo_misses;
+    x_samples = List.rev !samples;
+    x_served = served;
+    x_service = percentiles_of services;
+    x_sojourn = percentiles_of sojourns;
+    x_makespan = makespan;
+    x_throughput = throughput served makespan;
+  }
+
+(* --- validation --------------------------------------------------------- *)
+
+(* The fleet checks both front ends share: the first violation, if any.
+   Degraded ids must name real instances, once each — out-of-range or
+   duplicate ids always indicate a config bug (a typo'd fleet size, a
+   doubled flag). *)
+let fleet_violation ~workers ~queue_depth ~requests ~dispatch_overhead ~degraded =
+  if workers < 1 then Some "workers must be >= 1"
+  else if queue_depth < 1 then Some "queue_depth must be >= 1"
+  else if requests < 0 then Some "requests must be >= 0"
+  else if dispatch_overhead < 0 then Some "dispatch_overhead must be >= 0"
+  else
+    match List.find_opt (fun id -> id < 0 || id >= workers) degraded with
+    | Some id ->
+        Some (Printf.sprintf "degraded instance id %d out of range [0, %d)" id workers)
+    | None ->
+        if List.length (List.sort_uniq compare degraded) <> List.length degraded then
+          Some "degraded instance ids must be distinct"
+        else None
+
+(* Single-tenant validation; [run] raises [Invalid_argument] with the
+   same message, its historical contract. The health lifecycle replaces
+   the one-way degrade_after flag (the two would fight over instance
+   eligibility), and memoization is sound only for input-pure
+   executions, which per-request fault sessions are not. *)
+let validate cfg =
+  let bad msg = Error (Bad_config ("Serve.run: " ^ msg)) in
+  match
+    fleet_violation ~workers:cfg.workers ~queue_depth:cfg.queue_depth
+      ~requests:cfg.requests ~dispatch_overhead:cfg.dispatch_overhead
+      ~degraded:cfg.degraded_instances
+  with
+  | Some msg -> bad msg
+  | None ->
+      if cfg.max_batch < 1 then bad "max_batch must be >= 1"
+      else if (match cfg.slo_sojourn with Some t -> t < 1 | None -> false) then
+        bad "slo_sojourn must be >= 1"
+      else if cfg.input_mix < 0 then bad "input_mix must be >= 0"
+      else if cfg.health <> None && cfg.degrade_after <> None then
+        bad "health and degrade_after are mutually exclusive"
+      else if cfg.memoize && not (Fault.Plan.is_empty cfg.plan) then
+        bad "memoize requires an empty fault plan"
+      else Ok ()
+
+(* --- auto resolution --------------------------------------------------- *)
+
+(* The auto window / gap / health probe: one fault-free execution of a
+   seed-derived payload per model, the slowest wins. A pure function of
+   (models, seed) — never of the fleet size, so auto values never leak
+   the worker count into the arrival process — and forced only when an
+   auto value needs it. *)
+let probe_cycles ~seed models =
+  lazy
+    (List.fold_left
+       (fun acc m ->
+         let inputs = Models.Zoo.random_input ~seed m.m_graph in
+         max acc (C.full_cycles (snd (C.run m.m_artifact ~inputs))))
+       1 models)
+
+(* [<= 0] means auto: the mean gap is half a probe service (roughly 2x
+   one instance's capacity), the window one probe service. *)
+let auto_gap probe gap = if gap > 0 then gap else max 1 (Lazy.force probe / 2)
+let auto_window probe window = if window > 0 then window else Lazy.force probe
+
+(* Fill a health config's auto fields from the probe request's service
+   time: probation two probe-services, probes every quarter service
+   costing a tenth, escalation capped at 8 probation windows. A pure
+   function of (config, artifact, seed), like the window auto. *)
+let resolve_health hc ~probe_cycles =
+  let probation =
+    if hc.Health.probation_window > 0 then hc.Health.probation_window
+    else 2 * probe_cycles
+  in
+  let resolved =
+    {
+      hc with
+      Health.probation_window = probation;
+      probe_interval =
+        (if hc.Health.probe_interval >= 0 then hc.Health.probe_interval
+         else max 1 (probe_cycles / 4));
+      probe_cost =
+        (if hc.Health.probe_cost > 0 then hc.Health.probe_cost
+         else max 1 (probe_cycles / 10));
+      backoff_cap =
+        (if hc.Health.backoff_cap > 0 then hc.Health.backoff_cap
+         else 8 * probation);
+    }
+  in
+  match Health.validate resolved with
+  | Ok () -> Ok resolved
+  | Error msg -> Error msg
+
+let health_stat_of m =
+  {
+    hs_state = Health.state m;
+    hs_transitions = List.length (Health.transitions m);
+    hs_readmissions = Health.readmissions m;
+    hs_relapses = Health.relapses m;
+    hs_probes_passed = Health.probes_passed m;
+    hs_probes_failed = Health.probes_failed m;
+    hs_probe_cycles = Health.probe_cycles m;
+  }
+
+let cycle_buckets =
+  [ 1_000; 3_000; 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000; 10_000_000 ]
+
+(* Register an instrument and record its value at once: a front end
+   registers everything in one pass after the run, and registration
+   order is exposition order. *)
+let add_counter reg ?track ?labels name help n =
+  Metrics.inc (Metrics.counter reg ?track ?labels ~help name) n
+
+let set_gauge reg ?track ?labels name help v =
+  Metrics.set_int (Metrics.gauge reg ?track ?labels ~help name) v
+
+(* The fleet-wide sched-track gauges both reports carry, under each
+   front end's metric prefix. *)
+let fleet_gauges reg prefix x =
+  set_gauge reg ~track:Metrics.Sched (prefix ^ "_makespan_cycles")
+    "End-to-end makespan cycles." x.x_makespan;
+  Metrics.set
+    (Metrics.gauge reg ~track:Metrics.Sched
+       ~help:"Served requests per second of simulated time."
+       (prefix ^ "_throughput_rps"))
+    x.x_throughput
+
+(* --- single-tenant front end ------------------------------------------ *)
+
+(* One exponential inter-arrival gap. The uniform draw is an integer
+   grid point, so the stream is reproducible without trusting float
+   rounding across draws. *)
+let exp_gap rng ~mean =
+  let u = (float_of_int (Util.Rng.int rng 1_000_000) +. 1.0) /. 1_000_001.0 in
+  max 0 (int_of_float (-.float_of_int mean *. log u))
+
+let generate cfg ~mean_gap =
+  let rng = Util.Rng.create cfg.seed in
+  (* Input-mix pool: [input_mix = 0] keeps the historical fully-unique
+     stream byte-for-byte; [input_mix = k > 0] folds every per-request
+     draw into a pool of k seeds from a derived stream. The fold happens
+     after the main draw, so arrivals are identical at any mix. *)
+  let pool =
+    if cfg.input_mix <= 0 then [||]
+    else
+      let prng = Util.Rng.create (cfg.seed + 999_983) in
+      Array.init cfg.input_mix (fun _ -> Util.Rng.int_in prng 1 1_000_000)
+  in
+  let clock = ref 0 in
+  List.init cfg.requests (fun k ->
+      let draw = Util.Rng.int_in rng 1 1_000_000 in
+      let input_seed =
+        if cfg.input_mix <= 0 then draw else pool.(draw mod cfg.input_mix)
+      in
+      let arrival =
+        match cfg.arrival with
+        | Closed -> 0
+        | Poisson _ ->
+            clock := !clock + exp_gap rng ~mean:mean_gap;
+            !clock
+      in
+      { r_id = k; r_input_seed = input_seed; r_arrival = arrival })
+
+let run ?trace ?metrics cfg artifact ~graph =
+  (match validate cfg with Ok () -> () | Error e -> invalid_arg (mt_error_to_string e));
+  let model = { m_name = "main"; m_artifact = artifact; m_graph = graph } in
+  let probe = probe_cycles ~seed:cfg.seed [ model ] in
+  let mean_gap, window =
+    match cfg.arrival with
+    | Closed -> (0, 0)
+    | Poisson { mean_gap } -> (auto_gap probe mean_gap, auto_window probe cfg.window)
+  in
+  let health_cfg =
+    Option.map
+      (fun hc ->
+        match resolve_health hc ~probe_cycles:(Lazy.force probe) with
+        | Ok resolved -> resolved
+        | Error msg -> invalid_arg ("Serve.run: " ^ msg))
+      cfg.health
+  in
+  let requests = generate cfg ~mean_gap in
+  (* One model, one class without an SLO, every instance pinned to it. *)
+  let x =
+    serve_engine ?trace
+      {
+        e_style = Single;
+        e_workers = cfg.workers;
+        e_queue_depth = cfg.queue_depth;
+        e_window = window;
+        e_max_batch = cfg.max_batch;
+        e_dispatch_overhead = cfg.dispatch_overhead;
+        e_swap_overhead = 0;
+        e_placement = Pinned;
+        e_jobs = cfg.jobs;
+        e_use_plan = cfg.use_plan;
+        e_faults = Some (cfg.plan, cfg.retry_budget);
+        e_memoize = cfg.memoize;
+        e_predict = true;
+        e_degrade_after = cfg.degrade_after;
+        e_degraded = cfg.degraded_instances;
+        e_health = health_cfg;
+      }
+      ~models:[| model |] ~classes:[| (0, None) |]
+      (List.map
+         (fun r ->
+           {
+             q_id = r.r_id;
+             q_class = 0;
+             q_input_seed = r.r_input_seed;
+             q_arrival = r.r_arrival;
+           })
+         requests)
+  in
+  let outcomes =
+    List.map
+      (fun r ->
+        ( r,
+          match x.x_fates.(r.r_id) with
+          | Ran { f_instance; f_batch; f_start; f_pred; f_exec = Done d } ->
+              Served
+                {
+                  o_instance = f_instance;
+                  o_batch = f_batch;
+                  o_start = f_start;
+                  o_finish = f_start + d.e_service;
+                  o_service = d.e_service;
+                  o_wait = f_start - r.r_arrival;
+                  o_digest = d.e_digest;
+                  o_detected = d.e_detected;
+                  o_silent = d.e_silent;
+                  o_retries = d.e_retries;
+                  o_pred_sojourn = f_pred;
+                }
+          | Ran { f_instance; f_batch; f_exec = Abort a; _ } ->
+              Aborted
+                {
+                  o_instance = f_instance;
+                  o_batch = f_batch;
+                  o_site = a.a_site;
+                  o_attempts = a.a_attempts;
+                }
+          | Shed_queue w | Shed_health w -> Rejected { o_window = w }
+          | Shed_slo _ -> assert false (* the single class has no SLO *) ))
+      requests
+  in
+  let count p = List.length (List.filter (fun (_, o) -> p o) outcomes) in
+  let rejected = count (function Rejected _ -> true | _ -> false) in
+  let aborted = count (function Aborted _ -> true | _ -> false) in
+  (* --- metrics. Registration order is exposition order; the run always
+     records into a registry — the caller's (so a serve dump can carry
+     the compile-side metrics too) or a private one. *)
+  let reg = match metrics with Some r -> r | None -> Metrics.create () in
+  let counter = add_counter reg in
+  let histogram name help values =
+    let h = Metrics.histogram reg ~buckets:cycle_buckets ~help name in
+    List.iter (Metrics.observe h) values
+  in
+  (* Fault totals over every execution that reached a batch. *)
+  let fault_total f =
+    Array.fold_left
+      (fun acc -> function Ran { f_exec; _ } -> acc + f f_exec | _ -> acc)
+      0 x.x_fates
+  in
+  counter "htvm_serve_requests_total" "Requests generated from the seed." cfg.requests;
+  counter "htvm_serve_admitted_total"
+    "Requests admitted past the per-window ingress cap." (cfg.requests - rejected);
+  counter "htvm_serve_shed_total" "Requests shed at admission." rejected;
+  counter "htvm_serve_served_total" "Requests served to completion." x.x_served;
+  counter "htvm_serve_aborted_total"
+    "Requests aborted after exhausting the retry budget." aborted;
+  counter "htvm_serve_faults_detected_total"
+    "Detected faults across all request executions."
+    (fault_total (function Done d -> d.e_detected | Abort a -> a.a_detected));
+  counter "htvm_serve_faults_silent_total"
+    "Silent corruptions across all request executions."
+    (fault_total (function Done d -> d.e_silent | Abort a -> a.a_silent));
+  counter "htvm_serve_retries_total" "Retries across all request executions."
+    (fault_total (function
+      | Done d -> d.e_retries
+      | Abort a -> max 0 (a.a_attempts - 1)));
+  counter "htvm_serve_memo_hits_total"
+    "Admitted requests whose output was reused from an identical input."
+    x.x_memo_hits;
+  counter "htvm_serve_memo_misses_total"
+    "Distinct inputs actually executed under memoization." x.x_memo_misses;
+  histogram "htvm_serve_service_cycles"
+    "Per-request service cycles on a dedicated machine."
+    (List.filter_map
+       (function _, Served { o_service; _ } -> Some o_service | _ -> None)
+       outcomes);
+  histogram "htvm_serve_pred_sojourn_cycles"
+    "Predicted (queueing-free) sojourn cycles of served requests."
+    (List.filter_map
+       (function _, Served { o_pred_sojourn; _ } -> Some o_pred_sojourn | _ -> None)
+       outcomes);
+  (* Per-window admission + predicted-SLO rows, from outcomes alone: the
+     data never saw the fleet. *)
+  let violates p = match cfg.slo_sojourn with Some t -> p > t | None -> false in
+  let rows =
+    fold_windows
+      (fun (r, _) -> window_of ~window r.r_arrival)
+      (fun (arr, adm, shed, srv, viol) (_, o) ->
+        match o with
+        | Rejected _ -> (arr + 1, adm, shed + 1, srv, viol)
+        | Aborted _ -> (arr + 1, adm + 1, shed, srv, viol)
+        | Served s ->
+            let viol = if violates s.o_pred_sojourn then viol + 1 else viol in
+            (arr + 1, adm + 1, shed, srv + 1, viol))
+      (0, 0, 0, 0, 0) outcomes
+  in
+  let pred_violations = List.fold_left (fun acc (_, (_, _, _, _, v)) -> acc + v) 0 rows in
+  counter "htvm_serve_slo_pred_violations_total"
+    "Served requests whose predicted sojourn exceeded the SLO target."
+    pred_violations;
+  let m_window =
+    Metrics.series reg
+      ~columns:
+        [ "arrivals"; "admitted"; "shed"; "slo_pred_violations";
+          "slo_pred_violation_rate" ]
+      ~help:"Per dispatch window: admission and predicted-SLO accounting."
+      "htvm_serve_window"
+  in
+  ignore
+    (List.fold_left
+       (fun (cum_srv, cum_viol) (w, (arr, adm, shed, srv, viol)) ->
+         let cum_srv = cum_srv + srv and cum_viol = cum_viol + viol in
+         let rate =
+           if cum_srv = 0 then 0.0 else float_of_int cum_viol /. float_of_int cum_srv
+         in
+         Metrics.sample m_window ~ts:(window_close ~window w)
+           [ float_of_int arr; float_of_int adm; float_of_int shed;
+             float_of_int viol; rate ];
+         (cum_srv, cum_viol))
+       (0, 0) rows);
+  let sim_totals = Sim.Counters.create () in
+  Array.iter (fun i -> Sim.Counters.add sim_totals i.totals) x.x_instances;
+  List.iter
+    (fun (name, v) ->
+      counter ("htvm_sim_" ^ name ^ "_total")
+        ("Simulator counter " ^ name ^ " summed over served requests.")
+        v)
+    (Sim.Counters.fields sim_totals);
+  let observed_violations =
+    match cfg.slo_sojourn with
+    | None -> 0
+    | Some t ->
+        List.length
+          (List.filter
+             (function
+               | r, Served { o_finish; _ } -> o_finish - r.r_arrival > t
+               | _ -> false)
+             outcomes)
+  in
+  counter ~track:Metrics.Sched "htvm_serve_slo_observed_violations_total"
+    "Served requests whose observed sojourn exceeded the SLO target."
+    observed_violations;
+  let m_sched_window =
+    Metrics.series reg ~track:Metrics.Sched
+      ~columns:[ "in_flight"; "free_max"; "served_cum"; "throughput_rps" ]
+      ~help:"Fleet state at each dispatch-window close." "htvm_sched_window"
+  in
+  List.iter (fun (ts, row) -> Metrics.sample m_sched_window ~ts row) x.x_samples;
+  (* Fail-open accounting is split like the SLO counters: the dedicated
+     htvm_serve_fail_open_total counts predicted-plane fail-opens
+     (cycles track, worker-invariant, 0 without health); the observed
+     fleet-shaped count lands on the sched track. *)
+  counter "htvm_serve_fail_open_total"
+    "Batches predicted to dispatch with no healthy capacity \
+     (fail-open), on the predicted health plane."
+    x.x_pred_fail_open;
+  counter "htvm_serve_health_shed_total"
+    "Requests shed by health-aware admission while the predicted \
+     plane was out of the rotation."
+    x.x_health_shed;
+  counter ~track:Metrics.Sched "htvm_sched_fail_open_total"
+    "Scheduled batches dispatched with every instance out of the \
+     healthy rotation (fail-open)."
+    x.x_fail_open;
+  let pair_labels (f, t) =
+    [ ("from", Health.state_label f); ("to", Health.state_label t) ]
+  in
+  Option.iter
+    (fun pm ->
+      List.iter
+        (fun (pair, n) ->
+          counter ~labels:(pair_labels pair)
+            "htvm_health_pred_transitions_total"
+            "Predicted-plane health transitions by (from, to)." n)
+        (Health.transition_counts pm);
+      counter "htvm_health_pred_readmissions_total"
+        "Predicted-plane readmissions to the healthy rotation." (Health.readmissions pm);
+      counter "htvm_health_pred_relapses_total"
+        "Predicted-plane entries into the degraded state." (Health.relapses pm);
+      counter "htvm_health_pred_probe_cycles_total"
+        "Predicted-plane cycles spent on health-check probes." (Health.probe_cycles pm);
+      List.iter
+        (fun pair ->
+          counter ~track:Metrics.Sched ~labels:(pair_labels pair)
+            "htvm_health_observed_transitions_total"
+            "Observed per-instance health transitions by (from, \
+             to), summed over the fleet."
+            (Array.fold_left
+               (fun acc i ->
+                 match i.hm with
+                 | None -> acc
+                 | Some m -> acc + List.assoc pair (Health.transition_counts m))
+               0 x.x_instances))
+        Health.legal_pairs)
+    x.x_pred;
+  Array.iter
+    (fun i ->
+      let labels = [ ("instance", string_of_int i.id) ] in
+      let set = set_gauge reg ~track:Metrics.Sched ~labels in
+      set "htvm_sched_instance_busy_cycles" "Busy cycles per instance." i.busy;
+      set "htvm_sched_instance_served" "Requests served per instance." i.served;
+      set "htvm_sched_instance_batches" "Batches dispatched per instance." i.batches;
+      set "htvm_sched_instance_degraded" "1 when the instance left the healthy rotation."
+        (match i.degraded_at with Some _ -> 1 | None -> 0);
+      Option.iter
+        (fun m ->
+          set "htvm_sched_instance_probe_cycles"
+            "Cycles the instance spent on health probes." i.probe_cyc;
+          set "htvm_sched_instance_readmissions"
+            "Times the instance rejoined the healthy rotation." (Health.readmissions m))
+        i.hm)
+    x.x_instances;
+  fleet_gauges reg "htvm_sched" x;
+  {
+    r_config = cfg;
+    r_window = window;
+    r_mean_gap = mean_gap;
+    r_outcomes = outcomes;
+    r_served = x.x_served;
+    r_rejected = rejected;
+    r_aborted = aborted;
+    r_shed_rate =
+      (if cfg.requests = 0 then 0.0
+       else float_of_int rejected /. float_of_int cfg.requests);
+    r_service = x.x_service;
+    r_sojourn = x.x_sojourn;
+    r_makespan = x.x_makespan;
+    r_throughput_rps = x.x_throughput;
+    r_instances =
+      Array.to_list
+        (Array.map
+           (fun i ->
+             {
+               i_id = i.id;
+               i_batches = i.batches;
+               i_served = i.served;
+               i_aborted = i.aborted;
+               i_busy = i.busy;
+               i_utilization = utilization x i.busy;
+               i_faults = i.faults;
+               i_degraded_at = i.degraded_at;
+               i_health = Option.map health_stat_of i.hm;
+               i_totals = i.totals;
+             })
+           x.x_instances);
+    r_slo =
+      Option.map
+        (fun target ->
+          {
+            s_target = target;
+            s_pred_violations = pred_violations;
+            s_observed_violations = observed_violations;
+            s_pred_violation_rate =
+              (if x.x_served = 0 then 0.0
+               else float_of_int pred_violations /. float_of_int x.x_served);
+          })
+        cfg.slo_sojourn;
+    r_health =
+      (match (x.x_pred, health_cfg) with
+      | Some pm, Some hc ->
+          Some
+          {
+            h_config = hc;
+            h_pred_state = Health.state pm;
+            h_pred_transitions = List.length (Health.transitions pm);
+            h_pred_readmissions = Health.readmissions pm;
+            h_pred_relapses = Health.relapses pm;
+            h_pred_probe_cycles = Health.probe_cycles pm;
+            h_pred_fail_open = x.x_pred_fail_open;
+            h_shed = x.x_health_shed;
+          }
+      | _ -> None);
+    r_fail_open = x.x_fail_open;
+    r_memo_hits = x.x_memo_hits;
+    r_memo_misses = x.x_memo_misses;
+    r_metrics = Metrics.snapshot reg;
+  }
+
 (* --- arrival trace format ---------------------------------------------
 
    Line-oriented, replayable with `htvmc serve --replay`:
@@ -1587,7 +1629,7 @@ let load_arrival_trace path =
   | text -> parse_arrival_trace text
   | exception Sys_error e -> Error (Bad_trace { line = 0; reason = e })
 
-(* --- multi-tenant run -------------------------------------------------- *)
+(* --- multi-tenant front end --------------------------------------------- *)
 
 let mt_arrival_to_string r =
   match r.mt_cfg.mt_arrival with
@@ -1606,46 +1648,38 @@ let placement_to_string = function Pinned -> "pinned" | Swap -> "swap"
    and exit cleanly. *)
 let mt_validate cfg ~models ~classes =
   let err msg = Error (Bad_config msg) in
-  if cfg.mt_workers < 1 then err "workers must be >= 1"
-  else if cfg.mt_max_batch < 0 then err "max_batch must be >= 1 (or 0 = autotune)"
-  else if cfg.mt_queue_depth < 1 then err "queue_depth must be >= 1"
-  else if cfg.mt_requests < 0 then err "requests must be >= 0"
-  else if cfg.mt_dispatch_overhead < 0 then err "dispatch_overhead must be >= 0"
-  else if cfg.mt_swap_overhead < 0 then err "swap_overhead must be >= 0"
-  else if models = [] then err "the model registry is empty"
-  else if classes = [] then err "at least one model class is required"
-  else if
-    List.length (List.sort_uniq compare (List.map (fun m -> m.m_name) models))
-    <> List.length models
-  then err "model registry names must be unique"
-  else if
-    List.length (List.sort_uniq compare (List.map (fun k -> k.k_name) classes))
-    <> List.length classes
-  then err "class names must be unique"
-  else if List.exists (fun k -> k.k_name = "" || String.contains k.k_name ' ') classes
-  then err "class names must be non-empty and contain no spaces"
-  else if List.exists (fun k -> k.k_weight < 1) classes then
-    err "class weights must be >= 1"
-  else if
-    List.exists (fun k -> match k.k_slo with Some t -> t < 1 | None -> false) classes
-  then err "class SLO targets must be >= 1"
-  else if
-    List.exists
-      (fun id -> id < 0 || id >= cfg.mt_workers)
-      cfg.mt_degraded_instances
-  then
-    err
-      (Printf.sprintf "degraded instance ids must be in [0, %d)" cfg.mt_workers)
-  else if
-    List.length (List.sort_uniq compare cfg.mt_degraded_instances)
-    <> List.length cfg.mt_degraded_instances
-  then err "degraded instance ids must be distinct"
-  else
-    match cfg.mt_arrival with
-    | Mt_diurnal { period; _ } when period < 0 ->
-        err "diurnal period must be >= 0 (0 = auto)"
-    | Mt_bursty { burst; _ } when burst < 1 -> err "burst must be >= 1"
-    | _ -> Ok ()
+  match
+    fleet_violation ~workers:cfg.mt_workers ~queue_depth:cfg.mt_queue_depth
+      ~requests:cfg.mt_requests ~dispatch_overhead:cfg.mt_dispatch_overhead
+      ~degraded:cfg.mt_degraded_instances
+  with
+  | Some msg -> err msg
+  | None -> (
+      if cfg.mt_max_batch < 0 then err "max_batch must be >= 1 (or 0 = autotune)"
+      else if cfg.mt_swap_overhead < 0 then err "swap_overhead must be >= 0"
+      else if models = [] then err "the model registry is empty"
+      else if classes = [] then err "at least one model class is required"
+      else if
+        List.length (List.sort_uniq compare (List.map (fun m -> m.m_name) models))
+        <> List.length models
+      then err "model registry names must be unique"
+      else if
+        List.length (List.sort_uniq compare (List.map (fun k -> k.k_name) classes))
+        <> List.length classes
+      then err "class names must be unique"
+      else if List.exists (fun k -> k.k_name = "" || String.contains k.k_name ' ') classes
+      then err "class names must be non-empty and contain no spaces"
+      else if List.exists (fun k -> k.k_weight < 1) classes then
+        err "class weights must be >= 1"
+      else if
+        List.exists (fun k -> match k.k_slo with Some t -> t < 1 | None -> false) classes
+      then err "class SLO targets must be >= 1"
+      else
+        match cfg.mt_arrival with
+        | Mt_diurnal { period; _ } when period < 0 ->
+            err "diurnal period must be >= 0 (0 = auto)"
+        | Mt_bursty { burst; _ } when burst < 1 -> err "burst must be >= 1"
+        | _ -> Ok ())
 
 (* Resolve each class's model name against the registry; the distinct
    models actually referenced get dense indices in first-reference
@@ -1670,28 +1704,23 @@ let mt_resolve ~models ~classes =
   resolve [] [] classes
 
 let mt_run ?trace ?metrics cfg ~models ~classes =
-  match mt_validate cfg ~models ~classes with
-  | Error _ as e -> e
-  | Ok () ->
-  match mt_resolve ~models ~classes with
-  | Error _ as e -> e
-  | Ok (class_models, used_models) ->
+  let ( let* ) = Result.bind in
+  let* () = mt_validate cfg ~models ~classes in
+  let* class_models, used_models = mt_resolve ~models ~classes in
   let n_classes = List.length classes in
   let class_arr = Array.of_list classes in
-  let model_of_class = Array.of_list (List.map snd class_models) in
   let used = Array.of_list used_models in
   let n_models = Array.length used in
-  (match cfg.mt_placement with
-  | Pinned when cfg.mt_workers < n_models ->
-      Error
-        (Bad_config
-           (Printf.sprintf
-              "pinned placement needs workers >= distinct models (%d < %d)"
-              cfg.mt_workers n_models))
-  | _ -> Ok ())
-  |> function
-  | Error _ as e -> e
-  | Ok () ->
+  let* () =
+    match cfg.mt_placement with
+    | Pinned when cfg.mt_workers < n_models ->
+        Error
+          (Bad_config
+             (Printf.sprintf
+                "pinned placement needs workers >= distinct models (%d < %d)"
+                cfg.mt_workers n_models))
+    | _ -> Ok ()
+  in
   (* Replayed traces must only reference configured classes. *)
   let class_index name =
     let rec go i = if i >= n_classes then None
@@ -1699,7 +1728,7 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
     in
     go 0
   in
-  let replay_resolved =
+  let* replay =
     match cfg.mt_arrival with
     | Mt_replay entries ->
         let rec go acc = function
@@ -1718,22 +1747,7 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
         go [] entries
     | _ -> Ok []
   in
-  match replay_resolved with
-  | Error _ as e -> e
-  | Ok replay ->
-  let reg = match metrics with Some r -> r | None -> Metrics.create () in
-  (* --- probes: one fault-free execution per referenced model, pure
-     functions of (artifact, seed) — forced only when window or gap
-     auto-resolution needs them. *)
-  let probe =
-    lazy
-      (Array.fold_left
-         (fun acc m ->
-           let inputs = Models.Zoo.random_input ~seed:cfg.mt_seed m.m_graph in
-           let _, rep = C.run m.m_artifact ~inputs in
-           max acc (max 1 (C.full_cycles rep)))
-         1 used)
-  in
+  let probe = probe_cycles ~seed:cfg.mt_seed used_models in
   let open_mode =
     match cfg.mt_arrival with Mt_closed -> false | _ -> true
   in
@@ -1742,13 +1756,9 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
     | Mt_closed | Mt_replay _ -> 0
     | Mt_poisson { mean_gap } | Mt_diurnal { mean_gap; _ }
     | Mt_bursty { mean_gap; _ } ->
-        if mean_gap > 0 then mean_gap else max 1 (Lazy.force probe / 2)
+        auto_gap probe mean_gap
   in
-  let window =
-    if not open_mode then 0
-    else if cfg.mt_window > 0 then cfg.mt_window
-    else Lazy.force probe
-  in
+  let window = if open_mode then auto_window probe cfg.mt_window else 0 in
   let resolved_period =
     match cfg.mt_arrival with
     | Mt_diurnal { period; _ } -> if period > 0 then period else 8 * window
@@ -1757,7 +1767,7 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
   (* Health lifecycle (observed plane only — the multi-tenant path is
      fault-free): auto fields resolve against the largest model's probe
      time, violations surface as typed [Bad_config] errors. *)
-  let health_res =
+  let* mt_health_cfg =
     match cfg.mt_health with
     | None -> Ok None
     | Some hc -> (
@@ -1765,9 +1775,6 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
         | Ok hc -> Ok (Some hc)
         | Error msg -> Error (Bad_config msg))
   in
-  match health_res with
-  | Error _ as e -> e
-  | Ok mt_health_cfg ->
   (* --- generation: class mix, payload seeds and arrivals from one Rng
      stream (or verbatim from the replayed trace). *)
   let total_weight =
@@ -1782,9 +1789,8 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
     go 0 0
   in
   let requests =
-    match replay with
-    | _ :: _ | [] when (match cfg.mt_arrival with Mt_replay _ -> true | _ -> false)
-      ->
+    match cfg.mt_arrival with
+    | Mt_replay _ ->
         List.mapi
           (fun i (e, cls) ->
             { q_id = i; q_class = cls; q_input_seed = e.t_seed; q_arrival = e.t_cycle })
@@ -1812,337 +1818,57 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
             { q_id = k; q_class = cls; q_input_seed = seed; q_arrival = !clock })
   in
   let n_requests = List.length requests in
-  let outcomes = Array.make n_requests None in
-  (* --- ingress-cap admission: a pure function of the arrival stream. *)
-  let admitted =
-    if not open_mode then List.map (fun q -> (0, q)) requests
-    else begin
-      let in_window = Hashtbl.create 16 in
-      List.filter_map
-        (fun q ->
-          let w = q.q_arrival / window in
-          let n = Option.value ~default:0 (Hashtbl.find_opt in_window w) in
-          if n >= cfg.mt_queue_depth then begin
-            outcomes.(q.q_id) <- Some (Mt_shed_queue { mo_window = w });
-            Trace.interval trace ~track:"serve" ~cat:"serve" ~ts:q.q_arrival
-              ~dur:0
-              ~args:[ ("request", J.Int q.q_id); ("window", J.Int w) ]
-              "shed-queue";
-            None
-          end
-          else begin
-            Hashtbl.replace in_window w (n + 1);
-            Some (w, q)
-          end)
-        requests
-    end
+  (* Fault-free, no memoization, no predicted plane: SLO shedding works
+     off the predicted sojourns of batch assembly. *)
+  let x =
+    serve_engine ?trace
+      {
+        e_style = Multi;
+        e_workers = cfg.mt_workers;
+        e_queue_depth = cfg.mt_queue_depth;
+        e_window = window;
+        e_max_batch = cfg.mt_max_batch;
+        e_dispatch_overhead = cfg.mt_dispatch_overhead;
+        e_swap_overhead = cfg.mt_swap_overhead;
+        e_placement = cfg.mt_placement;
+        e_jobs = cfg.mt_jobs;
+        e_use_plan = cfg.mt_use_plan;
+        e_faults = None;
+        e_memoize = false;
+        e_predict = false;
+        e_degrade_after = None;
+        e_degraded = cfg.mt_degraded_instances;
+        e_health = mt_health_cfg;
+      }
+      ~models:used
+      ~classes:(Array.of_list (List.map (fun (k, m) -> (m, k.k_slo)) class_models))
+      requests
   in
-  (* --- execution: every ingress-admitted request on the pool. SLO
-     shedding needs exact service cycles, so candidates execute before
-     the shed pass decides — the simulator is cheap and the shed set
-     stays a pure function of the arrival stream. *)
-  let execs =
-    Util.Pool.with_pool ~jobs:cfg.mt_jobs (fun pool ->
-        Util.Pool.map pool
-          (fun (_, q) ->
-            let m = used.(model_of_class.(q.q_class)) in
-            let inputs = Models.Zoo.random_input ~seed:q.q_input_seed m.m_graph in
-            let out, rep = C.run ~use_plan:cfg.mt_use_plan m.m_artifact ~inputs in
-            (digest_tensor out, C.full_cycles rep, rep.Sim.Machine.totals))
-          admitted)
-  in
-  let work = List.combine admitted execs in
-  (* --- SLO shed + batch assembly, in arrival order. Batches group one
-     window's admitted requests per model (a batch executes on one
-     artifact); each batch is predicted to dispatch the moment its
-     window closes onto an idle machine, paying the dispatch overhead
-     plus — under [Swap] placement — one cold model load. A request
-     whose predicted sojourn exceeds its class SLO is shed and frees
-     its batch slot for the next arrival. *)
-  let swap_pred =
-    match cfg.mt_placement with Swap -> cfg.mt_swap_overhead | Pinned -> 0
-  in
-  let windows = group_windows work in
-  (* One assembly pass at a given batch size; returns the batch list (in
-     dispatch order) plus the shed-SLO set, without mutating anything —
-     the autotuner evaluates several sizes before one is committed. *)
-  let assemble max_batch =
-    let batches = ref [] in
-    let shed = ref [] in
-    List.iter
-      (fun (w, items) ->
-        let dispatch_t = if open_mode then (w + 1) * window else 0 in
-        let base = dispatch_t + cfg.mt_dispatch_overhead + swap_pred in
-        (* per-model fill count and predicted cursor of the open batch *)
-        let fill = Array.make n_models 0 in
-        let cursor = Array.make n_models 0 in
-        let current = Array.make n_models [] in
-        let flush m =
-          if current.(m) <> [] then
-            batches := (w, m, List.rev current.(m)) :: !batches;
-          current.(m) <- [];
-          fill.(m) <- 0
-        in
-        List.iter
-          (fun (((_, q), (digest, service, totals)) : (int * mt_request) * _) ->
-            let m = model_of_class.(q.q_class) in
-            let start = if fill.(m) = 0 then base else cursor.(m) in
-            let pred_finish = start + service in
-            let pred_sojourn = pred_finish - q.q_arrival in
-            let violates =
-              match class_arr.(q.q_class).k_slo with
-              | Some t -> pred_sojourn > t
-              | None -> false
-            in
-            if violates then shed := (q, pred_sojourn) :: !shed
-            else begin
-              current.(m) <- (q, digest, service, totals, pred_sojourn) :: current.(m);
-              cursor.(m) <- pred_finish;
-              fill.(m) <- fill.(m) + 1;
-              if fill.(m) >= max_batch then flush m
-            end)
-          items;
-        for m = 0 to n_models - 1 do
-          flush m
-        done)
-      windows;
-    (List.rev !batches, List.rev !shed)
-  in
-  (* Batch autotune: with [mt_max_batch = 0], score candidate sizes on
-     the predicted (fleet-free) schedule — fewest SLO sheds first, then
-     lowest predicted total cost, then the smaller size. The cost is
-     total work (each batch pays the dispatch overhead and, under Swap,
-     one cold load — fewer batches amortize it) plus the summed
-     predicted sojourns (bigger batches queue requests behind each
-     other), so a dispatch overhead dwarfing per-request service pushes
-     the tuner toward wide batches and a cheap dispatch toward narrow
-     ones. A pure function of the arrival stream, so the choice is
-     workers/jobs-invariant like everything else in the tally. *)
-  let batch_size, batches, shed_slo_list =
-    if cfg.mt_max_batch > 0 then
-      let b, s = assemble cfg.mt_max_batch in
-      (cfg.mt_max_batch, b, s)
-    else
-      let candidates = [ 1; 2; 4; 8; 16; 32 ] in
-      let best =
-        List.fold_left
-          (fun best b ->
-            let batches, shed = assemble b in
-            let work =
-              List.fold_left
-                (fun acc (_, _, items) ->
-                  List.fold_left
-                    (fun acc (_, _, service, _, _) -> acc + service)
-                    (acc + cfg.mt_dispatch_overhead + swap_pred)
-                    items)
-                0 batches
-            in
-            let sojourns =
-              List.fold_left
-                (fun acc (_, _, items) ->
-                  List.fold_left
-                    (fun acc (_, _, _, _, pred) -> acc + pred)
-                    acc items)
-                0 batches
-            in
-            let cost = (List.length shed, work + sojourns, b) in
-            match best with
-            | Some (best_cost, _) when compare cost best_cost >= 0 -> best
-            | _ -> Some (cost, (b, batches, shed)))
-          None candidates
-      in
-      match best with
-      | Some (_, (b, batches, shed)) -> (b, batches, shed)
-      | None -> assert false
-  in
-  List.iter
-    (fun (q, pred) -> outcomes.(q.q_id) <- Some (Mt_shed_slo { mo_pred_sojourn = pred }))
-    shed_slo_list;
-  (* --- scheduling: the only fleet-shaped pass. Pinned placement maps
-     instance i to referenced model (i mod n_models); Swap placement
-     routes anywhere and charges [mt_swap_overhead] whenever the
-     instance's resident model changes. *)
-  let instances =
-    Array.init cfg.mt_workers (fun id ->
-        let boot_degraded = List.mem id cfg.mt_degraded_instances in
-        object
-          val mutable free_at = 0
-          val mutable busy = 0
-          val mutable served = 0
-          val mutable batches = 0
-          val mutable swaps = 0
-          val mutable probe_cyc = 0
-          val hm =
-            Option.map
-              (fun hc ->
-                Health.create ~degraded_at_start:boot_degraded hc ~instance:id)
-              mt_health_cfg
-          val mutable loaded =
-            (match cfg.mt_placement with
-            | Pinned -> Some (id mod n_models)
-            | Swap -> None)
-          method id = id
-          method free_at = free_at
-          method busy = busy
-          method served = served
-          method batches = batches
-          method swaps = swaps
-          method probe_cyc = probe_cyc
-          method hm = hm
-          method loaded = loaded
-
-          (* Without a lifecycle a boot-degraded instance stays out of
-             rotation for the whole run. *)
-          method eligible =
-            match hm with
-            | Some m -> Health.eligible m
-            | None -> not boot_degraded
-
-          method advance now =
-            match hm with
-            | None -> ()
-            | Some m ->
-                let pc = Health.advance m ~now in
-                busy <- busy + pc;
-                probe_cyc <- probe_cyc + pc
-
-          method set_free_at t = free_at <- t
-          method add_busy d = busy <- busy + d
-          method add_served n = served <- served + n
-          method incr_batches = batches <- batches + 1
-          method incr_swaps = swaps <- swaps + 1
-          method set_loaded m = loaded <- Some m
-        end)
-  in
-  let mt_fail_open = ref 0 in
-  let eligible m =
-    match cfg.mt_placement with
-    | Swap -> Array.to_list instances
-    | Pinned ->
-        List.filter
-          (fun i -> i#id mod n_models = m)
-          (Array.to_list instances)
-  in
-  List.iteri
-    (fun batch_idx (w, m, items) ->
-      let pool = eligible m in
-      let dispatch_t =
-        if open_mode then (w + 1) * window
-        else List.fold_left (fun acc i -> min acc i#free_at) max_int pool
-      in
-      (* Let lifecycles catch up to the dispatch instant (cooldowns
-         expire, probes run and charge their cycles), then route within
-         the in-rotation subset; an empty subset fails open to the full
-         placement pool. *)
-      List.iter (fun i -> i#advance dispatch_t) pool;
-      let pool =
-        match List.filter (fun i -> i#eligible) pool with
-        | [] ->
-            incr mt_fail_open;
-            pool
-        | live -> live
-      in
-      let inst =
-        List.fold_left
-          (fun best i -> if i#free_at < best#free_at then i else best)
-          (List.hd pool) (List.tl pool)
-      in
-      let start = max dispatch_t inst#free_at in
-      (* Resident model differs (or nothing is loaded yet): pay one
-         reload. Unreachable under Pinned — the eligible pool always
-         matches the batch's model. *)
-      let swap_cost =
-        if inst#loaded = Some m then 0
-        else begin
-          inst#incr_swaps;
-          inst#set_loaded m;
-          cfg.mt_swap_overhead
-        end
-      in
-      let cursor = ref (start + cfg.mt_dispatch_overhead + swap_cost) in
-      List.iter
-        (fun (q, digest, service, _totals, pred) ->
-          outcomes.(q.q_id) <-
-            Some
-              (Mt_served
-                 {
-                   mo_instance = inst#id;
-                   mo_batch = batch_idx;
-                   mo_start = !cursor;
-                   mo_finish = !cursor + service;
-                   mo_service = service;
-                   mo_digest = digest;
-                   mo_pred_sojourn = pred;
-                 });
-          cursor := !cursor + service;
-          inst#add_served 1)
-        items;
-      let finish = !cursor in
-      Trace.interval trace
-        ~track:(Printf.sprintf "instance %d" inst#id)
-        ~cat:"mtserve" ~ts:start ~dur:(finish - start)
-        ~args:
-          [
-            ("batch", J.Int batch_idx);
-            ("model", J.Str used.(m).m_name);
-            ("requests", J.Int (List.length items));
-          ]
-        (Printf.sprintf "batch %d [%s] (%d req)" batch_idx used.(m).m_name
-           (List.length items));
-      inst#set_free_at finish;
-      inst#add_busy (finish - start);
-      inst#incr_batches)
-    batches;
-  (* Drain the lifecycles to the fleet's last completion so in-flight
-     cooldowns and probes settle before stats are snapshotted. *)
-  (match mt_health_cfg with
-  | None -> ()
-  | Some _ ->
-      let fleet_end =
-        Array.fold_left (fun acc i -> max acc i#free_at) 0 instances
-      in
-      Array.iter (fun i -> i#advance fleet_end) instances);
-  (* --- aggregation ----------------------------------------------- *)
   let outcomes =
     List.map
       (fun q ->
-        match outcomes.(q.q_id) with
-        | Some o -> (q, o)
-        | None -> assert false)
+        ( q,
+          match x.x_fates.(q.q_id) with
+          | Ran { f_instance; f_batch; f_start; f_pred; f_exec = Done d } ->
+              Mt_served
+                {
+                  mo_instance = f_instance;
+                  mo_batch = f_batch;
+                  mo_start = f_start;
+                  mo_finish = f_start + d.e_service;
+                  mo_service = d.e_service;
+                  mo_digest = d.e_digest;
+                  mo_pred_sojourn = f_pred;
+                }
+          | Shed_queue w -> Mt_shed_queue { mo_window = w }
+          | Shed_slo p -> Mt_shed_slo { mo_pred_sojourn = p }
+          | Ran { f_exec = Abort _; _ } | Shed_health _ ->
+              assert false (* fault-free, no predicted plane *) ))
       requests
   in
-  let served_list =
-    List.filter_map
-      (function _, Mt_served s -> Some s.mo_service | _ -> None)
-      outcomes
-  in
-  let sojourn_list =
-    List.filter_map
-      (function
-        | q, Mt_served s -> Some (s.mo_finish - q.q_arrival) | _ -> None)
-      outcomes
-  in
-  let served = List.length served_list in
-  let shed_queue =
-    List.length
-      (List.filter (function _, Mt_shed_queue _ -> true | _ -> false) outcomes)
-  in
-  let shed_slo =
-    List.length
-      (List.filter (function _, Mt_shed_slo _ -> true | _ -> false) outcomes)
-  in
-  let makespan =
-    Array.fold_left (fun acc i -> max acc i#free_at) 0 instances
-  in
-  let freq_hz =
-    float_of_int used.(0).m_artifact.C.cfg.C.platform.Arch.Platform.freq_mhz
-    *. 1.0e6
-  in
-  let throughput =
-    if makespan = 0 then 0.0
-    else float_of_int served /. (float_of_int makespan /. freq_hz)
-  in
-  let swaps = Array.fold_left (fun acc i -> acc + i#swaps) 0 instances in
+  let count p = List.length (List.filter p outcomes) in
+  let shed_queue = count (function _, Mt_shed_queue _ -> true | _ -> false) in
+  let shed_slo = count (function _, Mt_shed_slo _ -> true | _ -> false) in
   (* per-class stats *)
   let class_stats =
     List.mapi
@@ -2180,184 +1906,148 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
      histograms on the cycles track (workers/jobs-invariant); swaps,
      per-instance stats, makespan/throughput and observed SLO
      violations on the sched track. *)
-  let cycle_buckets =
-    [ 1_000; 3_000; 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000;
-      10_000_000 ]
-  in
-  Metrics.inc
-    (Metrics.counter reg ~help:"Requests generated or replayed."
-       "htvm_mtserve_requests_total")
-    n_requests;
-  Metrics.inc
-    (Metrics.counter reg ~help:"Requests served to completion."
-       "htvm_mtserve_served_total")
-    served;
-  Metrics.inc
-    (Metrics.counter reg ~help:"Requests shed at the per-window ingress cap."
-       "htvm_mtserve_shed_queue_total")
+  let reg = match metrics with Some r -> r | None -> Metrics.create () in
+  let counter = add_counter reg in
+  counter "htvm_mtserve_requests_total" "Requests generated or replayed." n_requests;
+  counter "htvm_mtserve_served_total" "Requests served to completion." x.x_served;
+  counter "htvm_mtserve_shed_queue_total" "Requests shed at the per-window ingress cap."
     shed_queue;
-  Metrics.inc
-    (Metrics.counter reg
-       ~help:"Requests shed because the predicted sojourn broke the class SLO."
-       "htvm_mtserve_shed_slo_total")
-    shed_slo;
-  Metrics.inc
-    (Metrics.counter reg ~help:"Batches assembled (predicted schedule)."
-       "htvm_mtserve_batches_total")
-    (List.length batches);
-  Metrics.set_int
-    (Metrics.gauge reg
-       ~help:"Resolved batch size (autotuned when max_batch = 0)."
-       "htvm_mtserve_batch_size")
-    batch_size;
-  List.iter
-    (fun cs ->
+  counter "htvm_mtserve_shed_slo_total"
+    "Requests shed because the predicted sojourn broke the class SLO." shed_slo;
+  counter "htvm_mtserve_batches_total" "Batches assembled (predicted schedule)."
+    x.x_batches;
+  set_gauge reg "htvm_mtserve_batch_size"
+    "Resolved batch size (autotuned when max_batch = 0)." x.x_batch_size;
+  List.iteri
+    (fun ci cs ->
       let labels = [ ("class", cs.cs_name) ] in
-      let c name help = Metrics.counter reg ~labels ~help name in
-      Metrics.inc
-        (c "htvm_mtserve_class_requests_total" "Per-class requests.")
+      counter ~labels "htvm_mtserve_class_requests_total" "Per-class requests."
         cs.cs_requests;
-      Metrics.inc
-        (c "htvm_mtserve_class_served_total" "Per-class served requests.")
+      counter ~labels "htvm_mtserve_class_served_total" "Per-class served requests."
         cs.cs_served;
-      Metrics.inc
-        (c "htvm_mtserve_class_shed_queue_total"
-           "Per-class ingress-cap sheds.")
+      counter ~labels "htvm_mtserve_class_shed_queue_total" "Per-class ingress-cap sheds."
         cs.cs_shed_queue;
-      Metrics.inc
-        (c "htvm_mtserve_class_slo_pred_violations_total"
-           "Per-class predicted-SLO violations (shed before dispatch).")
-        cs.cs_shed_slo;
+      counter ~labels "htvm_mtserve_class_slo_pred_violations_total"
+        "Per-class predicted-SLO violations (shed before dispatch)." cs.cs_shed_slo;
       let h =
         Metrics.histogram reg ~labels ~buckets:cycle_buckets
           ~help:"Per-class service cycles." "htvm_mtserve_class_service_cycles"
       in
       List.iter
-        (fun (q, o) ->
-          match o with
-          | Mt_served s when class_arr.(q.q_class).k_name = cs.cs_name ->
-              Metrics.observe h s.mo_service
+        (function
+          | q, Mt_served s when q.q_class = ci -> Metrics.observe h s.mo_service
           | _ -> ())
         outcomes)
     class_stats;
-  let m_window_series =
+  let m_window =
     Metrics.series reg
       ~columns:[ "arrivals"; "admitted"; "shed_queue"; "shed_slo" ]
       ~help:"Per dispatch window: multi-tenant admission accounting."
       "htvm_mtserve_window"
   in
-  (let win_of q = if open_mode then q.q_arrival / window else 0 in
-   let win_ids = ref [] in
-   let tbl = Hashtbl.create 16 in
-   List.iter
-     (fun (q, o) ->
-       let w = win_of q in
-       let cell =
-         match Hashtbl.find_opt tbl w with
-         | Some c -> c
-         | None ->
-             let c = ref (0, 0, 0, 0) in
-             Hashtbl.add tbl w c;
-             win_ids := w :: !win_ids;
-             c
-       in
-       let arr, adm, sq, ss = !cell in
-       let adm, sq, ss =
+  List.iter
+    (fun (w, (arr, adm, sq, ss)) ->
+      Metrics.sample m_window ~ts:(window_close ~window w)
+        [ float_of_int arr; float_of_int adm; float_of_int sq; float_of_int ss ])
+    (fold_windows
+       (fun (q, _) -> window_of ~window q.q_arrival)
+       (fun (arr, adm, sq, ss) (_, o) ->
          match o with
-         | Mt_shed_queue _ -> (adm, sq + 1, ss)
-         | Mt_shed_slo _ -> (adm, sq, ss + 1)
-         | Mt_served _ -> (adm + 1, sq, ss)
-       in
-       cell := (arr + 1, adm, sq, ss))
-     outcomes;
-   List.iter
-     (fun w ->
-       let arr, adm, sq, ss = !(Hashtbl.find tbl w) in
-       let ts = if open_mode then (w + 1) * window else 0 in
-       Metrics.sample m_window_series ~ts
-         [ float_of_int arr; float_of_int adm; float_of_int sq; float_of_int ss ])
-     (List.rev !win_ids));
+         | Mt_shed_queue _ -> (arr + 1, adm, sq + 1, ss)
+         | Mt_shed_slo _ -> (arr + 1, adm, sq, ss + 1)
+         | Mt_served _ -> (arr + 1, adm + 1, sq, ss))
+       (0, 0, 0, 0) outcomes);
   List.iter
     (fun cs ->
-      Metrics.inc
-        (Metrics.counter reg ~track:Metrics.Sched
-           ~labels:[ ("class", cs.cs_name) ]
-           ~help:"Per-class observed SLO violations (fleet-shape dependent)."
-           "htvm_mtserve_class_slo_observed_violations_total")
+      counter ~track:Metrics.Sched ~labels:[ ("class", cs.cs_name) ]
+        "htvm_mtserve_class_slo_observed_violations_total"
+        "Per-class observed SLO violations (fleet-shape dependent)."
         cs.cs_observed_violations)
     class_stats;
   Array.iter
     (fun i ->
-      let labels = [ ("instance", string_of_int i#id) ] in
-      let g name help = Metrics.gauge reg ~track:Metrics.Sched ~labels ~help name in
-      Metrics.set_int (g "htvm_mtsched_instance_busy_cycles" "Busy cycles.") i#busy;
-      Metrics.set_int (g "htvm_mtsched_instance_served" "Requests served.") i#served;
-      Metrics.set_int
-        (g "htvm_mtsched_instance_swaps" "Model reloads paid by this instance.")
-        i#swaps;
-      match i#hm with
-      | None -> ()
-      | Some m ->
-          Metrics.set_int
-            (g "htvm_mtsched_instance_probe_cycles"
-               "Cycles the instance spent on health probes.")
-            i#probe_cyc;
-          Metrics.set_int
-            (g "htvm_mtsched_instance_readmissions"
-               "Times the instance rejoined the healthy rotation.")
-            (Health.readmissions m))
-    instances;
-  Metrics.inc
-    (Metrics.counter reg ~track:Metrics.Sched
-       ~help:"Batches dispatched with no eligible instance in their pool."
-       "htvm_mtsched_fail_open_total")
-    !mt_fail_open;
-  Metrics.set_int
-    (Metrics.gauge reg ~track:Metrics.Sched ~help:"End-to-end makespan cycles."
-       "htvm_mtsched_makespan_cycles")
-    makespan;
-  Metrics.set
-    (Metrics.gauge reg ~track:Metrics.Sched
-       ~help:"Served requests per second of simulated time."
-       "htvm_mtsched_throughput_rps")
-    throughput;
+      let labels = [ ("instance", string_of_int i.id) ] in
+      let set = set_gauge reg ~track:Metrics.Sched ~labels in
+      set "htvm_mtsched_instance_busy_cycles" "Busy cycles." i.busy;
+      set "htvm_mtsched_instance_served" "Requests served." i.served;
+      set "htvm_mtsched_instance_swaps" "Model reloads paid by this instance." i.swaps;
+      Option.iter
+        (fun m ->
+          set "htvm_mtsched_instance_probe_cycles"
+            "Cycles the instance spent on health probes." i.probe_cyc;
+          set "htvm_mtsched_instance_readmissions"
+            "Times the instance rejoined the healthy rotation." (Health.readmissions m))
+        i.hm)
+    x.x_instances;
+  counter ~track:Metrics.Sched "htvm_mtsched_fail_open_total"
+    "Batches dispatched with no eligible instance in their pool." x.x_fail_open;
+  fleet_gauges reg "htvm_mtsched" x;
   Ok
     {
       mt_cfg = cfg;
       mt_class_list = classes;
       mt_resolved_window = window;
       mt_resolved_gap = resolved_gap;
-      mt_batch = batch_size;
+      mt_batch = x.x_batch_size;
       mt_outcomes = outcomes;
-      mt_served = served;
+      mt_served = x.x_served;
       mt_shed_queue = shed_queue;
       mt_shed_slo = shed_slo;
-      mt_swaps = swaps;
+      mt_swaps = Array.fold_left (fun acc i -> acc + i.swaps) 0 x.x_instances;
       mt_class_stats = class_stats;
-      mt_service = percentiles_of served_list;
-      mt_sojourn = percentiles_of sojourn_list;
-      mt_makespan = makespan;
-      mt_throughput_rps = throughput;
-      mt_fail_open = !mt_fail_open;
+      mt_service = x.x_service;
+      mt_sojourn = x.x_sojourn;
+      mt_makespan = x.x_makespan;
+      mt_throughput_rps = x.x_throughput;
+      mt_fail_open = x.x_fail_open;
       mt_instances =
         Array.to_list
           (Array.map
              (fun i ->
                {
-                 mi_id = i#id;
-                 mi_batches = i#batches;
-                 mi_served = i#served;
-                 mi_busy = i#busy;
-                 mi_swaps = i#swaps;
-                 mi_utilization =
-                   (if makespan = 0 then 0.0
-                    else float_of_int i#busy /. float_of_int makespan);
-                 mi_model = Option.map (fun m -> used.(m).m_name) i#loaded;
-                 mi_health = Option.map health_stat_of i#hm;
+                 mi_id = i.id;
+                 mi_batches = i.batches;
+                 mi_served = i.served;
+                 mi_busy = i.busy;
+                 mi_swaps = i.swaps;
+                 mi_utilization = utilization x i.busy;
+                 mi_model = Option.map (fun m -> used.(m).m_name) i.loaded;
+                 mi_health = Option.map health_stat_of i.hm;
                })
-             instances);
+             x.x_instances);
       mt_metrics = Metrics.snapshot reg;
     }
+
+(* --- rendering helpers ------------------------------------------------ *)
+
+let pp_percentiles buf label p =
+  Buffer.add_string buf
+    (Printf.sprintf "%s count=%d min=%d mean=%.3f p50=%d p95=%d p99=%d max=%d\n"
+       label p.p_count p.p_min p.p_mean p.p50 p.p95 p.p99 p.p_max)
+
+let percentiles_json p =
+  J.Obj
+    [
+      ("count", J.Int p.p_count);
+      ("min", J.Int p.p_min);
+      ("mean", J.Float p.p_mean);
+      ("p50", J.Int p.p50);
+      ("p95", J.Int p.p95);
+      ("p99", J.Int p.p99);
+      ("max", J.Int p.p_max);
+    ]
+
+let health_stat_json hs =
+  J.Obj
+    [
+      ("state", J.Str (Health.state_label hs.hs_state));
+      ("transitions", J.Int hs.hs_transitions);
+      ("readmissions", J.Int hs.hs_readmissions);
+      ("relapses", J.Int hs.hs_relapses);
+      ("probes_passed", J.Int hs.hs_probes_passed);
+      ("probes_failed", J.Int hs.hs_probes_failed);
+      ("probe_cycles", J.Int hs.hs_probe_cycles);
+    ]
 
 (* --- multi-tenant rendering ------------------------------------------- *)
 

@@ -1,8 +1,14 @@
 (** Batched inference serving over a simulated DIANA fleet.
 
-    A {!run} loads one compiled {!Htvm.Compile.artifact} and drives a
-    fleet of [workers] independent simulated SoC instances through a
-    seeded synthetic request stream. The serving loop is a discrete-event
+    One serving engine, two front ends. {!run} loads one compiled
+    {!Htvm.Compile.artifact} and drives a fleet of [workers] independent
+    simulated SoC instances through a seeded synthetic request stream;
+    {!mt_run} hosts several artifacts behind one fleet for weighted
+    request classes. A front end owns its validation and error contract,
+    its request generation and the projection into its report; admission,
+    execution, batch assembly, routing, the health drain and aggregation
+    are one shared engine, so the two agree request for request wherever
+    their features overlap. The serving loop is a discrete-event
     simulation in {e simulated cycles}:
 
     - {b Arrivals.} Requests carry a per-request input seed and an
@@ -318,7 +324,8 @@ val run :
     registry. Registration is strict, so a caller-supplied registry must
     not have hosted a serve run before.
     @raise Invalid_argument on a non-positive [workers], [max_batch],
-    [queue_depth], [slo_sojourn], a negative [requests] or [input_mix],
+    [queue_depth], [slo_sojourn], a negative [requests], [input_mix] or
+    [dispatch_overhead],
     [memoize] combined with a non-empty fault [plan], a
     [degraded_instances] id outside [[0, workers)] or listed twice, an
     out-of-range [health] field (see {!Health.validate}), or [health]
@@ -349,13 +356,16 @@ val to_json : report -> Trace.Json.t
     traffic); instances either pin one model each ({!Pinned}) or reload
     on demand ({!Swap}, charging [mt_swap_overhead] per model change).
 
-    The single-model determinism architecture carries over wholesale:
-    generation, ingress-cap admission, SLO shedding and batch assembly
-    are pure functions of the seed (or of a replayed arrival trace), so
-    the {!mt_tally} — per-request outcomes, per-class totals, the shed
-    set — is byte-identical at any [mt_workers]/[mt_jobs]. Only the
-    scheduling pass (pinning, hot swaps, per-instance clocks) sees the
-    fleet, and it feeds the sched metrics track alone.
+    It is a second front end over {!run}'s engine, so the determinism
+    architecture is the same code: generation, ingress-cap admission,
+    SLO shedding and batch assembly are pure functions of the seed (or
+    of a replayed arrival trace), so the {!mt_tally} — per-request
+    outcomes, per-class totals, the shed set — is byte-identical at any
+    [mt_workers]/[mt_jobs]. Only the scheduling pass (pinning, hot
+    swaps, per-instance clocks) sees the fleet, and it feeds the sched
+    metrics track alone. A one-model, one-class {!Pinned} [mt_run]
+    replaying {!run}'s arrivals reproduces {!run}'s schedule request for
+    request.
 
     SLO shedding works off {e predicted} sojourns: exact per-request
     service cycles plus a queueing-free dispatch model (window close +
@@ -365,8 +375,9 @@ val to_json : report -> Trace.Json.t
     reload the predictor always charges — it is the admission
     controller's cost model, applied identically at any fleet shape.
 
-    The multi-tenant path runs fault-free: tenancy composes with the
-    single-model fault machinery rather than duplicating it. *)
+    The multi-tenant front end hands the engine no fault plan, no
+    memoization and no predicted health plane: fault injection, memo
+    reuse and health-aware admission are {!run} features. *)
 
 type model = {
   m_name : string;

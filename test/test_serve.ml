@@ -483,6 +483,28 @@ let test_report_renderings () =
   Alcotest.(check bool) "summary mentions throughput" true
     (Helpers.contains (Serve.summary r) "throughput")
 
+(* A negative dispatch overhead would finish requests before they
+   arrive. Every surface rejects it like any other numeric violation:
+   [validate] with a typed [Bad_config], [run] with [Invalid_argument],
+   and a campaign before any rate point runs. *)
+let test_rejects_negative_overhead () =
+  let bad = { base with Serve.dispatch_overhead = -1 } in
+  (match Serve.validate bad with
+  | Error (Serve.Bad_config msg) ->
+      Alcotest.(check bool) "message names the field" true
+        (Helpers.contains msg "dispatch_overhead")
+  | Error e -> Alcotest.failf "expected Bad_config, got %s" (Serve.mt_error_to_string e)
+  | Ok () -> Alcotest.fail "validate accepted a negative dispatch overhead");
+  (match serve ~cfg:bad () with
+  | _ -> Alcotest.fail "run accepted a negative dispatch overhead"
+  | exception Invalid_argument _ -> ());
+  let artifact, g = Lazy.force fixture in
+  match Campaign.run { Campaign.default with Campaign.c_serve = bad } artifact ~graph:g with
+  | Ok _ -> Alcotest.fail "campaign accepted a negative dispatch overhead"
+  | Error msg ->
+      Alcotest.(check bool) "campaign error names the field" true
+        (Helpers.contains msg "dispatch_overhead")
+
 (* --- serving goldens --------------------------------------------------
 
    Byte-level pins of serving output across commits (every other serving
@@ -745,6 +767,8 @@ let suites =
         Alcotest.test_case "validate typed errors" `Quick
           test_validate_typed_errors;
         Alcotest.test_case "report renderings" `Quick test_report_renderings;
+        Alcotest.test_case "rejects negative dispatch overhead" `Quick
+          test_rejects_negative_overhead;
         prop_tally_invariance;
         prop_observed_time_order;
       ]
