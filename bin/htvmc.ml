@@ -728,12 +728,70 @@ let health_config_of_args enabled threshold probation interval cost passes cap
         probe_seed = seed;
       }
 
+(* The fleet flags `serve` and `campaign` share, parsed by one cmdliner
+   term ([fleet_term]) so their names, defaults and docs cannot drift
+   apart. *)
+type fleet = {
+  workers : int;
+  batch : int;
+  queue_depth : int;
+  requests : int;
+  seed : int;
+  arrival : string;
+  gap : int;
+  window : int;
+  overhead : int;
+  slo_sojourn : int option;
+}
+
+(* The single-tenant serve config the fleet flags describe. *)
+let serve_config f ~jobs ~use_plan ~retry_budget ~health =
+  let arrival =
+    match f.arrival with
+    | "closed" -> Serve.Closed
+    | "poisson" -> Serve.Poisson { mean_gap = f.gap }
+    | other ->
+        Printf.eprintf "htvmc: unknown arrival process %S (closed|poisson)\n" other;
+        exit 1
+  in
+  {
+    Serve.default with
+    Serve.workers = f.workers;
+    max_batch = f.batch;
+    queue_depth = f.queue_depth;
+    requests = f.requests;
+    seed = f.seed;
+    arrival;
+    window = f.window;
+    dispatch_overhead = f.overhead;
+    retry_budget;
+    jobs;
+    slo_sojourn = f.slo_sojourn;
+    use_plan;
+    health;
+  }
+
+(* The serve-family output path: the summary on stdout, then the metrics
+   dump and each requested result file, announcing every write. *)
+let write_results ~summary ~metrics_out ~metrics_format snapshot files =
+  print_string summary;
+  write_metrics metrics_out metrics_format snapshot;
+  List.iter
+    (fun (path, render) ->
+      Option.iter
+        (fun p ->
+          write_file p (render ());
+          Printf.printf "wrote %s\n" p)
+        path)
+    files
+
+let json_text j = Trace.Json.to_string j ^ "\n"
+
 (* The multi-tenant serve path: a model registry (the positional
    artifact is model "main", --model adds more), per-class SLOs, and a
    fleet that pins or hot-swaps models. All failures are typed
    [Serve.mt_error]s, printed and mapped to exit 1. *)
-let serve_mt path config jobs workers batch queue_depth requests seed arrival
-    gap window overhead no_plan degraded health model_flags class_flags
+let serve_mt path config jobs f no_plan degraded health model_flags class_flags
     placement swap_overhead period burst replay arrival_trace_out trace_out
     json_out tally_out metrics_out metrics_format store =
   let cfg = config_for config (Some jobs) in
@@ -763,11 +821,11 @@ let serve_mt path config jobs workers batch queue_depth requests seed arrival
             Printf.eprintf "htvmc: %s\n" (Serve.mt_error_to_string e);
             exit 1)
     | None -> (
-        match arrival with
+        match f.arrival with
         | "closed" -> Serve.Mt_closed
-        | "poisson" -> Serve.Mt_poisson { mean_gap = gap }
-        | "diurnal" -> Serve.Mt_diurnal { mean_gap = gap; period }
-        | "bursty" -> Serve.Mt_bursty { mean_gap = gap; burst }
+        | "poisson" -> Serve.Mt_poisson { mean_gap = f.gap }
+        | "diurnal" -> Serve.Mt_diurnal { mean_gap = f.gap; period }
+        | "bursty" -> Serve.Mt_bursty { mean_gap = f.gap; burst }
         | other ->
             Printf.eprintf
               "htvmc: unknown arrival process %S \
@@ -785,14 +843,14 @@ let serve_mt path config jobs workers batch queue_depth requests seed arrival
   in
   let mcfg =
     {
-      Serve.mt_workers = workers;
-      mt_max_batch = batch;
-      mt_queue_depth = queue_depth;
-      mt_requests = requests;
-      mt_seed = seed;
+      Serve.mt_workers = f.workers;
+      mt_max_batch = f.batch;
+      mt_queue_depth = f.queue_depth;
+      mt_requests = f.requests;
+      mt_seed = f.seed;
       mt_arrival;
-      mt_window = window;
-      mt_dispatch_overhead = overhead;
+      mt_window = f.window;
+      mt_dispatch_overhead = f.overhead;
       mt_swap_overhead = swap_overhead;
       mt_placement = placement;
       mt_jobs = jobs;
@@ -818,31 +876,20 @@ let serve_mt path config jobs workers batch queue_depth requests seed arrival
   | Ok report ->
       Printf.printf "serving %d model(s), %d class(es) on %s x%d\n"
         (List.length models) (List.length classes)
-        cfg.Htvm.Compile.platform.Arch.Platform.platform_name workers;
+        cfg.Htvm.Compile.platform.Arch.Platform.platform_name f.workers;
       print_store_summary store;
-      print_string (Serve.mt_summary report);
-      write_metrics metrics_out metrics_format report.Serve.mt_metrics;
-      (match arrival_trace_out with
-      | None -> ()
-      | Some p ->
-          write_file p (Serve.render_arrival_trace report);
-          Printf.printf "wrote %s\n" p);
-      (match tally_out with
-      | None -> ()
-      | Some p ->
-          write_file p (Serve.mt_tally report);
-          Printf.printf "wrote %s\n" p);
-      match json_out with
-      | None -> ()
-      | Some p ->
-          write_file p (Trace.Json.to_string (Serve.mt_to_json report) ^ "\n");
-          Printf.printf "wrote %s\n" p
+      write_results ~summary:(Serve.mt_summary report) ~metrics_out ~metrics_format
+        report.Serve.mt_metrics
+        [
+          (arrival_trace_out, fun () -> Serve.render_arrival_trace report);
+          (tally_out, fun () -> Serve.mt_tally report);
+          (json_out, fun () -> json_text (Serve.mt_to_json report));
+        ]
 
-let serve path config jobs workers batch queue_depth requests seed arrival gap
-    window overhead inject faults_file retry_budget degrade_after degraded
-    health slo_sojourn no_plan memoize input_mix model_flags class_flags
-    placement swap_overhead period burst replay arrival_trace_out trace_out
-    json_out tally_out metrics_out metrics_format cache cache_dir no_cache =
+let serve path config jobs f inject faults_file retry_budget degrade_after degraded
+    health no_plan memoize input_mix model_flags class_flags placement
+    swap_overhead period burst replay arrival_trace_out trace_out json_out
+    tally_out metrics_out metrics_format cache cache_dir no_cache =
   let jobs = resolve_jobs jobs in
   let store = store_of_args cache cache_dir no_cache in
   if model_flags <> [] || class_flags <> [] || replay <> None then begin
@@ -859,13 +906,12 @@ let serve path config jobs workers batch queue_depth requests seed arrival gap
         (inject <> None, "--inject");
         (faults_file <> None, "--faults");
         (degrade_after <> None, "--degrade-after");
-        (slo_sojourn <> None, "--slo-sojourn (use per-class SLOs)");
+        (f.slo_sojourn <> None, "--slo-sojourn (use per-class SLOs)");
         (memoize, "--memoize");
         (input_mix <> 0, "--input-mix");
       ];
     ignore retry_budget;
-    serve_mt path config jobs workers batch queue_depth requests seed arrival
-      gap window overhead no_plan degraded health model_flags class_flags
+    serve_mt path config jobs f no_plan degraded health model_flags class_flags
       placement swap_overhead period burst replay arrival_trace_out trace_out
       json_out tally_out metrics_out metrics_format store
   end
@@ -875,6 +921,11 @@ let serve path config jobs workers batch queue_depth requests seed arrival gap
       Printf.eprintf "htvmc: --trace-out requires --class (multi-tenant mode)\n";
       exit 1
   | None -> ());
+  if f.arrival = "diurnal" || f.arrival = "bursty" then begin
+    Printf.eprintf "htvmc: arrival %S needs multi-tenant mode (add --class)\n"
+      f.arrival;
+    exit 1
+  end;
   let g = load_graph path in
   let cfg = config_for config (Some jobs) in
   (* One registry spans compile and serve, so a single --metrics dump
@@ -886,38 +937,14 @@ let serve path config jobs workers batch queue_depth requests seed arrival gap
   let plan =
     Option.value ~default:Fault.Plan.empty (plan_of_args inject faults_file)
   in
-  let arrival =
-    match arrival with
-    | "closed" -> Serve.Closed
-    | "poisson" -> Serve.Poisson { mean_gap = gap }
-    | "diurnal" | "bursty" ->
-        Printf.eprintf
-          "htvmc: arrival %S needs multi-tenant mode (add --class)\n" arrival;
-        exit 1
-    | other ->
-        Printf.eprintf "htvmc: unknown arrival process %S (closed|poisson)\n" other;
-        exit 1
-  in
   let scfg =
     {
-      Serve.workers;
-      max_batch = batch;
-      queue_depth;
-      requests;
-      seed;
-      arrival;
-      window;
-      dispatch_overhead = overhead;
-      plan;
-      retry_budget;
+      (serve_config f ~jobs ~use_plan:(not no_plan) ~retry_budget ~health) with
+      Serve.plan;
       degrade_after;
       degraded_instances = degraded;
-      jobs;
-      slo_sojourn;
-      use_plan = not no_plan;
       memoize;
       input_mix;
-      health;
     }
   in
   (* Diagnose bad flag combinations (e.g. --memoize with --inject) as a
@@ -940,20 +967,14 @@ let serve path config jobs workers batch queue_depth requests seed arrival gap
         exit 1
   in
   Printf.printf "serving %s on %s x%d\n" path
-    cfg.Htvm.Compile.platform.Arch.Platform.platform_name workers;
+    cfg.Htvm.Compile.platform.Arch.Platform.platform_name f.workers;
   print_store_summary store;
-  print_string (Serve.summary report);
-  write_metrics metrics_out metrics_format report.Serve.r_metrics;
-  (match tally_out with
-  | None -> ()
-  | Some p ->
-      write_file p (Serve.tally report);
-      Printf.printf "wrote %s\n" p);
-  (match json_out with
-  | None -> ()
-  | Some p ->
-      write_file p (Trace.Json.to_string (Serve.to_json report) ^ "\n");
-      Printf.printf "wrote %s\n" p)
+  write_results ~summary:(Serve.summary report) ~metrics_out ~metrics_format
+    report.Serve.r_metrics
+    [
+      (tally_out, fun () -> Serve.tally report);
+      (json_out, fun () -> json_text (Serve.to_json report));
+    ]
   end
 
 (* --- campaign: fault-rate sweep under sustained load --- *)
@@ -979,44 +1000,17 @@ let parse_rates s =
   end;
   rates
 
-let campaign path config jobs workers batch queue_depth requests seed arrival
-    gap window overhead retry_budget slo_sojourn no_plan health rates site kind
+let campaign path config jobs f retry_budget no_plan health rates site kind
     fault_seed json_out tally_out metrics_out metrics_format =
   let jobs = resolve_jobs jobs in
   let g = load_graph path in
   let cfg = config_for config (Some jobs) in
   let reg = metrics_registry metrics_out in
   let artifact = compile_or_die ?metrics:reg cfg g in
-  let arrival =
-    match arrival with
-    | "closed" -> Serve.Closed
-    | "poisson" -> Serve.Poisson { mean_gap = gap }
-    | other ->
-        Printf.eprintf "htvmc: unknown arrival process %S (closed|poisson)\n"
-          other;
-        exit 1
-  in
-  let serve_cfg =
-    {
-      Serve.default with
-      Serve.workers;
-      max_batch = batch;
-      queue_depth;
-      requests;
-      seed;
-      arrival;
-      window;
-      dispatch_overhead = overhead;
-      retry_budget;
-      jobs;
-      slo_sojourn;
-      use_plan = not no_plan;
-      health;
-    }
-  in
   let ccfg =
     {
-      Campaign.c_serve = serve_cfg;
+      Campaign.c_serve =
+        serve_config f ~jobs ~use_plan:(not no_plan) ~retry_budget ~health;
       c_rates = parse_rates rates;
       c_site = site;
       c_kind = kind;
@@ -1029,22 +1023,13 @@ let campaign path config jobs workers batch queue_depth requests seed arrival
       exit 1
   | Ok t ->
       Printf.printf "campaign %s on %s x%d\n" path
-        cfg.Htvm.Compile.platform.Arch.Platform.platform_name workers;
-      print_string (Campaign.summary t);
-      write_metrics metrics_out metrics_format
-        (match reg with
-        | Some r -> Metrics.snapshot r
-        | None -> Metrics.snapshot (Metrics.create ()));
-      (match tally_out with
-      | None -> ()
-      | Some p ->
-          write_file p (Campaign.tally t);
-          Printf.printf "wrote %s\n" p);
-      (match json_out with
-      | None -> ()
-      | Some p ->
-          write_file p (Trace.Json.to_string (Campaign.to_json t) ^ "\n");
-          Printf.printf "wrote %s\n" p)
+        cfg.Htvm.Compile.platform.Arch.Platform.platform_name f.workers;
+      write_results ~summary:(Campaign.summary t) ~metrics_out ~metrics_format
+        (Metrics.snapshot (Option.value reg ~default:(Metrics.create ())))
+        [
+          (tally_out, fun () -> Campaign.tally t);
+          (json_out, fun () -> json_text (Campaign.to_json t));
+        ]
 
 (* --- dot --- *)
 
@@ -1437,11 +1422,14 @@ let health_knobs enable =
   Term.(const health_config_of_args $ enable $ threshold $ probation $ interval
         $ cost $ passes $ cap $ fail $ hseed)
 
-let serve_cmd =
+(* The ten fleet flags of `serve` and `campaign`; campaigns default to
+   Poisson arrivals so shedding has meaning. *)
+let fleet_term ~arrival_default =
   let workers =
     Arg.(value & opt int Serve.default.Serve.workers
          & info [ "workers"; "w" ] ~docv:"N"
-             ~doc:"Fleet size: independent simulated SoC instances.")
+             ~doc:"Fleet size: independent simulated SoC instances. Tallies \
+                   are byte-identical at any value.")
   in
   let batch =
     Arg.(value & opt int Serve.default.Serve.max_batch
@@ -1453,11 +1441,13 @@ let serve_cmd =
     Arg.(value & opt int Serve.default.Serve.queue_depth
          & info [ "queue-depth" ] ~docv:"N"
              ~doc:"Ingress buffer capacity per dispatch window; requests \
-                   arriving into a full window are shed (poisson mode).")
+                   arriving into a full window are shed (open loop).")
   in
   let requests =
     Arg.(value & opt int Serve.default.Serve.requests
-         & info [ "requests"; "n" ] ~docv:"N" ~doc:"Synthetic requests to generate.")
+         & info [ "requests"; "n" ] ~docv:"N"
+             ~doc:"Synthetic requests to generate (per rate point in a \
+                   campaign).")
   in
   let seed =
     Arg.(value & opt int Serve.default.Serve.seed
@@ -1467,11 +1457,11 @@ let serve_cmd =
                    and $(b,--jobs) for a fixed seed.")
   in
   let arrival =
-    Arg.(value & opt string "closed"
+    Arg.(value & opt string arrival_default
          & info [ "arrival" ] ~docv:"MODE"
              ~doc:"$(b,closed) (saturating backlog, the throughput experiment) \
                    or $(b,poisson) (open loop with exponential gaps); \
-                   multi-tenant mode adds $(b,diurnal) (gap mean sweeps \
+                   multi-tenant serving adds $(b,diurnal) (gap mean sweeps \
                    peak-to-trough over --period) and $(b,bursty) (--burst \
                    requests at a time).")
   in
@@ -1484,14 +1474,42 @@ let serve_cmd =
   let window =
     Arg.(value & opt int 0
          & info [ "window" ] ~docv:"CYCLES"
-             ~doc:"Dispatch window length in cycles (poisson mode); 0 = auto \
+             ~doc:"Dispatch window length in cycles (open loop); 0 = auto \
                    (one probe request's service time).")
   in
   let overhead =
     Arg.(value & opt int Serve.default.Serve.dispatch_overhead
          & info [ "dispatch-overhead" ] ~docv:"CYCLES"
-             ~doc:"Cycles charged once per dispatched batch.")
+             ~doc:"Cycles charged once per dispatched batch (>= 0).")
   in
+  let slo_sojourn =
+    Arg.(value & opt (some int) None
+         & info [ "slo-sojourn" ] ~docv:"CYCLES"
+             ~doc:"Sojourn (arrival-to-completion) SLO target in cycles. \
+                   Violations are counted against the predicted \
+                   queueing-free sojourn (worker-invariant, in the tally) \
+                   and against the observed sojourn (fleet-dependent, \
+                   report only).")
+  in
+  let fleet workers batch queue_depth requests seed arrival gap window overhead
+      slo_sojourn =
+    { workers; batch; queue_depth; requests; seed; arrival; gap; window; overhead;
+      slo_sojourn }
+  in
+  Term.(const fleet $ workers $ batch $ queue_depth $ requests $ seed $ arrival
+        $ gap $ window $ overhead $ slo_sojourn)
+
+let json_out_arg =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON report here.")
+
+let tally_out_arg =
+  Arg.(value & opt (some string) None
+       & info [ "tally" ] ~docv:"FILE"
+           ~doc:"Write the canonical tally here (byte-identical across \
+                 worker and job counts for a fixed seed).")
+
+let serve_cmd =
   let degrade_after =
     Arg.(value & opt (some int) None
          & info [ "degrade-after" ] ~docv:"N"
@@ -1516,15 +1534,6 @@ let serve_cmd =
                      instance) and are readmitted to the rotation after \
                      consecutive passes. Mutually exclusive with \
                      $(b,--degrade-after).")
-  in
-  let slo_sojourn =
-    Arg.(value & opt (some int) None
-         & info [ "slo-sojourn" ] ~docv:"CYCLES"
-             ~doc:"Sojourn (arrival-to-completion) SLO target in cycles. \
-                   Violations are counted against the predicted \
-                   queueing-free sojourn (worker-invariant, in the tally) \
-                   and against the observed sojourn (fleet-dependent, \
-                   report only).")
   in
   let memoize =
     Arg.(value & flag
@@ -1595,16 +1604,6 @@ let serve_cmd =
              ~doc:"Record the run's arrival stream in the replayable \
                    $(b,htvm-serve-trace v1) format (multi-tenant mode).")
   in
-  let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON serving report here.")
-  in
-  let tally_out =
-    Arg.(value & opt (some string) None
-         & info [ "tally" ] ~docv:"FILE"
-             ~doc:"Write the canonical per-request tally here (byte-identical \
-                   across worker counts for a fixed seed).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve a seeded synthetic request stream on a fleet of simulated \
@@ -1612,70 +1611,15 @@ let serve_cmd =
              dispatch, routing around degraded instances, latency/throughput \
              aggregation. With --model/--class, a multi-tenant fleet hosting \
              several artifacts under per-class latency SLOs.")
-    Term.(const serve $ path_arg $ config_arg $ jobs_arg $ workers $ batch
-          $ queue_depth $ requests $ seed $ arrival $ gap $ window $ overhead
-          $ inject_arg $ faults_file_arg $ retry_budget_arg $ degrade_after
-          $ degraded $ health $ slo_sojourn $ no_plan_arg $ memoize $ input_mix
-          $ model_flags $ class_flags $ placement $ swap_overhead $ period
-          $ burst $ replay $ arrival_trace_out $ trace_arg $ json_out
-          $ tally_out $ metrics_arg $ metrics_format_arg $ cache_arg
-          $ cache_dir_arg $ no_cache_arg)
+    Term.(const serve $ path_arg $ config_arg $ jobs_arg
+          $ fleet_term ~arrival_default:"closed" $ inject_arg $ faults_file_arg
+          $ retry_budget_arg $ degrade_after $ degraded $ health $ no_plan_arg
+          $ memoize $ input_mix $ model_flags $ class_flags $ placement
+          $ swap_overhead $ period $ burst $ replay $ arrival_trace_out
+          $ trace_arg $ json_out_arg $ tally_out_arg $ metrics_arg
+          $ metrics_format_arg $ cache_arg $ cache_dir_arg $ no_cache_arg)
 
 let campaign_cmd =
-  let workers =
-    Arg.(value & opt int Serve.default.Serve.workers
-         & info [ "workers"; "w" ] ~docv:"N"
-             ~doc:"Fleet size. The campaign tally is byte-identical at any \
-                   value.")
-  in
-  let batch =
-    Arg.(value & opt int Serve.default.Serve.max_batch
-         & info [ "batch"; "b" ] ~docv:"N"
-             ~doc:"Maximum requests per dispatched batch.")
-  in
-  let queue_depth =
-    Arg.(value & opt int Serve.default.Serve.queue_depth
-         & info [ "queue-depth" ] ~docv:"N"
-             ~doc:"Ingress buffer capacity per dispatch window.")
-  in
-  let requests =
-    Arg.(value & opt int Serve.default.Serve.requests
-         & info [ "requests"; "n" ] ~docv:"N"
-             ~doc:"Synthetic requests per rate point.")
-  in
-  let seed =
-    Arg.(value & opt int Serve.default.Serve.seed
-         & info [ "seed" ] ~docv:"S"
-             ~doc:"Seeds the arrival process and request payloads (shared by \
-                   every rate point).")
-  in
-  let arrival =
-    Arg.(value & opt string "poisson"
-         & info [ "arrival" ] ~docv:"MODE"
-             ~doc:"$(b,closed) or $(b,poisson) (default: the open-loop \
-                   experiment, so shedding has meaning).")
-  in
-  let gap =
-    Arg.(value & opt int 0
-         & info [ "gap" ] ~docv:"CYCLES"
-             ~doc:"Mean Poisson inter-arrival gap; 0 = auto.")
-  in
-  let window =
-    Arg.(value & opt int 0
-         & info [ "window" ] ~docv:"CYCLES"
-             ~doc:"Dispatch window length; 0 = auto.")
-  in
-  let overhead =
-    Arg.(value & opt int Serve.default.Serve.dispatch_overhead
-         & info [ "dispatch-overhead" ] ~docv:"CYCLES"
-             ~doc:"Cycles charged once per dispatched batch.")
-  in
-  let slo_sojourn =
-    Arg.(value & opt (some int) None
-         & info [ "slo-sojourn" ] ~docv:"CYCLES"
-             ~doc:"Sojourn SLO target; predicted violations per rate point \
-                   form the campaign's SLO curve.")
-  in
   let health =
     health_knobs
       Term.(const not
@@ -1708,16 +1652,6 @@ let campaign_cmd =
          & info [ "fault-seed" ] ~docv:"S"
              ~doc:"Seed shared by every generated fault plan.")
   in
-  let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON campaign report here.")
-  in
-  let tally_out =
-    Arg.(value & opt (some string) None
-         & info [ "tally" ] ~docv:"FILE"
-             ~doc:"Write the campaign tally here (byte-identical across \
-                   worker and job counts for a fixed seed).")
-  in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:"Sustained chaos-under-load campaign: sweep a fault site's \
@@ -1725,11 +1659,10 @@ let campaign_cmd =
              request stream at each, and report SLO-violation / shed-rate / \
              readmission curves. The health lifecycle is on by default so \
              degraded instances re-enter rotation mid-run.")
-    Term.(const campaign $ path_arg $ config_arg $ jobs_arg $ workers $ batch
-          $ queue_depth $ requests $ seed $ arrival $ gap $ window $ overhead
-          $ retry_budget_arg $ slo_sojourn $ no_plan_arg $ health $ rates
-          $ site $ kind $ fault_seed $ json_out $ tally_out $ metrics_arg
-          $ metrics_format_arg)
+    Term.(const campaign $ path_arg $ config_arg $ jobs_arg
+          $ fleet_term ~arrival_default:"poisson" $ retry_budget_arg
+          $ no_plan_arg $ health $ rates $ site $ kind $ fault_seed
+          $ json_out_arg $ tally_out_arg $ metrics_arg $ metrics_format_arg)
 
 let cache_cmd =
   let action =
