@@ -732,6 +732,38 @@ let goldens =
         | Error e -> Alcotest.failf "golden trace: %s" (Serve.mt_error_to_string e)
         | Ok entries -> mt_golden { mt_base with Serve.mt_arrival = Serve.Mt_replay entries } ()
     );
+    ( "poisson-degrade-after",
+      single_golden
+        {
+          base with
+          Serve.workers = 3;
+          requests = 24;
+          arrival = poisson;
+          queue_depth = 3;
+          plan = flip_plan;
+          retry_budget = 2;
+          degrade_after = Some 2;
+        } );
+    ( "mt-closed-swap-health",
+      mt_golden
+        {
+          mt_base with
+          Serve.mt_workers = 3;
+          mt_requests = 18;
+          mt_placement = Serve.Swap;
+          mt_health = health;
+          mt_degraded_instances = [ 0 ];
+        } );
+    ( "mt-pinned-queue-shed",
+      mt_golden
+        {
+          mt_base with
+          Serve.mt_workers = 3;
+          mt_requests = 24;
+          mt_arrival = mt_poisson;
+          mt_queue_depth = 1;
+          mt_placement = Serve.Pinned;
+        } );
     ("campaign", campaign_golden);
   ]
 
