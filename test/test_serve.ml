@@ -606,6 +606,20 @@ let poisson = Serve.Poisson { mean_gap = 0 }
 let mt_poisson = Serve.Mt_poisson { mean_gap = 0 }
 let mt_base = Test_mtserve.base
 
+(* Every service-derived health field left at its auto sentinel, so the
+   resolved lifecycle is a function of the served models' fault-free
+   service cycles. *)
+let auto_health =
+  Some
+    {
+      Health.default with
+      Health.probation_window = 0;
+      probe_interval = -1;
+      probe_cost = 0;
+      backoff_cap = 0;
+      probe_fail_prob = 0.3;
+    }
+
 let campaign_golden () =
   let artifact, g = Lazy.force fixture in
   let cfg =
@@ -765,6 +779,32 @@ let goldens =
           mt_placement = Serve.Pinned;
         } );
     ("campaign", campaign_golden);
+    ( "health-auto",
+      single_golden
+        {
+          base with
+          Serve.workers = 2;
+          requests = 20;
+          arrival = poisson;
+          queue_depth = 3;
+          plan = flip_plan;
+          retry_budget = 2;
+          health = auto_health;
+          degraded_instances = [ 0 ];
+        } );
+    (* Auto gap, window and health over two models of different service
+       time: every value resolves against the slower one. *)
+    ( "mt-health-auto",
+      mt_golden
+        {
+          mt_base with
+          Serve.mt_workers = 3;
+          mt_requests = 24;
+          mt_arrival = mt_poisson;
+          mt_placement = Serve.Swap;
+          mt_health = auto_health;
+          mt_degraded_instances = [ 1 ];
+        } );
   ]
 
 let golden_tests =

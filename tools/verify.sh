@@ -38,17 +38,18 @@ dune exec bench/main.exe -- mtserve-smoke
 echo "== bench smoke: simfast (plan fast path byte-identical to the oracle) =="
 dune exec bench/main.exe -- simfast-smoke
 
-# Committed serving goldens: the tallies and metrics cycles tracks the
-# smokes below produce are pinned byte for byte across commits, not just
-# between two runs of one binary. After an intentional change, re-bless
-# by copying the _build file named in the failure over the golden.
-GOLDEN=test/golden/serve/cli
+# Committed goldens: the serving tallies and metrics cycles tracks and
+# the check/chaos fuzz tallies the smokes below produce are pinned byte
+# for byte across commits, not just between two runs of one binary.
+# After an intentional change, re-bless by copying the _build file named
+# in the failure over the golden.
 golden_diff() {
-  if ! diff "$GOLDEN/$1" "$2"; then
-    echo "verify: $2 differs from the committed golden $GOLDEN/$1" >&2
+  if ! diff "$1" "$2"; then
+    echo "verify: $2 differs from the committed golden $1" >&2
     exit 1
   fi
 }
+SERVE_GOLDEN=test/golden/serve/cli
 
 # Serving smoke: the per-request tally of `htvmc serve` is a pure
 # function of the seed — byte-identical at any fleet size and any host
@@ -63,7 +64,7 @@ if ! diff _build/serve-tally-w1.txt _build/serve-tally-w4.txt; then
   echo "verify: serve tallies differ between workers 1 and 4" >&2
   exit 1
 fi
-golden_diff serve.tally _build/serve-tally-w1.txt
+golden_diff "$SERVE_GOLDEN/serve.tally" _build/serve-tally-w1.txt
 
 # The compiled execution plan is a pure fast path: disabling it
 # (--no-plan forces the slow interpretive oracle) must leave the
@@ -91,7 +92,7 @@ if ! diff _build/serve-faulted-plan.txt _build/serve-faulted-noplan.txt; then
   echo "verify: faulted serve tallies differ between plan on and --no-plan" >&2
   exit 1
 fi
-golden_diff serve-faulted.tally _build/serve-faulted-plan.txt
+golden_diff "$SERVE_GOLDEN/serve-faulted.tally" _build/serve-faulted-plan.txt
 
 # Telemetry smoke: the cycles track of a serve metrics dump — admission
 # counters, service and predicted-sojourn histograms, per-window series,
@@ -115,7 +116,7 @@ if ! diff _build/serve-metrics-w1.cycles _build/serve-metrics-w4.cycles; then
   echo "verify: metrics cycles tracks differ between workers 1 and 4" >&2
   exit 1
 fi
-golden_diff serve-metrics.cycles _build/serve-metrics-w1.cycles
+golden_diff "$SERVE_GOLDEN/serve-metrics.cycles" _build/serve-metrics-w1.cycles
 if ! grep -q '^htvm_serve_slo_pred_violations_total ' _build/serve-metrics-w1.cycles; then
   echo "verify: metrics dump is missing SLO accounting" >&2
   exit 1
@@ -157,8 +158,8 @@ if ! diff _build/mtserve-metrics-w1.cycles _build/mtserve-metrics-w4.cycles; the
   echo "verify: multi-tenant metrics cycles tracks differ" >&2
   exit 1
 fi
-golden_diff mtserve.tally _build/mtserve-tally-w1.txt
-golden_diff mtserve-metrics.cycles _build/mtserve-metrics-w1.cycles
+golden_diff "$SERVE_GOLDEN/mtserve.tally" _build/mtserve-tally-w1.txt
+golden_diff "$SERVE_GOLDEN/mtserve-metrics.cycles" _build/mtserve-metrics-w1.cycles
 if ! grep -q 'htvm_mtserve_class_slo_pred_violations_total{class="keyword"}' \
      _build/mtserve-metrics-w1.cycles; then
   echo "verify: multi-tenant metrics dump is missing per-class SLO accounting" >&2
@@ -198,7 +199,7 @@ if ! diff _build/serve-health-w2.txt _build/serve-health-w4.txt; then
   echo "verify: serve health tallies differ between workers 2 and 4" >&2
   exit 1
 fi
-golden_diff serve-health.tally _build/serve-health-w2.txt
+golden_diff "$SERVE_GOLDEN/serve-health.tally" _build/serve-health-w2.txt
 if ! grep -q '^health pred-state=' _build/serve-health-w2.txt; then
   echo "verify: serve health tally is missing the lifecycle footer" >&2
   exit 1
@@ -219,7 +220,7 @@ if ! diff _build/campaign-tally-w1.txt _build/campaign-tally-w4.txt; then
   echo "verify: campaign tallies differ between w1/j1 and w4/j4" >&2
   exit 1
 fi
-golden_diff campaign.tally _build/campaign-tally-w1.txt
+golden_diff "$SERVE_GOLDEN/campaign.tally" _build/campaign-tally-w1.txt
 if [ "$(grep -c '^rate ' _build/campaign-tally-w1.txt)" != 3 ]; then
   echo "verify: campaign tally does not carry one line per rate point" >&2
   exit 1
@@ -263,16 +264,21 @@ dune exec bin/htvmc.exe -- cache stats --cache-dir _build/store-cache
 
 # Differential conformance smoke: compiled artifacts must agree with the
 # reference interpreter over a fixed seed range. Any failure prints a
-# minimized reproducer and exits nonzero.
+# minimized reproducer and exits nonzero. The verdict tally is pinned.
 echo "== htvmc check smoke (300 seeds) =="
-dune exec bin/htvmc.exe -- check --seeds 300 -j 4
+dune exec bin/htvmc.exe -- check --seeds 300 -j 4 > _build/check.out \
+  || { cat _build/check.out; exit 1; }
+grep -E '^  [a-z]' _build/check.out > _build/check-tally.txt
+cat _build/check-tally.txt
+golden_diff test/golden/cli/check.tally _build/check-tally.txt
 
 # Chaos smoke: the same fuzz under randomized fault-injection campaigns.
 # Stock plans are recoverable by construction, so any failure verdict
 # (detected_uncorrected, silent_corruption, mismatch, crash) exits
 # nonzero with a minimized reproducer. The campaigns are a pure function
 # of the seed, so the per-class tallies must be identical at any job
-# count — checked by diffing the 1-job and 4-job runs.
+# count — checked by diffing the 1-job and 4-job runs — and across
+# commits (the committed golden).
 echo "== htvmc chaos smoke (300 seeds, jobs 1 vs 4) =="
 dune exec bin/htvmc.exe -- chaos --seeds 300 -j 1 > _build/chaos-j1.out
 dune exec bin/htvmc.exe -- chaos --seeds 300 -j 4 > _build/chaos-j4.out
@@ -283,6 +289,7 @@ if ! diff _build/chaos-tally-j1.txt _build/chaos-tally-j4.txt; then
   echo "verify: chaos tallies differ between jobs 1 and 4" >&2
   exit 1
 fi
+golden_diff test/golden/cli/chaos.tally _build/chaos-tally-j1.txt
 
 # Benchmark self-test: every workload in smoke mode, untraced and
 # traced, emits every metric BENCHMARK.json names and a parseable trace.
