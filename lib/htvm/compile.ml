@@ -1097,6 +1097,7 @@ let run ?trace ?faults ?retry_budget ?(use_plan = true) artifact ~inputs =
     ?plan artifact.program ~inputs
 
 let full_cycles (r : Sim.Machine.report) = r.Sim.Machine.totals.Sim.Counters.wall
+let service_cycles a = Sim.Plan.service_cycles a.plan
 
 let peak_cycles (r : Sim.Machine.report) =
   let t = r.Sim.Machine.totals in

@@ -212,6 +212,12 @@ val run :
 val full_cycles : Sim.Machine.report -> int
 (** End-to-end wall cycles — the paper's "HTVM" latency. *)
 
+val service_cycles : artifact -> int
+(** The artifact's fault-free end-to-end latency, read from its plan
+    ({!Sim.Plan.service_cycles}) without running anything: equal to
+    [full_cycles] of every fault-free {!run}, with or without
+    [use_plan], whatever the inputs. *)
+
 val peak_cycles : Sim.Machine.report -> int
 (** Accelerator busy cycles plus (unavoidable) CPU kernel cycles — the
     paper's "Peak" latency, which excludes DMA and runtime overhead. *)

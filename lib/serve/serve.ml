@@ -192,7 +192,7 @@ type slo = {
    health-aware admission's shed count (same plane). The observed
    counterparts live in instance_stat.i_health and r_fail_open. *)
 type health_summary = {
-  h_config : Health.config;  (* resolved: autos filled from the probe *)
+  h_config : Health.config;  (* resolved: autos filled from the service cycles *)
   h_pred_state : Health.state;
   h_pred_transitions : int;
   h_pred_readmissions : int;
@@ -1085,32 +1085,26 @@ let validate cfg =
 
 (* --- auto resolution --------------------------------------------------- *)
 
-(* The auto window / gap / health probe: one fault-free execution of a
-   seed-derived payload per model, the slowest wins. A pure function of
-   (models, seed) — never of the fleet size, so auto values never leak
-   the worker count into the arrival process — and forced only when an
-   auto value needs it. *)
-let probe_cycles ~seed models =
-  lazy
-    (List.fold_left
-       (fun acc m ->
-         let inputs = Models.Zoo.random_input ~seed m.m_graph in
-         max acc (C.full_cycles (snd (C.run m.m_artifact ~inputs))))
-       1 models)
+(* Auto values derive from a request's fault-free service cycles, read
+   from the plan ({!C.service_cycles}), the slowest model winning: a
+   pure function of the models — never of the fleet size or the seed,
+   so auto values never leak the worker count into the arrival
+   process. Nothing is executed. *)
+let service_cycles models =
+  List.fold_left (fun acc m -> max acc (C.service_cycles m.m_artifact)) 1 models
 
-(* [<= 0] means auto: the mean gap is half a probe service (roughly 2x
-   one instance's capacity), the window one probe service. *)
-let auto_gap probe gap = if gap > 0 then gap else max 1 (Lazy.force probe / 2)
-let auto_window probe window = if window > 0 then window else Lazy.force probe
+(* [<= 0] means auto: the mean gap is half a service (roughly 2x one
+   instance's capacity), the window one service. *)
+let auto_gap service gap = if gap > 0 then gap else max 1 (service / 2)
+let auto_window service window = if window > 0 then window else service
 
-(* Fill a health config's auto fields from the probe request's service
-   time: probation two probe-services, probes every quarter service
-   costing a tenth, escalation capped at 8 probation windows. A pure
-   function of (config, artifact, seed), like the window auto. *)
-let resolve_health hc ~probe_cycles =
+(* Fill a health config's auto fields from the fault-free service
+   cycles: probation two services, probes every quarter service costing
+   a tenth, escalation capped at 8 probation windows. *)
+let resolve_health hc ~service =
   let probation =
     if hc.Health.probation_window > 0 then hc.Health.probation_window
-    else 2 * probe_cycles
+    else 2 * service
   in
   let resolved =
     {
@@ -1118,10 +1112,10 @@ let resolve_health hc ~probe_cycles =
       Health.probation_window = probation;
       probe_interval =
         (if hc.Health.probe_interval >= 0 then hc.Health.probe_interval
-         else max 1 (probe_cycles / 4));
+         else max 1 (service / 4));
       probe_cost =
         (if hc.Health.probe_cost > 0 then hc.Health.probe_cost
-         else max 1 (probe_cycles / 10));
+         else max 1 (service / 10));
       backoff_cap =
         (if hc.Health.backoff_cap > 0 then hc.Health.backoff_cap
          else 8 * probation);
@@ -1204,16 +1198,16 @@ let generate cfg ~mean_gap =
 let run ?trace ?metrics cfg artifact ~graph =
   (match validate cfg with Ok () -> () | Error e -> invalid_arg (mt_error_to_string e));
   let model = { m_name = "main"; m_artifact = artifact; m_graph = graph } in
-  let probe = probe_cycles ~seed:cfg.seed [ model ] in
+  let service = service_cycles [ model ] in
   let mean_gap, window =
     match cfg.arrival with
     | Closed -> (0, 0)
-    | Poisson { mean_gap } -> (auto_gap probe mean_gap, auto_window probe cfg.window)
+    | Poisson { mean_gap } -> (auto_gap service mean_gap, auto_window service cfg.window)
   in
   let health_cfg =
     Option.map
       (fun hc ->
-        match resolve_health hc ~probe_cycles:(Lazy.force probe) with
+        match resolve_health hc ~service with
         | Ok resolved -> resolved
         | Error msg -> invalid_arg ("Serve.run: " ^ msg))
       cfg.health
@@ -1747,7 +1741,7 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
         go [] entries
     | _ -> Ok []
   in
-  let probe = probe_cycles ~seed:cfg.mt_seed used_models in
+  let service = service_cycles used_models in
   let open_mode =
     match cfg.mt_arrival with Mt_closed -> false | _ -> true
   in
@@ -1756,22 +1750,23 @@ let mt_run ?trace ?metrics cfg ~models ~classes =
     | Mt_closed | Mt_replay _ -> 0
     | Mt_poisson { mean_gap } | Mt_diurnal { mean_gap; _ }
     | Mt_bursty { mean_gap; _ } ->
-        auto_gap probe mean_gap
+        auto_gap service mean_gap
   in
-  let window = if open_mode then auto_window probe cfg.mt_window else 0 in
+  let window = if open_mode then auto_window service cfg.mt_window else 0 in
   let resolved_period =
     match cfg.mt_arrival with
     | Mt_diurnal { period; _ } -> if period > 0 then period else 8 * window
     | _ -> 0
   in
   (* Health lifecycle (observed plane only — the multi-tenant path is
-     fault-free): auto fields resolve against the largest model's probe
-     time, violations surface as typed [Bad_config] errors. *)
+     fault-free): auto fields resolve against the slowest referenced
+     model's fault-free service cycles, violations surface as typed
+     [Bad_config] errors. *)
   let* mt_health_cfg =
     match cfg.mt_health with
     | None -> Ok None
     | Some hc -> (
-        match resolve_health hc ~probe_cycles:(Lazy.force probe) with
+        match resolve_health hc ~service with
         | Ok hc -> Ok (Some hc)
         | Error msg -> Error (Bad_config msg))
   in

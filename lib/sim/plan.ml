@@ -156,6 +156,7 @@ type t = {
   p_id : int;  (* unique per plan: its hash in the arena tables *)
   p_tiles : int;
   p_scratch_words : int;
+  p_service_cycles : int;  (* wall of every fault-free run *)
 }
 
 type stats = {
@@ -166,6 +167,7 @@ type stats = {
 }
 
 let program t = t.p_prog
+let service_cycles t = t.p_service_cycles
 
 let stats t =
   {
@@ -762,6 +764,17 @@ let build ~platform (prog : P.t) =
               n a.a_insts)
       0 p_steps
   in
+  (* No step's timing depends on the data it moves: a fault-free run's
+     wall is the sum of the accelerator templates' and the CPU kernels'
+     cycles. *)
+  let service_cycles =
+    List.fold_left
+      (fun n -> function P.Cpu { cycles; _ } -> n + cycles | P.Accel _ -> n)
+      0 prog.P.steps
+    + Array.fold_left
+        (fun n -> function Some a -> n + a.a_counters.Counters.wall | None -> n)
+        0 p_steps
+  in
   {
     p_prog = prog;
     p_steps;
@@ -771,6 +784,7 @@ let build ~platform (prog : P.t) =
     p_id = Atomic.fetch_and_add next_id 1;
     p_tiles = tiles;
     p_scratch_words = scratch_words;
+    p_service_cycles = service_cycles;
   }
 
 (* --- Arenas -------------------------------------------------------------- *)
