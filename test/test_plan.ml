@@ -139,6 +139,50 @@ let test_random_differential () =
   done;
   Alcotest.(check bool) "enough random deployments actually ran" true (!ran >= 10)
 
+(* The fault-free service cycles are a property of the compiled
+   schedule: whatever the input, a fault-free run on either path reports
+   exactly [C.service_cycles], the constant serving's auto resolution
+   reads instead of running a request. Timing that looked at the data
+   would fail this. *)
+let service_cycles_hold ~label (artifact, g) input_seeds =
+  List.for_all
+    (fun seed ->
+      let inputs = Models.Zoo.random_input ~seed g in
+      List.for_all
+        (fun use_plan ->
+          match C.run ~use_plan artifact ~inputs with
+          | exception _ -> true (* a rejected run is the differentials' business *)
+          | _, rep ->
+              C.full_cycles rep = C.service_cycles artifact
+              || QCheck.Test.fail_reportf
+                   "%s, input seed %d, use_plan %b: ran %d cycles, plan says %d" label
+                   seed use_plan (C.full_cycles rep) (C.service_cycles artifact))
+        [ true; false ])
+    input_seeds
+
+let input_seeds n = QCheck.(list_of_size (Gen.return n) (int_range 1 1_000_000))
+
+let prop_service_cycles_random =
+  Helpers.qtest ~count:150 "fault-free cycles do not depend on the input (random)"
+    QCheck.(pair (int_bound 100_000) (input_seeds 3))
+    (fun (case, seeds) ->
+      let g = Check.Gen.generate case in
+      match C.compile { (Check.Gen.random_config case) with C.solver_cache = None } g with
+      | Error _ -> true
+      | Ok artifact ->
+          service_cycles_hold ~label:(Printf.sprintf "case %d" case) (artifact, g) seeds)
+
+let zoo_artifacts =
+  lazy (List.map (fun (m, c) -> (m ^ "/" ^ c, compile_zoo m c)) Check.Golden.cases)
+
+let prop_service_cycles_zoo =
+  Helpers.qtest ~count:1 "fault-free cycles do not depend on the input (zoo)"
+    (input_seeds 2)
+    (fun seeds ->
+      List.for_all
+        (fun (label, case) -> service_cycles_hold ~label case seeds)
+        (Lazy.force zoo_artifacts))
+
 let digital_artifact =
   lazy
     (let entry = Models.Zoo.find "resnet8" in
@@ -506,5 +550,7 @@ let suites =
           test_random_faulted_differential;
         Alcotest.test_case "foreign plan rejected" `Quick
           test_foreign_plan_rejected;
+        prop_service_cycles_random;
+        prop_service_cycles_zoo;
       ] )
   ]
