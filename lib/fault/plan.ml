@@ -134,7 +134,14 @@ let parse_rule s =
           let* site = parse_site site_s in
           let* trigger = parse_trigger trig_s in
           let* kind = parse_kind kind_s in
-          Ok { site; trigger; kind })
+          match (site, kind) with
+          | (L1 | L2), Drop ->
+              Error
+                (Printf.sprintf
+                   "rule %S: drop needs a transfer or compute site; l1 and l2 \
+                    take flip or stall"
+                   s)
+          | _ -> Ok { site; trigger; kind })
 
 (* Elements are separated by commas or any whitespace (so one-rule-per-
    line fault files concatenate naturally); [#] starts a line comment. *)
@@ -156,7 +163,7 @@ let of_string s =
     let rec go seed rules = function
       | [] -> Ok { seed; rules = List.rev rules }
       | tok :: rest ->
-          if String.length tok > 5 && String.sub tok 0 5 = "seed=" then
+          if String.starts_with ~prefix:"seed=" tok then
             match int_of_string_opt (String.sub tok 5 (String.length tok - 5)) with
             | Some n -> go n rules rest
             | None -> Error (Printf.sprintf "bad fault seed %S" tok)

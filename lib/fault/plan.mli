@@ -17,7 +17,8 @@
     - triggers: [always], [nth=K] (the K-th occurrence only), [every=N]
       (every N-th occurrence), [p=F] (per-occurrence Bernoulli)
     - kinds: [flip] / [flip=N] (N bit-flips), [drop] (transfer/compute
-      failure), [stall=C] (C extra cycles)
+      failure; rejected on [l1]/[l2], where nothing can fail),
+      [stall=C] (C extra cycles)
 
     Detection semantics (modeled by the simulator, see DESIGN.md): DMA
     and weight-load payloads are checksummed, so [flip]/[drop] there are
@@ -61,7 +62,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a spec string (or fault file contents). [""] and ["none"]
-    yield {!empty}. *)
+    yield {!empty}. [Error] carries one line naming the offending
+    element: an unknown site, trigger or kind, a [drop] on [l1]/[l2], or
+    a [seed=] without an integer. *)
 
 val load : string -> (t, string) result
 (** Read a fault file: same grammar, one or more rules per line. *)

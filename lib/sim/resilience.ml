@@ -83,7 +83,7 @@ let mem_rot t ~site ~mem =
               t.counters.Counters.fault_stall <-
                 t.counters.Counters.fault_stall + cyc;
               note t ("stall:" ^ label) cyc
-          | Plan.Drop -> () (* meaningless on a memory site *)
+          | Plan.Drop -> () (* meaningless here; [Plan.of_string] refuses it *)
           | Plan.Flip bits ->
               let hwm = Mem.high_water mem in
               if hwm > 0 then begin

@@ -63,6 +63,43 @@ let test_plan_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad site accepted"
 
+(* [drop] is a failed transfer or a compute watchdog; on a memory site
+   nothing can fail, so the parser refuses it (every surface that takes
+   a plan string inherits the refusal) instead of counting an injection
+   that does nothing. A bare [seed=] is a bad seed, not a bad rule. *)
+let test_plan_rejects_memory_drop () =
+  List.iter
+    (fun (spec, rule) ->
+      match Plan.of_string spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error e ->
+          Alcotest.(check bool) (spec ^ ": names the rule") true
+            (Helpers.contains e (Printf.sprintf "%S" rule)
+            && Helpers.contains e "drop"))
+    [
+      ("seed=1,l2@p=0.1:drop", "l2@p=0.1:drop");
+      ("l1@always:drop", "l1@always:drop");
+      ("dma_in@every=3:flip\nl2@nth=2:drop # rot", "l2@nth=2:drop");
+    ];
+  List.iter
+    (fun spec -> ignore (plan_exn spec))
+    [ "l2@p=0.1:flip"; "l1@every=2:stall=10"; "dma_in@always:drop"; "compute@nth=1:drop" ];
+  List.iter
+    (fun spec ->
+      match Plan.of_string spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error e ->
+          Alcotest.(check string) (spec ^ ": message") "bad fault seed \"seed=\"" e)
+    [ "seed="; "dma_in@always:flip,seed=" ];
+  let g, artifact = digital_artifact () in
+  match
+    Campaign.run
+      { Campaign.default with Campaign.c_site = "l2"; c_kind = "drop" }
+      artifact ~graph:g
+  with
+  | Ok _ -> Alcotest.fail "campaign accepted drop on l2"
+  | Error e -> Alcotest.(check bool) "campaign names the rule" true (Helpers.contains e "drop")
+
 (* --- empty plan is a strict no-op --- *)
 
 let test_empty_plan_noop () =
@@ -307,6 +344,8 @@ let test_chaos_reproducer_embeds_plan () =
 let suites =
   [ ( "fault",
       [ Alcotest.test_case "plan spec round-trips" `Quick test_plan_roundtrip;
+        Alcotest.test_case "plan rejects drop on memory sites" `Quick
+          test_plan_rejects_memory_drop;
         Alcotest.test_case "empty plan is a strict no-op" `Quick test_empty_plan_noop;
         Alcotest.test_case "exact retry accounting" `Quick test_retry_accounting_exact;
         Alcotest.test_case "backoff formula" `Quick test_backoff_formula;
