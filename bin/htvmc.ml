@@ -710,8 +710,8 @@ let parse_class_flag s =
   | _ -> die ()
 
 (* Assemble the optional health-lifecycle config from its flags. The
-   0 / -1 defaults are the auto sentinels Serve resolves against the
-   probe request's service time. *)
+   0 / -1 defaults are the auto sentinels Serve resolves against a
+   request's fault-free service cycles, read from the plan. *)
 let health_config_of_args enabled threshold probation interval cost passes cap
     fail seed =
   if not enabled then None
@@ -1382,20 +1382,22 @@ let health_knobs enable =
          & info [ "probation" ] ~docv:"CYCLES"
              ~doc:"Base cooldown between degrading and the first health \
                    probe; escalates exponentially on relapse. 0 = auto \
-                   (twice a probe request's service time).")
+                   (twice a request's fault-free service cycles, read from \
+                   the plan).")
   in
   let interval =
     Arg.(value & opt int (-1)
          & info [ "probe-interval" ] ~docv:"CYCLES"
              ~doc:"Idle gap between probes while on probation; 0 = \
-                   back-to-back, -1 = auto (a quarter of a probe request's \
-                   service time).")
+                   back-to-back, -1 = auto (a quarter of a request's \
+                   fault-free service cycles).")
   in
   let cost =
     Arg.(value & opt int 0
          & info [ "probe-cost" ] ~docv:"CYCLES"
              ~doc:"Cycles each health probe occupies the probed instance; \
-                   0 = auto (a tenth of a probe request's service time).")
+                   0 = auto (a tenth of a request's fault-free service \
+                   cycles).")
   in
   let passes =
     Arg.(value & opt int Health.default.Health.pass_threshold
@@ -1469,13 +1471,15 @@ let fleet_term ~arrival_default =
     Arg.(value & opt int 0
          & info [ "gap" ] ~docv:"CYCLES"
              ~doc:"Mean Poisson inter-arrival gap in cycles; 0 = auto (half a \
-                   probe request's service time).")
+                   request's fault-free service cycles, read from the plan; \
+                   the slowest model's when serving several).")
   in
   let window =
     Arg.(value & opt int 0
          & info [ "window" ] ~docv:"CYCLES"
              ~doc:"Dispatch window length in cycles (open loop); 0 = auto \
-                   (one probe request's service time).")
+                   (a request's fault-free service cycles, read from the \
+                   plan).")
   in
   let overhead =
     Arg.(value & opt int Serve.default.Serve.dispatch_overhead

@@ -58,9 +58,10 @@ type arrival =
           shedding. The throughput experiment. *)
   | Poisson of { mean_gap : int }
       (** Open loop with exponential inter-arrival gaps of the given
-          mean (cycles); [mean_gap <= 0] means auto: half a probe
-          request's service time, i.e. roughly 2x one instance's
-          capacity. *)
+          mean (cycles); [mean_gap <= 0] means auto: half a request's
+          fault-free service cycles, read from the plan
+          ({!Htvm.Compile.service_cycles}), i.e. roughly 2x one
+          instance's capacity. *)
 
 type config = {
   workers : int;  (** fleet size: independent simulated SoC instances *)
@@ -71,7 +72,8 @@ type config = {
   arrival : arrival;
   window : int;
       (** dispatch window length in cycles (Poisson mode only);
-          [<= 0] means auto: one probe request's service time *)
+          [<= 0] means auto: a request's fault-free service cycles,
+          read from the plan *)
   dispatch_overhead : int;  (** cycles charged once per dispatched batch *)
   plan : Fault.Plan.t;
       (** fault campaign; {!Fault.Plan.empty} disables injection. Each
@@ -116,9 +118,10 @@ type config = {
   health : Health.config option;
       (** enable the health lifecycle. Mutually exclusive with
           [degrade_after] (the lifecycle subsumes the one-way flag).
-          Auto-resolution against the probe request's service cycles:
-          [probation_window <= 0] becomes twice the probe service time,
-          [probe_interval < 0] a quarter of it (0 stays legal:
+          Auto-resolution against a request's fault-free service
+          cycles, read from the plan (nothing is executed):
+          [probation_window <= 0] becomes twice the service cycles,
+          [probe_interval < 0] a quarter of them (0 stays legal:
           back-to-back probes), [probe_cost <= 0] a tenth (min 1), and
           [backoff_cap <= 0] eight probation windows.
 
@@ -407,8 +410,9 @@ type trace_entry = {
 type mt_arrival =
   | Mt_closed  (** saturating backlog at cycle 0; never queue-sheds *)
   | Mt_poisson of { mean_gap : int }
-      (** exponential gaps; [mean_gap <= 0] = auto (half the largest
-          model's probe service time) *)
+      (** exponential gaps; [mean_gap <= 0] = auto (half the slowest
+          referenced model's fault-free service cycles, read from its
+          plan) *)
   | Mt_diurnal of { mean_gap : int; period : int }
       (** sinusoid-ish load: the gap mean sweeps from [mean_gap / 2]
           (peak) to [2 * mean_gap] (trough) over each [period] cycles;
@@ -440,7 +444,9 @@ type mt_config = {
   mt_requests : int;  (** ignored under {!Mt_replay} *)
   mt_seed : int;
   mt_arrival : mt_arrival;
-  mt_window : int;  (** [<= 0] = auto: the largest model's probe time *)
+  mt_window : int;
+      (** [<= 0] = auto: the slowest referenced model's fault-free
+          service cycles, read from its plan *)
   mt_dispatch_overhead : int;
   mt_swap_overhead : int;  (** model reload cost in cycles *)
   mt_placement : placement;
@@ -454,7 +460,8 @@ type mt_config = {
       (** per-instance health lifecycle (observed plane only — the
           multi-tenant path is fault-free, so machines only move on the
           boot flag and their own probe streams; auto fields resolve
-          against the largest model's probe time as in {!config}). The
+          against the slowest referenced model's fault-free service
+          cycles as in {!config}). The
           {!mt_tally} is unaffected: lifecycle stats live in
           {!mt_instance_stat.mi_health}, {!mt_report.mt_fail_open} and
           the sched metrics track. *)
@@ -556,9 +563,9 @@ val mt_run :
   (mt_report, mt_error) result
 (** Serve a multi-class request stream over a fleet hosting [models].
 
-    Pipeline: validate → probe each referenced model once (fault-free,
-    seeded by [mt_seed]; forced only when window/gap auto-resolution
-    needs it) → generate or replay arrivals → per-window ingress-cap
+    Pipeline: validate → resolve auto values from the referenced
+    models' fault-free service cycles, read from their plans (nothing
+    is executed) → generate or replay arrivals → per-window ingress-cap
     admission → execute every admitted request on the [mt_jobs]-domain
     pool (order-preserving, so digests and service cycles are
     jobs-invariant) → SLO shed + per-model batch assembly in arrival
