@@ -807,6 +807,45 @@ let goldens =
         } );
   ]
 
+(* Auto resolution reads the plan's fault-free service cycles and runs
+   nothing: an artifact whose every run faults (its weights sit past L2)
+   resolves the same gap, window and health fields as the sound one,
+   and a stream of zero requests returns a report on both front ends. *)
+let test_auto_resolution_runs_nothing () =
+  let artifact, g = Lazy.force fixture in
+  let platform = artifact.Htvm.Compile.cfg.Htvm.Compile.platform in
+  let prog = artifact.Htvm.Compile.program in
+  let past_l2 = platform.Arch.Platform.l2.Arch.Memory.size_bytes in
+  let steps =
+    List.map
+      (function
+        | Sim.Program.Accel a when a.weights_offset >= 0 ->
+            Sim.Program.Accel { a with weights_offset = past_l2 }
+        | step -> step)
+      prog.Sim.Program.steps
+  in
+  let program = { prog with Sim.Program.steps } in
+  let faulting =
+    { artifact with Htvm.Compile.program; plan = Sim.Plan.build ~platform program }
+  in
+  (match Htvm.Compile.run faulting ~inputs:(Models.Zoo.random_input ~seed:1 g) with
+  | _ -> Alcotest.fail "the faulting artifact ran"
+  | exception Sim.Mem.Fault _ -> ());
+  let cfg = { base with Serve.requests = 0; arrival = poisson; health = auto_health } in
+  Alcotest.(check string) "same resolved header"
+    (Serve.tally (Serve.run cfg artifact ~graph:g))
+    (Serve.tally (Serve.run cfg faulting ~graph:g));
+  match
+    Serve.mt_run
+      { mt_base with Serve.mt_requests = 0; mt_arrival = mt_poisson; mt_health = auto_health }
+      ~models:[ { Serve.m_name = "main"; m_artifact = faulting; m_graph = g } ]
+      ~classes:[ { Serve.k_name = "all"; k_model = "main"; k_slo = None; k_weight = 1 } ]
+  with
+  | Error e -> Alcotest.failf "mt_run failed: %s" (Serve.mt_error_to_string e)
+  | Ok r ->
+      Alcotest.(check int) "auto window is the service cycles"
+        (Htvm.Compile.service_cycles artifact) r.Serve.mt_resolved_window
+
 let golden_tests =
   List.map
     (fun (name, render) ->
@@ -841,6 +880,8 @@ let suites =
         Alcotest.test_case "report renderings" `Quick test_report_renderings;
         Alcotest.test_case "rejects negative dispatch overhead" `Quick
           test_rejects_negative_overhead;
+        Alcotest.test_case "auto resolution runs nothing" `Quick
+          test_auto_resolution_runs_nothing;
         prop_tally_invariance;
         prop_observed_time_order;
       ]
