@@ -58,9 +58,9 @@ val service_cycles : t -> int
 (** The program's fault-free service cycles, fixed at build time: the
     sum of every accelerator step's modeled wall and every CPU step's
     [cycles]. No step's timing depends on the data it moves, so a run
-    without a fault session (or over the empty plan) reports exactly
-    this [totals.wall] on either path, for every input. A step recorded
-    as malformed counts 0; its run raises instead. *)
+    without a fault session (or with one over {!Fault.Plan.empty})
+    reports exactly this [totals.wall] on either path, for every input.
+    A step recorded as malformed counts 0; its run raises instead. *)
 
 val checkout : ?fresh:bool -> t -> Mem.t * Mem.t
 (** [(l2, l1)] of the calling domain's arena, rewound to the exact state a
