@@ -24,15 +24,10 @@ type t = {
 
 let create () = { table = Hashtbl.create 64; hits = 0; misses = 0 }
 
-let dims d = String.concat "x" (List.map string_of_int (Array.to_list d))
-
-let tensor_sig = function
-  | None -> "-"
-  | Some t -> Tensor.Dtype.to_string (Tensor.dtype t) ^ ":" ^ dims (Tensor.shape t)
-
-(* Everything [Tiling.solve_stats] can observe, except weight/bias tensor
-   contents (cycle models, capacity rules and heuristics only read
-   geometry and dtypes). Config floats are rendered in hex so distinct
+(* Everything [Tiling.solve_stats] can observe: the layer's signature
+   (geometry and dtypes, never weight/bias contents: cycle models,
+   capacity rules and heuristics only read those), the accelerator and
+   the solver config. Config floats are rendered in hex so distinct
    alphas can never collide.
 
    Fields are assembled with [Util.Key.encode] (length-prefixed), not
@@ -41,41 +36,13 @@ let tensor_sig = function
    boundaries and make two distinct (config, accel, layer) triples
    collide — and a persistent store would then serve the wrong tile. *)
 let signature (cfg : Tiling.config) ~accel (l : Ir.Layer.t) =
-  let kind =
-    match l.Ir.Layer.kind with
-    | Ir.Layer.Conv p ->
-        let sy, sx = p.Nn.Kernels.stride and py, px = p.Nn.Kernels.padding in
-        Printf.sprintf "conv:s%dx%d:p%dx%d:g%d" sy sx py px p.Nn.Kernels.groups
-    | Ir.Layer.Dense -> "dense"
-    | Ir.Layer.Add -> "add"
-    | Ir.Layer.Pool { max; attrs } ->
-        let py, px = attrs.Ir.Op.pool and sy, sx = attrs.Ir.Op.pool_stride in
-        Printf.sprintf "pool:%b:%dx%d:s%dx%d" max py px sy sx
-  in
-  let fused_pool =
-    match l.Ir.Layer.fused_pool with
-    | None -> "-"
-    | Some a ->
-        let py, px = a.Ir.Op.pool and sy, sx = a.Ir.Op.pool_stride in
-        Printf.sprintf "fp%dx%d:s%dx%d" py px sy sx
-  in
   Util.Key.encode
     [
       accel;
       Printf.sprintf "%h;%b;%b;%b;%d" cfg.Tiling.alpha
         cfg.Tiling.use_pe_heuristics cfg.Tiling.use_dma_heuristic
         cfg.Tiling.double_buffer cfg.Tiling.l1_budget;
-      kind;
-      fused_pool;
-      dims l.Ir.Layer.in_shape;
-      (match l.Ir.Layer.in2_shape with None -> "-" | Some s -> dims s);
-      dims l.Ir.Layer.out_shape;
-      Tensor.Dtype.to_string l.Ir.Layer.in_dtype;
-      Tensor.Dtype.to_string l.Ir.Layer.out_dtype;
-      tensor_sig l.Ir.Layer.weights;
-      tensor_sig l.Ir.Layer.bias;
-      (match l.Ir.Layer.shift with None -> "-" | Some s -> string_of_int s);
-      string_of_bool l.Ir.Layer.relu;
+      Ir.Layer.signature l;
     ]
 
 let find t key = Hashtbl.find_opt t.table key

@@ -109,48 +109,230 @@ let is_resource_error = function
 
 (* ---- persistent store integration ----
 
-   Two tiers. The layer tier maps a tiling-problem signature to its
-   serialized [Dory.Tiling.outcome] — stats included, so a warm solve
-   replays the exact trace payload and solver totals of a cold one. The
-   artifact tier maps a graph+config+code-version digest to the full
-   compiled artifact (minus [cfg], supplied by the caller, and minus the
-   execution plan, a derived accelerator-closure structure rebuilt on
-   load with [Sim.Plan.build]).
+   Two tiers, both holding compile *decisions*, never compiled bytes.
+   The layer tier maps a tiling-problem signature to its
+   [Dory.Tiling.outcome], stats included, so a warm solve replays the
+   exact trace payload and solver totals of a cold one. The artifact
+   tier maps a structure+config+code-version digest to every answer one
+   compile gave its solver and tuner (see [decisions] below); a hit
+   replays them through the ordinary pipeline.
 
-   Serialization is [Marshal] with [No_sharing]: every value stored is
-   closure-free pure data, and the structural (sharing-free) encoding
-   makes re-marshalling a round-tripped value reproduce the stored bytes
-   exactly — which is what makes [artifact_digest] of a warm artifact
-   byte-identical to the cold one. [code_version] is folded into every
-   key, so a format change after an upgrade is a clean miss, never a
-   misread; unmarshalling only ever runs on digest-verified payloads and
-   is still guarded, with a decode failure rejecting the entry. *)
+   Every payload is an explicit [Util.Key] field list: ints in decimal,
+   floats in hex ([%h], exact), variants as a leading tag field, nested
+   values as one field holding their own encoding. Decoding is strict: a
+   payload is accepted only in the exact form its encoder writes, so
+   truncated, extended, retagged or misspelt bytes are rejected, never
+   misread. [code_version] is folded into every key; a change to the
+   encoding (pinned by a fixture test) must bump it, so entries written
+   by older code read as clean misses. *)
 
-let code_version = "htvm-code-v1"
+let code_version = "htvm-code-v2"
+
+exception Malformed
+
+let fields s = match Util.Key.decode s with Some l -> l | None -> raise Malformed
+let int = int_of_string
+let ints = List.map string_of_int
+
+let strict encode parse s =
+  match parse s with
+  | v when String.equal (encode v) s -> Some v
+  | _ -> None
+  | exception (Malformed | Failure _ | Invalid_argument _) -> None
+
+let encode_outcome (o : Dory.Tiling.outcome) =
+  let s = o.Dory.Tiling.stats in
+  let stats = ints [ s.Dory.Tiling.explored; s.Dory.Tiling.feasible; s.Dory.Tiling.pruned ] in
+  Util.Key.encode
+    (match o.Dory.Tiling.result with
+    | Ok sol ->
+        let t = sol.Dory.Tiling.tile in
+        ("ok" :: ints Arch.Tile.[ t.c; t.k; t.oy; t.ox; t.iy; t.ix ])
+        @ [
+            Printf.sprintf "%h" sol.Dory.Tiling.objective;
+            Printf.sprintf "%h" sol.Dory.Tiling.mem_utilization;
+            string_of_bool sol.Dory.Tiling.tiled;
+            string_of_int sol.Dory.Tiling.tile_count;
+          ]
+        @ stats
+    | Error inf ->
+        [ "error"; inf.Dory.Tiling.inf_layer; inf.Dory.Tiling.inf_accel;
+          string_of_int inf.Dory.Tiling.inf_l1_budget ]
+        @ stats)
+
+let parse_outcome s =
+  let stats e f p = { Dory.Tiling.explored = int e; feasible = int f; pruned = int p } in
+  match fields s with
+  | [ "ok"; c; k; oy; ox; iy; ix; obj; util; tiled; count; e; f; p ] ->
+      let tile =
+        { Arch.Tile.c = int c; k = int k; oy = int oy; ox = int ox; iy = int iy; ix = int ix }
+      in
+      {
+        Dory.Tiling.result =
+          Ok
+            {
+              Dory.Tiling.tile;
+              objective = float_of_string obj;
+              mem_utilization = float_of_string util;
+              tiled = bool_of_string tiled;
+              tile_count = int count;
+            };
+        stats = stats e f p;
+      }
+  | [ "error"; layer; accel; budget; e; f; p ] ->
+      {
+        Dory.Tiling.result =
+          Error
+            { Dory.Tiling.inf_layer = layer; inf_accel = accel; inf_l1_budget = int budget };
+        stats = stats e f p;
+      }
+  | _ -> raise Malformed
+
+let decode_outcome = strict encode_outcome parse_outcome
+
+let encode_tune (r : Tune.Search.result) =
+  let b = r.Tune.Search.best in
+  Util.Key.encode
+    (Tune.Sched.order_to_string b.Tune.Sched.order
+    :: ints
+         [ b.Tune.Sched.tile_k; b.Tune.Sched.tile_x; b.Tune.Sched.vector;
+           b.Tune.Sched.unroll; r.Tune.Search.best_cycles;
+           r.Tune.Search.default_cycles; r.Tune.Search.trials ])
+
+let parse_tune s =
+  match fields s with
+  | [ order; tile_k; tile_x; vector; unroll; best; default; trials ] ->
+      let order =
+        match
+          List.find_opt
+            (fun o -> Tune.Sched.order_to_string o = order)
+            Tune.Sched.all_orders
+        with
+        | Some o -> o
+        | None -> raise Malformed
+      in
+      {
+        Tune.Search.best =
+          { Tune.Sched.order; tile_k = int tile_k; tile_x = int tile_x;
+            vector = int vector; unroll = int unroll };
+        best_cycles = int best;
+        default_cycles = int default;
+        trials = int trials;
+      }
+  | _ -> raise Malformed
+
+(* A question (the signature of what was asked) with its answer. *)
+let encode_pair encode (q, a) = Util.Key.encode [ q; encode a ]
+
+let parse_pair parse s =
+  match fields s with [ q; a ] -> (q, parse a) | _ -> raise Malformed
+
+(* The answers one compile gave its solver and tuner, in the order the
+   pipeline asked: each tiling outcome the lower phase used, under its
+   [Dory.Tiling_cache.signature], and each tuned kernel's search result,
+   under its kernel name, budget and layer signature. Together with the
+   solver totals they are all a compile decides that costs search work;
+   everything else is recomputed from the graph. *)
+type decisions = {
+  solves : (string * Dory.Tiling.outcome) list;
+  tunes : (string * Tune.Search.result) list;
+  stats : solver_stats;
+}
+
+let encode_decisions d =
+  let s = d.stats in
+  Util.Key.encode
+    [
+      Util.Key.encode
+        (ints
+           [ s.ss_explored; s.ss_infeasible; s.ss_pruned; s.ss_cache_hits;
+             s.ss_cache_misses ]);
+      Util.Key.encode (List.map (encode_pair encode_outcome) d.solves);
+      Util.Key.encode (List.map (encode_pair encode_tune) d.tunes);
+    ]
+
+let decode_decisions =
+  strict encode_decisions (fun s ->
+      match fields s with
+      | [ stats; solves; tunes ] ->
+          let stats =
+            match List.map int (fields stats) with
+            | [ ss_explored; ss_infeasible; ss_pruned; ss_cache_hits; ss_cache_misses ] ->
+                { ss_explored; ss_infeasible; ss_pruned; ss_cache_hits; ss_cache_misses }
+            | _ -> raise Malformed
+          in
+          {
+            solves = List.map (parse_pair parse_outcome) (fields solves);
+            tunes = List.map (parse_pair parse_tune) (fields tunes);
+            stats;
+          }
+      | _ -> raise Malformed)
+
+(* A replay that asks a question other than the recorded one, or leaves
+   a recorded answer unused, aborts: the entry is a hint, never an
+   answer to a different question. *)
+exception Replay_mismatch
+
+(* Where one kind of answer comes from. [Unrecorded]: computed, and the
+   questions are never rendered (no store). [Record]: computed and kept,
+   most recent first, for the artifact tier. [Replay]: handed out from an
+   entry, in order. *)
+type 'a ledger =
+  | Unrecorded
+  | Record of (string * 'a) list ref
+  | Replay of (string * 'a) list ref
+
+let ask ledger question fresh =
+  match ledger with
+  | Unrecorded -> fresh ()
+  | Record r ->
+      let a = fresh () in
+      r := (question (), a) :: !r;
+      a
+  | Replay r -> (
+      match !r with
+      | (q, a) :: rest when String.equal q (question ()) ->
+          r := rest;
+          a
+      | _ -> raise Replay_mismatch)
+
+(* The ledger's questions and answers in asking order. *)
+let close = function
+  | Unrecorded -> []
+  | Record r -> List.rev !r
+  | Replay { contents = [] } -> []
+  | Replay _ -> raise Replay_mismatch
+
+(* Hands out a list's elements one call at a time. *)
+let cursor l =
+  let rest = ref l in
+  fun () ->
+    match !rest with
+    | x :: tl ->
+        rest := tl;
+        x
+    | [] -> invalid_arg "Compile.cursor: exhausted"
 
 let layer_store_key signature =
   Util.Key.encode [ code_version; "layer"; signature ]
 
-let bytes_of_outcome (o : Dory.Tiling.outcome) =
-  Marshal.to_string o [ Marshal.No_sharing ]
-
-let outcome_of_bytes s =
-  match (Marshal.from_string s 0 : Dory.Tiling.outcome) with
-  | o -> Some o
-  | exception _ -> None
-
-(* Verified store lookup of one layer outcome: a digest-valid entry whose
-   payload still fails to unmarshal is invalidated so it cannot be served
-   again. *)
-let store_find_outcome st key =
+(* Verified layer-tier lookup: an entry that fails to decode, or answers
+   a different signature than its key names, is invalidated so it cannot
+   be served again. *)
+let store_find_outcome st signature =
+  let key = layer_store_key signature in
   match Store.find st Store.Layer ~key with
   | None -> None
   | Some payload -> (
-      match outcome_of_bytes payload with
-      | Some o -> Some o
-      | None ->
+      match strict (encode_pair encode_outcome) (parse_pair parse_outcome) payload with
+      | Some (q, o) when String.equal q signature -> Some o
+      | _ ->
           Store.invalidate st Store.Layer ~key;
           None)
+
+let store_put_outcome st signature o =
+  Store.put st Store.Layer ~key:(layer_store_key signature)
+    (encode_pair encode_outcome (signature, o))
 
 (* Every config field that can influence the compiled artifact. [jobs]
    and [solver_cache] are excluded on purpose: compilation is
@@ -192,62 +374,44 @@ let config_fingerprint cfg =
       | Some n -> string_of_int n);
     ]
 
+(* Decisions depend on the graph's structure, not on constant values:
+   every node is digested, but each constant only as its dtype and
+   shape, so weight variants of one network share an entry (a replay
+   still checks every question, so a constant that does steer a
+   decision, like a requantization shift, shows up as a mismatch). *)
 let graph_digest graph =
-  Digest.to_hex (Digest.string (Marshal.to_string graph [ Marshal.No_sharing ]))
+  let skeleton =
+    List.map
+      (fun id ->
+        match G.node graph id with
+        | G.Const t -> Either.Left (Tensor.dtype t, Tensor.shape t)
+        | (G.Input _ | G.App _) as n -> Either.Right n)
+      (G.node_ids graph)
+  in
+  Digest.to_hex
+    (Digest.string (Marshal.to_string (G.output graph, skeleton) [ Marshal.No_sharing ]))
 
 let artifact_store_key cfg graph =
   Util.Key.encode
     [ code_version; "artifact"; config_fingerprint cfg; graph_digest graph ]
 
-(* The persisted subset of [artifact]. *)
-type stored_artifact = {
-  st_program : Sim.Program.t;
-  st_size : Codegen.Size.report;
-  st_layers : layer_info list;
-  st_c_source : string;
-  st_l2_static_bytes : int;
-  st_l2_arena_bytes : int;
-  st_tuning_trials : int;
-  st_solver : solver_stats;
-  st_demotions : demotion list;
-}
-
-let artifact_payload a =
-  Marshal.to_string
-    {
-      st_program = a.program;
-      st_size = a.size;
-      st_layers = a.layers;
-      st_c_source = a.c_source;
-      st_l2_static_bytes = a.l2_static_bytes;
-      st_l2_arena_bytes = a.l2_arena_bytes;
-      st_tuning_trials = a.tuning_trials;
-      st_solver = a.solver;
-      st_demotions = a.demotions;
-    }
-    [ Marshal.No_sharing ]
-
-let artifact_digest a = Digest.to_hex (Digest.string (artifact_payload a))
-
-let stored_of_bytes s =
-  match (Marshal.from_string s 0 : stored_artifact) with
-  | st -> Some st
-  | exception _ -> None
-
-let artifact_of_stored cfg st =
-  {
-    cfg;
-    program = st.st_program;
-    plan = Sim.Plan.build ~platform:cfg.platform st.st_program;
-    size = st.st_size;
-    layers = st.st_layers;
-    c_source = st.st_c_source;
-    l2_static_bytes = st.st_l2_static_bytes;
-    l2_arena_bytes = st.st_l2_arena_bytes;
-    tuning_trials = st.st_tuning_trials;
-    solver = st.st_solver;
-    demotions = st.st_demotions;
-  }
+(* The artifact's canonical form: every field but [cfg] and the derived
+   plan, as one [No_sharing] marshal (the tuple has the same layout as
+   the record earlier versions stored, so digests carry over). *)
+let artifact_digest a =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( a.program,
+            a.size,
+            a.layers,
+            a.c_source,
+            a.l2_static_bytes,
+            a.l2_arena_bytes,
+            a.tuning_trials,
+            a.solver,
+            a.demotions )
+          [ Marshal.No_sharing ]))
 
 (* One lowered execution unit, before buffer assignment. *)
 type lowered =
@@ -358,22 +522,37 @@ let tuneable_layer_of g (tys : Ir.Infer.ty array) (k : Codegen.Fuse.kernel) =
    found variant. The accelerated path is untouched — HTVM's argument is
    precisely that it needs none of this. *)
 (* Each kernel tunes independently (seeded by its name, so results do not
-   depend on scheduling) — fanned out across the pool. *)
-let autotune_kernels pool cfg g tys kernels =
+   depend on scheduling) — fanned out across the pool, unless the
+   results are replayed. *)
+let autotune_kernels pool cfg g tys tunes kernels =
   match cfg.autotune_budget with
   | None -> (kernels, 0)
   | Some budget ->
+      let candidates = List.map (fun k -> (k, tuneable_layer_of g tys k)) kernels in
+      let tune ((k : Codegen.Fuse.kernel), layer) =
+        Tune.Search.tune
+          ~seed:(Hashtbl.hash k.Codegen.Fuse.kernel_name)
+          ~budget ~device:Tune.Device.xpulpv2 layer
+      in
+      let fresh =
+        match tunes with
+        | Replay _ -> []
+        | Unrecorded | Record _ ->
+            Util.Pool.map pool tune
+              (List.filter_map (fun (k, l) -> Option.map (fun l -> (k, l)) l) candidates)
+      in
+      let next = cursor fresh in
       let tuned =
-        Util.Pool.map pool
-          (fun (k : Codegen.Fuse.kernel) ->
-            match tuneable_layer_of g tys k with
+        List.map
+          (fun ((k : Codegen.Fuse.kernel), layer) ->
+            match layer with
             | None -> (k, 0)
             | Some layer ->
-                let r =
-                  Tune.Search.tune
-                    ~seed:(Hashtbl.hash k.Codegen.Fuse.kernel_name)
-                    ~budget ~device:Tune.Device.xpulpv2 layer
+                let question () =
+                  Util.Key.encode
+                    [ k.Codegen.Fuse.kernel_name; string_of_int budget; Ir.Layer.signature layer ]
                 in
+                let r = ask tunes question next in
                 let factor =
                   float_of_int r.Tune.Search.best_cycles
                   /. float_of_int (max 1 r.Tune.Search.default_cycles)
@@ -386,7 +565,7 @@ let autotune_kernels pool cfg g tys kernels =
                            (Float.round (float_of_int k.Codegen.Fuse.cycles *. factor)));
                   },
                   r.Tune.Search.trials ))
-          kernels
+          candidates
       in
       (List.map fst tuned, List.fold_left (fun acc (_, t) -> acc + t) 0 tuned)
 
@@ -406,29 +585,43 @@ let cpu_const_bytes g kernels =
       match G.node g id with G.Const t -> acc + Tensor.packed_bytes t | _ -> acc)
     0 ids
 
-let compile_cold ?trace ?metrics ?store cfg graph =
+(* One pass of the pipeline, simplify through emit and the plan build.
+   Its solver and tuner answers come from the ledgers: computed (and,
+   with a store, recorded) on a cold compile, handed out from an entry's
+   [decisions] on a warm one, which then consults neither the solver,
+   the tuner nor the layer tier. [defer], when given, receives each
+   metric registration in order, for the caller to apply once the pass
+   is over. *)
+let compile_cold ?trace ?defer ?store ?replay cfg graph =
   let ( let* ) = Result.bind in
   Util.Pool.with_pool ~jobs:cfg.jobs @@ fun pool ->
-  (* Wall-track phase gauges ride along with the trace spans. They are
-     registered on first entry into each phase, so a registry must be
-     fresh per compile (duplicate registration raises by design). *)
+  (* Wall-track phase gauges ride along with the trace spans. *)
   let phase ?args name f =
-    let finish =
-      match metrics with
-      | None -> fun () -> ()
-      | Some reg ->
-          let g =
-            Metrics.gauge reg ~track:Metrics.Wall
-              ~labels:[ ("phase", name) ]
-              ~help:"Host seconds spent in one compile phase."
-              "htvm_wall_compile_phase_seconds"
-          in
-          let t0 = Sys.time () in
-          fun () -> Metrics.set g (Sys.time () -. t0)
-    in
-    let r = Trace.span trace ?args name f in
-    finish ();
-    r
+    match defer with
+    | None -> Trace.span trace ?args name f
+    | Some defer ->
+        let t0 = Sys.time () in
+        let r = Trace.span trace ?args name f in
+        let dt = Sys.time () -. t0 in
+        defer (fun reg ->
+            Metrics.set
+              (Metrics.gauge reg ~track:Metrics.Wall
+                 ~labels:[ ("phase", name) ]
+                 ~help:"Host seconds spent in one compile phase."
+                 "htvm_wall_compile_phase_seconds")
+              dt);
+        r
+  in
+  let count name help v =
+    Option.iter
+      (fun defer -> defer (fun reg -> Metrics.inc (Metrics.counter reg ~help name) v))
+      defer
+  in
+  let solves, tunes =
+    match (replay, store) with
+    | Some d, _ -> (Replay (ref d.solves), Replay (ref d.tunes))
+    | None, Some _ -> (Record (ref []), Record (ref []))
+    | None, None -> (Unrecorded, Unrecorded)
   in
   let g = phase "simplify" (fun () -> Ir.Rewrite.simplify graph) in
   let platform = cfg.platform in
@@ -456,7 +649,8 @@ let compile_cold ?trace ?metrics ?store cfg graph =
      sequential pass below then consumes the outcomes in segment order,
      replaying each ["tiling.solve"] trace event from this domain, so
      parallel and cached runs stay bit-identical to sequential cold
-     ones. *)
+     ones. A replay skips the fan-out: the sequential pass asks the
+     entry for every outcome instead. *)
   let host_pool = ref [] in
   let accel_units = ref [] in
   let cache_hits = ref 0 in
@@ -499,10 +693,14 @@ let compile_cold ?trace ?metrics ?store cfg graph =
         Dory.Tiling.solve_stats ~exhaustive:cfg.exhaustive_tiling tiling_cfg accel
           layer
       in
+      let signature ((accel : Arch.Accel.t), layer) =
+        Dory.Tiling_cache.signature tiling_cfg ~accel:accel.Arch.Accel.accel_name layer
+      in
       let solved =
-        match cfg.solver_cache with
-        | None when store = None -> Util.Pool.map pool solve offloads
-        | None ->
+        match (solves, cfg.solver_cache) with
+        | Replay _, _ -> []
+        | _, None when store = None -> Util.Pool.map pool solve offloads
+        | _, None ->
             (* Store, no in-process cache: each task consults the layer
                tier individually — duplicates included — so the solver
                totals folded from [seg_outcomes] match an uncached cold
@@ -510,51 +708,30 @@ let compile_cold ?trace ?metrics ?store cfg graph =
             let st = Option.get store in
             let looked =
               List.map
-                (fun ((accel, layer) as task) ->
-                  let skey =
-                    layer_store_key
-                      (Dory.Tiling_cache.signature tiling_cfg
-                         ~accel:accel.Arch.Accel.accel_name layer)
-                  in
-                  (skey, store_find_outcome st skey, task))
+                (fun task ->
+                  let sg = signature task in
+                  (sg, store_find_outcome st sg, task))
                 offloads
             in
             let fresh =
               List.filter_map
-                (function k, None, task -> Some (k, task) | _ -> None)
+                (function sg, None, task -> Some (sg, task) | _ -> None)
                 looked
             in
             let solved_fresh =
               Util.Pool.map pool (fun (_, task) -> solve task) fresh
             in
-            List.iter2
-              (fun (k, _) o -> Store.put st Store.Layer ~key:k (bytes_of_outcome o))
-              fresh solved_fresh;
-            let remaining = ref solved_fresh in
+            List.iter2 (fun (sg, _) o -> store_put_outcome st sg o) fresh solved_fresh;
+            let next = cursor solved_fresh in
             List.map
-              (fun (_, found, _) ->
-                match found with
-                | Some o -> o
-                | None -> (
-                    match !remaining with
-                    | o :: rest ->
-                        remaining := rest;
-                        o
-                    | [] -> assert false))
+              (fun (_, found, _) -> match found with Some o -> o | None -> next ())
               looked
-        | Some cache ->
+        | _, Some cache ->
             (* Deterministic accounting regardless of pool scheduling: a
                segment counts as a hit when its signature is already
                cached or an earlier segment of this compile is about to
                solve it; only distinct new signatures reach the pool. *)
-            let keyed =
-              List.map
-                (fun ((accel, layer) as task) ->
-                  ( Dory.Tiling_cache.signature tiling_cfg
-                      ~accel:accel.Arch.Accel.accel_name layer,
-                    task ))
-                offloads
-            in
+            let keyed = List.map (fun task -> (signature task, task)) offloads in
             let pending = Hashtbl.create 16 in
             let fresh =
               List.filter_map
@@ -585,7 +762,7 @@ let compile_cold ?trace ?metrics ?store cfg graph =
               | Some st ->
                   List.partition_map
                     (fun (key, task) ->
-                      match store_find_outcome st (layer_store_key key) with
+                      match store_find_outcome st key with
                       | Some o -> Either.Left (key, o)
                       | None -> Either.Right (key, task))
                     fresh
@@ -599,11 +776,7 @@ let compile_cold ?trace ?metrics ?store cfg graph =
             List.iter2
               (fun (key, _) outcome ->
                 Dory.Tiling_cache.add cache key outcome;
-                match store with
-                | Some st ->
-                    Store.put st Store.Layer ~key:(layer_store_key key)
-                      (bytes_of_outcome outcome)
-                | None -> ())
+                Option.iter (fun st -> store_put_outcome st key outcome) store)
               to_solve solved_fresh;
             List.map
               (fun (key, _) ->
@@ -612,20 +785,21 @@ let compile_cold ?trace ?metrics ?store cfg graph =
                 | None -> assert false)
               keyed
       in
-      let next = ref solved in
-      let take () =
-        match !next with
-        | o :: rest ->
-            next := rest;
-            o
-        | [] -> assert false
-      in
+      let take = cursor solved in
       List.iter
         (fun seg ->
           match seg with
           | Byoc.Partition.Host { id } -> host_pool := id :: !host_pool
           | Byoc.Partition.Offload { target; layer; inputs; output } ->
               let primary = Arch.Platform.find_accel platform target in
+              (* Every outcome the lower phase uses, primary or rung,
+                 goes through the ledger in use order. *)
+              let outcome_on (a : Arch.Accel.t) fresh =
+                let outcome = ask solves (fun () -> signature (a, layer)) fresh in
+                Dory.Tiling.trace_solve_event trace a layer outcome;
+                seg_outcomes := outcome :: !seg_outcomes;
+                outcome
+              in
               let accept (a : Arch.Accel.t) sol =
                 let schedule =
                   Dory.Schedule.build layer ~accel_name:a.Arch.Accel.accel_name
@@ -665,13 +839,7 @@ let compile_cold ?trace ?metrics ?store cfg graph =
               let rec descend = function
                 | [] -> host_pool := region_nodes g output @ !host_pool
                 | (a : Arch.Accel.t) :: rest -> (
-                    let outcome =
-                      Dory.Tiling.solve_stats ~exhaustive:cfg.exhaustive_tiling
-                        tiling_cfg a layer
-                    in
-                    Dory.Tiling.trace_solve_event trace a layer outcome;
-                    seg_outcomes := outcome :: !seg_outcomes;
-                    match outcome.Dory.Tiling.result with
+                    match (outcome_on a (fun () -> solve (a, layer))).Dory.Tiling.result with
                     | Ok sol -> accept a sol
                     | Error inf ->
                         demote ~from:a.Arch.Accel.accel_name
@@ -683,71 +851,71 @@ let compile_cold ?trace ?metrics ?store cfg graph =
                   demote ~from:target ~to_:(next_name alternates) reason;
                   descend alternates
               | None -> (
-                  let outcome = take () in
-                  Dory.Tiling.trace_solve_event trace primary layer outcome;
-                  seg_outcomes := outcome :: !seg_outcomes;
-                  match outcome.Dory.Tiling.result with
+                  match (outcome_on primary take).Dory.Tiling.result with
                   | Ok sol -> accept primary sol
                   | Error inf ->
                       demote ~from:target ~to_:(next_name alternates)
                         (Infeasible inf);
                       descend alternates)))
         plan.Byoc.Partition.segments);
+  let solves = close solves in
+  (* A replay reports the entry's totals: the in-process cache's hit and
+     miss split belongs to the compile that recorded them. *)
   let solver =
-    List.fold_left
-      (fun acc (o : Dory.Tiling.outcome) ->
-        let s = o.Dory.Tiling.stats in
-        {
-          acc with
-          ss_explored = acc.ss_explored + s.Dory.Tiling.explored;
-          ss_infeasible =
-            acc.ss_infeasible + (s.Dory.Tiling.explored - s.Dory.Tiling.feasible);
-          ss_pruned = acc.ss_pruned + s.Dory.Tiling.pruned;
-        })
-      {
-        ss_explored = 0;
-        ss_infeasible = 0;
-        ss_pruned = 0;
-        ss_cache_hits = !cache_hits;
-        ss_cache_misses = !cache_misses;
-      }
-      !seg_outcomes
+    match replay with
+    | Some d -> d.stats
+    | None ->
+        List.fold_left
+          (fun acc (o : Dory.Tiling.outcome) ->
+            let s = o.Dory.Tiling.stats in
+            {
+              acc with
+              ss_explored = acc.ss_explored + s.Dory.Tiling.explored;
+              ss_infeasible =
+                acc.ss_infeasible + (s.Dory.Tiling.explored - s.Dory.Tiling.feasible);
+              ss_pruned = acc.ss_pruned + s.Dory.Tiling.pruned;
+            })
+          {
+            ss_explored = 0;
+            ss_infeasible = 0;
+            ss_pruned = 0;
+            ss_cache_hits = !cache_hits;
+            ss_cache_misses = !cache_misses;
+          }
+          !seg_outcomes
   in
   (match cfg.solver_cache with
   | Some cache ->
       Trace.event trace ~cat:"dory"
         ~args:
           [
-            ("hits", Trace.Json.Int !cache_hits);
-            ("misses", Trace.Json.Int !cache_misses);
+            ("hits", Trace.Json.Int solver.ss_cache_hits);
+            ("misses", Trace.Json.Int solver.ss_cache_misses);
             ("entries", Trace.Json.Int (Dory.Tiling_cache.length cache));
           ]
         "tiling_cache.stats"
   | None -> ());
   (* Solver totals are a pure function of config + graph (parallel solves
      replay in segment order), so they live on the deterministic track. *)
-  (match metrics with
-  | None -> ()
-  | Some reg ->
-      let c name help v = Metrics.inc (Metrics.counter reg ~help name) v in
-      c "htvm_compile_solver_explored_total" "Tiling candidates explored."
-        solver.ss_explored;
-      c "htvm_compile_solver_infeasible_total"
-        "Tiling candidates rejected as infeasible." solver.ss_infeasible;
-      c "htvm_compile_solver_pruned_total"
-        "Tiling candidates pruned before full evaluation." solver.ss_pruned;
-      c "htvm_compile_cache_hits_total" "Tiling-cache hits this compile."
-        solver.ss_cache_hits;
-      c "htvm_compile_cache_misses_total" "Tiling-cache misses this compile."
-        solver.ss_cache_misses);
+  count "htvm_compile_solver_explored_total" "Tiling candidates explored."
+    solver.ss_explored;
+  count "htvm_compile_solver_infeasible_total"
+    "Tiling candidates rejected as infeasible." solver.ss_infeasible;
+  count "htvm_compile_solver_pruned_total"
+    "Tiling candidates pruned before full evaluation." solver.ss_pruned;
+  count "htvm_compile_cache_hits_total" "Tiling-cache hits this compile."
+    solver.ss_cache_hits;
+  count "htvm_compile_cache_misses_total" "Tiling-cache misses this compile."
+    solver.ss_cache_misses;
   let kernels =
     phase "fuse" (fun () ->
         Codegen.Fuse.kernels ~cpu:platform.Arch.Platform.cpu
           ~size:platform.Arch.Platform.size_model g tys ~host_nodes:!host_pool)
   in
   let kernels, tuning_trials =
-    phase "autotune" (fun () -> autotune_kernels pool cfg g tys kernels)
+    phase "autotune" (fun () -> autotune_kernels pool cfg g tys tunes kernels)
   in
+  let tunes = close tunes in
   if tuning_trials > 0 then
     Trace.event trace ~cat:"tune"
       ~args:[ ("trials", Trace.Json.Int tuning_trials) ]
@@ -1006,18 +1174,11 @@ let compile_cold ?trace ?metrics ?store cfg graph =
             })
       units
   in
-  (match metrics with
-  | None -> ()
-  | Some reg ->
-      Metrics.inc
-        (Metrics.counter reg ~help:"Segments demoted off their chosen target."
-           "htvm_compile_demotions_total")
-        (List.length !demotions);
-      Metrics.inc
-        (Metrics.counter reg ~help:"Autotuning trials measured on host kernels."
-           "htvm_compile_tuning_trials_total")
-        tuning_trials);
-  Ok
+  count "htvm_compile_demotions_total" "Segments demoted off their chosen target."
+    (List.length !demotions);
+  count "htvm_compile_tuning_trials_total"
+    "Autotuning trials measured on host kernels." tuning_trials;
+  let artifact =
     {
       cfg;
       program;
@@ -1031,65 +1192,59 @@ let compile_cold ?trace ?metrics ?store cfg graph =
       solver;
       demotions = List.rev !demotions;
     }
+  in
+  Ok (artifact, { solves; tunes; stats = solver })
 
-(* Artifact-tier front door. A verified hit skips every compile phase:
-   the stored program/report is replayed, the execution plan is rebuilt,
-   and the compile counters are registered from the stored solver stats —
-   so the warm report matches the cold one modulo the process-wide
-   solver-work counters that no work was done to advance. Any decode
-   failure (or digest/header mismatch inside the store) falls back to a
-   cold compile that overwrites the entry. *)
+(* Artifact-tier front door. A verified hit runs the ordinary pipeline
+   with the entry's answers standing in for the solver and the tuner, and
+   the entry's solver totals become the artifact's, so the warm artifact
+   is byte-identical to the cold one. An entry that fails to decode, or
+   whose replay asks a question it did not record, is rejected: the
+   compile recomputes cold and overwrites it. *)
 let compile ?trace ?metrics ?store cfg graph =
+  (* Metric registrations wait for the end of a pass, so a replay that
+     aborts part-way leaves the registry as it found it. *)
+  let pass ?store ?replay () =
+    let pending = ref [] in
+    let defer = Option.map (fun _ f -> pending := f :: !pending) metrics in
+    let r = compile_cold ?trace ?defer ?store ?replay cfg graph in
+    Option.iter (fun reg -> List.iter (fun f -> f reg) (List.rev !pending)) metrics;
+    r
+  in
   match store with
-  | None -> compile_cold ?trace ?metrics cfg graph
+  | None -> Result.map fst (pass ())
   | Some st -> (
       let key = artifact_store_key cfg graph in
-      let recompute () =
-        let r = compile_cold ?trace ?metrics ~store:st cfg graph in
-        (match r with
-        | Ok a -> Store.put st Store.Artifact ~key (artifact_payload a)
-        | Error _ -> ());
-        r
+      let cold () =
+        let r = pass ~store:st () in
+        Result.iter
+          (fun (_, d) -> Store.put st Store.Artifact ~key (encode_decisions d))
+          r;
+        Result.map fst r
+      in
+      let reject () =
+        Store.invalidate st Store.Artifact ~key;
+        cold ()
       in
       match Store.find st Store.Artifact ~key with
-      | None -> recompute ()
+      | None -> cold ()
       | Some payload -> (
-          match stored_of_bytes payload with
-          | None ->
-              Store.invalidate st Store.Artifact ~key;
-              recompute ()
-          | Some stored ->
-              Trace.event trace ~cat:"store"
-                ~args:
-                  [
-                    ("tier", Trace.Json.Str "artifact");
-                    ("digest", Trace.Json.Str (Digest.to_hex (Digest.string payload)));
-                  ]
-                "store.artifact_hit";
-              (match metrics with
-              | None -> ()
-              | Some reg ->
-                  let c name help v =
-                    Metrics.inc (Metrics.counter reg ~help name) v
-                  in
-                  let s = stored.st_solver in
-                  c "htvm_compile_solver_explored_total"
-                    "Tiling candidates explored." s.ss_explored;
-                  c "htvm_compile_solver_infeasible_total"
-                    "Tiling candidates rejected as infeasible." s.ss_infeasible;
-                  c "htvm_compile_solver_pruned_total"
-                    "Tiling candidates pruned before full evaluation." s.ss_pruned;
-                  c "htvm_compile_cache_hits_total"
-                    "Tiling-cache hits this compile." s.ss_cache_hits;
-                  c "htvm_compile_cache_misses_total"
-                    "Tiling-cache misses this compile." s.ss_cache_misses;
-                  c "htvm_compile_demotions_total"
-                    "Segments demoted off their chosen target."
-                    (List.length stored.st_demotions);
-                  c "htvm_compile_tuning_trials_total"
-                    "Autotuning trials measured on host kernels."
-                    stored.st_tuning_trials);
-              Ok (artifact_of_stored cfg stored)))
+          match decode_decisions payload with
+          | None -> reject ()
+          | Some d -> (
+              if Trace.enabled trace then
+                Trace.event trace ~cat:"store"
+                  ~args:
+                    [
+                      ("tier", Trace.Json.Str "artifact");
+                      ("digest", Trace.Json.Str (Digest.to_hex (Digest.string payload)));
+                    ]
+                  "store.artifact_hit";
+              match pass ~replay:d () with
+              | r -> Result.map fst r
+              | exception Replay_mismatch ->
+                  Trace.event trace ~cat:"store" "store.replay_mismatch";
+                  reject ())))
 
 let run ?trace ?faults ?retry_budget ?(use_plan = true) artifact ~inputs =
   let plan = if use_plan then Some artifact.plan else None in

@@ -146,14 +146,28 @@ val artifact_digest : artifact -> string
     except [cfg] and the derived execution plan). Compiling the same
     graph under the same config twice — cold, warm from the persistent
     store, or on another machine — must produce the same digest; the CI
-    smoke diffs it across a cold and a warm [htvmc compile]. *)
+    smoke diffs it across a cold and a warm [htvmc compile]. Its
+    definition does not depend on what the store persists. *)
 
 val artifact_store_key : config -> Ir.Graph.t -> string
 (** The artifact-tier store key: an injective encoding of the code
     version, every artifact-relevant config field (not [jobs] or
-    [solver_cache] — results are deterministic in both) and the graph's
-    content digest. Exposed for tests that need to corrupt or inspect a
-    specific store entry. *)
+    [solver_cache] — results are deterministic in both) and a digest of
+    the graph's structure: every node, each constant reduced to its
+    dtype and shape. Graphs that differ only in constant values (weight
+    variants of one network) share a key, because the decisions the
+    entry holds do not depend on those values. Exposed for tests that
+    need to corrupt or inspect a specific store entry. *)
+
+val encode_outcome : Dory.Tiling.outcome -> string
+(** The store's encoding of one tiling outcome: a {!Util.Key} field
+    list with ints in decimal and floats in hex, so it round-trips
+    exactly. Both store tiers persist outcomes in this form. *)
+
+val decode_outcome : string -> Dory.Tiling.outcome option
+(** Inverse of {!encode_outcome}; strict: [None] for anything its
+    encoder would not have written (truncated, trailing bytes, an
+    unknown tag, a field that does not parse). *)
 
 val compile :
   ?trace:Trace.t ->
@@ -182,14 +196,21 @@ val compile :
     are bit-identical (modulo timestamps) to a [jobs = 1] run.
 
     When [store] is given, the compile reads and writes the persistent
-    content-addressed cache. An artifact-tier hit skips every phase and
-    replays the stored artifact (plan rebuilt, solver counters
-    registered from the stored stats); otherwise each tiling solve
-    consults the layer tier before burning search work, and the
-    finished artifact is written back. Warm compiles are byte-identical
-    to cold ones: same {!artifact_digest}, same solver stats. Corrupt,
-    truncated or version-skewed entries are rejected (counted on the
-    store handle), recomputed and overwritten — never served. *)
+    content-addressed cache, which holds compile decisions, not compiled
+    bytes. An artifact-tier hit replays the entry's decisions through
+    the ordinary phases: simplify through emit and the plan build all
+    run, but every tiling solve and autotuning search is answered from
+    the entry (in the order the entry recorded them, each checked
+    against the question the replay asks), and the layer tier is not
+    consulted, so a warm compile reads the store once. The artifact and
+    its solver counters report the entry's solver stats. On a miss, each
+    tiling solve consults the layer tier before burning search work, and
+    the compile's decisions are written back. Warm compiles are
+    byte-identical to cold ones: same {!artifact_digest}, same solver
+    stats. Corrupt, truncated or version-skewed entries, and entries
+    whose replay asks a question they did not record, are rejected
+    (counted on the store handle), recomputed and overwritten — never
+    served. *)
 
 val run :
   ?trace:Trace.t ->

@@ -73,6 +73,47 @@ let describe l =
         (if max then "max" else "avg")
         py px (dims l.in_shape) (dims l.out_shape)
 
+(* Fields are assembled with [Util.Key.encode] (length-prefixed), so no
+   field's contents can shift another's boundary. *)
+let signature l =
+  let dims d = String.concat "x" (List.map string_of_int (Array.to_list d)) in
+  let tensor_sig = function
+    | None -> "-"
+    | Some t -> Dtype.to_string (Tensor.dtype t) ^ ":" ^ dims (Tensor.shape t)
+  in
+  let kind =
+    match l.kind with
+    | Conv p ->
+        let sy, sx = p.K.stride and py, px = p.K.padding in
+        Printf.sprintf "conv:s%dx%d:p%dx%d:g%d" sy sx py px p.K.groups
+    | Dense -> "dense"
+    | Add -> "add"
+    | Pool { max; attrs } ->
+        let py, px = attrs.Op.pool and sy, sx = attrs.Op.pool_stride in
+        Printf.sprintf "pool:%b:%dx%d:s%dx%d" max py px sy sx
+  in
+  let fused_pool =
+    match l.fused_pool with
+    | None -> "-"
+    | Some a ->
+        let py, px = a.Op.pool and sy, sx = a.Op.pool_stride in
+        Printf.sprintf "fp%dx%d:s%dx%d" py px sy sx
+  in
+  Util.Key.encode
+    [
+      kind;
+      fused_pool;
+      dims l.in_shape;
+      (match l.in2_shape with None -> "-" | Some s -> dims s);
+      dims l.out_shape;
+      Dtype.to_string l.in_dtype;
+      Dtype.to_string l.out_dtype;
+      tensor_sig l.weights;
+      tensor_sig l.bias;
+      (match l.shift with None -> "-" | Some s -> string_of_int s);
+      string_of_bool l.relu;
+    ]
+
 let apply_epilogue l acc =
   let biased =
     match l.bias with None -> acc | Some bias -> K.bias_add acc bias

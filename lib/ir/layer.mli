@@ -51,6 +51,12 @@ val kernel_dims : t -> int * int
 val describe : t -> string
 (** Short human-readable summary, e.g. [conv2d 16x32x32 -> 32x16x16 k3x3 s2]. *)
 
+val signature : t -> string
+(** Everything a cost model can observe of the layer: kind and its
+    attributes, fused pool, shapes, dtypes, the weight and bias dtypes
+    and shapes, shift and relu, but never tensor contents. An injective
+    {!Util.Key} encoding, so layers that tile and tune alike share it. *)
+
 val execute : t -> ?second:Tensor.t -> Tensor.t -> Tensor.t
 (** Reference semantics of the whole fused layer (conv/dense/add/pool,
     bias, requantize). Differential tests compare every tiled accelerator
