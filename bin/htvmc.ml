@@ -96,6 +96,14 @@ let write_file path contents =
 
 (* --- persistent store plumbing --- *)
 
+(* Every command that opens a store exits 1 with one line when the root
+   is empty or cannot be opened (a regular file, no permission). *)
+let open_store root =
+  try Store.open_root root
+  with Sys_error e ->
+    Printf.eprintf "htvmc: cannot open cache: %s\n" e;
+    exit 1
+
 (* Resolve --cache / --cache-dir DIR / --no-cache into an optional store
    handle. Default off: runs without a cache flag behave exactly as
    before. --cache-dir implies --cache; --no-cache wins over both (so a
@@ -104,8 +112,8 @@ let store_of_args cache cache_dir no_cache =
   if no_cache then None
   else
     match cache_dir with
-    | Some dir -> Some (Store.open_root dir)
-    | None -> if cache then Some (Store.open_root (Store.default_root ())) else None
+    | Some dir -> Some (open_store dir)
+    | None -> if cache then Some (open_store (Store.default_root ())) else None
 
 (* Store traffic counters ride the cycles track next to the compile
    counters. Call this after the compiles and before any serve run (the
@@ -1088,12 +1096,7 @@ let cache_action action cache_dir max_bytes =
   let root =
     match cache_dir with Some d -> d | None -> Store.default_root ()
   in
-  let st =
-    try Store.open_root root
-    with Sys_error e ->
-      Printf.eprintf "htvmc: cannot open cache: %s\n" e;
-      exit 1
-  in
+  let st = open_store root in
   match action with
   | "stats" ->
       let es = Store.entries st in

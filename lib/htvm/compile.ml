@@ -396,8 +396,8 @@ let artifact_store_key cfg graph =
     [ code_version; "artifact"; config_fingerprint cfg; graph_digest graph ]
 
 (* The artifact's canonical form: every field but [cfg] and the derived
-   plan, as one [No_sharing] marshal (the tuple has the same layout as
-   the record earlier versions stored, so digests carry over). *)
+   plan, as one [No_sharing] marshal. The tuple's field order and layout
+   are fixed: pinned digests (CLI smokes, README) depend on them. *)
 let artifact_digest a =
   Digest.to_hex
     (Digest.string

@@ -69,6 +69,7 @@ let version_root t = Filename.concat t.root version
 let tier_dir t tier = Filename.concat (version_root t) (tier_name tier)
 
 let open_root root =
+  if root = "" then raise (Sys_error "empty store root");
   let t = { root; hits = 0; misses = 0; rejects = 0; evictions = 0 } in
   mkdir_p (tier_dir t Layer);
   mkdir_p (tier_dir t Artifact);

@@ -2,9 +2,10 @@
 
     A store is a directory of immutable entries shared across runs, CLI
     invocations, and serve fleets. Entries live in two tiers: the
-    {e layer} tier maps a tiling-problem signature to a serialized
-    solver outcome, the {e artifact} tier maps a graph+config+target
-    digest to a full compiled artifact. The store itself is agnostic to
+    {e layer} tier maps a tiling-problem signature to an encoded solver
+    outcome, the {e artifact} tier maps a graph-structure+config digest
+    to the solver and tuner decisions of one compile. Neither holds
+    compiled bytes. The store itself is agnostic to
     the payload format — callers hand it opaque bytes under an opaque
     key; keys are hashed to sharded paths, so arbitrary key contents
     are safe.
@@ -41,7 +42,8 @@ val default_root : unit -> string
 
 val open_root : string -> t
 (** Open (creating if needed) a store rooted at the given directory.
-    Raises [Sys_error] if the directory cannot be created. *)
+    Raises [Sys_error] if the root is empty or the directory cannot be
+    created (e.g. a path component is a regular file). *)
 
 val root : t -> string
 
@@ -56,8 +58,9 @@ val put : t -> tier -> key:string -> string -> unit
 
 val invalidate : t -> tier -> key:string -> unit
 (** Delete the entry for [key] and count a reject. Used by callers
-    whose own decode of a digest-valid payload fails (e.g. an
-    unmarshal error): the entry must not be served again. *)
+    whose own check of a digest-valid payload fails (it does not
+    decode, or its replay asks questions it did not record): the entry
+    must not be served again. *)
 
 val hits : t -> int
 

@@ -382,6 +382,239 @@ let prop_cold_warm_identical =
                   && Htvm.Compile.artifact_digest cold
                      = Htvm.Compile.artifact_digest warm)))
 
+(* --- decisions, not bytes --- *)
+
+let digest = Htvm.Compile.artifact_digest
+
+let both_cfg () = Htvm.Compile.default_config Arch.Diana.platform
+
+let counts st = (Store.hits st, Store.misses st, Store.rejects st)
+
+let check_counts msg expected st =
+  Alcotest.(check (triple int int int)) msg expected (counts st)
+
+(* The decisions an entry holds depend on the graph's structure, not on
+   its weights: a weight variant of a stored network reads the one entry
+   and replays it without a single solve, yet yields its own artifact. *)
+let test_weight_variants_share_entry () =
+  List.iter
+    (fun (e : Models.Zoo.entry) ->
+      with_store (fun root ->
+          let name = e.Models.Zoo.model_name in
+          let cfg = both_cfg () in
+          let g1 = e.Models.Zoo.build ~seed:1 Models.Policy.Mixed in
+          let g2 = e.Models.Zoo.build ~seed:2 Models.Policy.Mixed in
+          let a1 = compile_with (Some (Store.open_root root)) cfg g1 in
+          let st = Store.open_root root in
+          Dory.Tiling.reset_solver_work ();
+          let a2 = compile_with (Some st) cfg g2 in
+          check_counts (name ^ ": one hit, no miss") (1, 0, 0) st;
+          Alcotest.(check int) (name ^ ": no solve") 0
+            (Dory.Tiling.solver_work ()).Dory.Tiling.solves;
+          Alcotest.(check string) (name ^ ": seed 2's own artifact")
+            (digest (compile_with None cfg g2)) (digest a2);
+          Alcotest.(check bool) (name ^ ": not seed 1's artifact") true
+            (digest a1 <> digest a2)))
+    Models.Zoo.all
+
+(* A digest-valid entry filed under the wrong key (here resnet8's
+   decisions under ds_cnn's key) is only a hint: its replay asks other
+   questions than it recorded, so the compile rejects it, returns the
+   cold artifact and overwrites the entry. *)
+let test_entry_is_a_hint () =
+  with_store (fun root ->
+      let cfg = both_cfg () in
+      let donor = zoo_graph "resnet8" and g = zoo_graph "ds_cnn" in
+      ignore (compile_with (Some (Store.open_root root)) cfg donor);
+      let src = entry_file root "artifact" (Htvm.Compile.artifact_store_key cfg donor) in
+      let dst = entry_file root "artifact" (Htvm.Compile.artifact_store_key cfg g) in
+      if not (Sys.file_exists (Filename.dirname dst)) then
+        Sys.mkdir (Filename.dirname dst) 0o755;
+      write_raw dst (read_raw src);
+      let st = Store.open_root root in
+      let warm = compile_with (Some st) cfg g in
+      Alcotest.(check string) "the cold artifact"
+        (digest (compile_with None cfg g)) (digest warm);
+      Alcotest.(check int) "one reject" 1 (Store.rejects st);
+      Alcotest.(check bool) "entry overwritten" true (read_raw dst <> read_raw src);
+      let again_st = Store.open_root root in
+      let again = compile_with (Some again_st) cfg g in
+      check_counts "next compile is a clean hit" (1, 0, 0) again_st;
+      Alcotest.(check string) "same artifact" (digest warm) (digest again))
+
+(* Autotuning results are decisions too: a warm cpu-only compile with a
+   tuning budget replays every search instead of measuring again. *)
+let test_tuning_replayed () =
+  with_store (fun root ->
+      let cfg =
+        { (Htvm.Compile.default_config Arch.Diana.cpu_only) with
+          Htvm.Compile.autotune_budget = Some 20_000 }
+      in
+      List.iter
+        (fun (e : Models.Zoo.entry) ->
+          let name = e.Models.Zoo.model_name in
+          let g = e.Models.Zoo.build Models.Policy.Mixed in
+          let cold = compile_with (Some (Store.open_root root)) cfg g in
+          let st = Store.open_root root in
+          let warm = compile_with (Some st) cfg g in
+          check_counts (name ^ ": one hit") (1, 0, 0) st;
+          Alcotest.(check bool) (name ^ ": tuned") true
+            (cold.Htvm.Compile.tuning_trials > 0);
+          Alcotest.(check int) (name ^ ": tuning trials")
+            cold.Htvm.Compile.tuning_trials warm.Htvm.Compile.tuning_trials;
+          Alcotest.(check string) (name ^ ": digest") (digest cold) (digest warm))
+        Models.Zoo.all)
+
+(* The codec fixture. These encodings pin the store's format: a change
+   that breaks them must also bump the code version, pinned here as the
+   first field of every store key, so old entries read as misses. *)
+let fixture_version = "htvm-code-v2"
+
+let fixture_ok =
+  "2:ok1:82:161:41:81:62:1020:0x1.3333333333334p-220:0x1.5555555555555p-24:true2:122:402:311:9"
+
+let fixture_error =
+  "5:error35:conv2d 16x32x32 -> 32x16x16 k3x3 s213:diana_digital3:5121:71:01:2"
+
+let ok_outcome =
+  {
+    Dory.Tiling.result =
+      Ok
+        {
+          Dory.Tiling.tile = { Arch.Tile.c = 8; k = 16; oy = 4; ox = 8; iy = 6; ix = 10 };
+          objective = 0.1 +. 0.2;
+          mem_utilization = 1.0 /. 3.0;
+          tiled = true;
+          tile_count = 12;
+        };
+    stats = { Dory.Tiling.explored = 40; feasible = 31; pruned = 9 };
+  }
+
+let error_outcome =
+  {
+    Dory.Tiling.result =
+      Error
+        {
+          Dory.Tiling.inf_layer = "conv2d 16x32x32 -> 32x16x16 k3x3 s2";
+          inf_accel = "diana_digital";
+          inf_l1_budget = 512;
+        };
+    stats = { Dory.Tiling.explored = 7; feasible = 0; pruned = 2 };
+  }
+
+let test_codec_fixture () =
+  List.iter
+    (fun (name, fixture, outcome) ->
+      Alcotest.(check bool) (name ^ ": fixture decodes") true
+        (Htvm.Compile.decode_outcome fixture = Some outcome);
+      Alcotest.(check string) (name ^ ": encoding pinned") fixture
+        (Htvm.Compile.encode_outcome outcome))
+    [ ("ok", fixture_ok, ok_outcome); ("error", fixture_error, error_outcome) ];
+  match Util.Key.decode (Htvm.Compile.artifact_store_key (both_cfg ()) (zoo_graph "resnet8")) with
+  | Some (version :: _) -> Alcotest.(check string) "code version" fixture_version version
+  | _ -> Alcotest.fail "store key is not a Util.Key encoding"
+
+let fields s = Option.get (Util.Key.decode s)
+
+(* The four malformed payload shapes, applied to an encoded outcome. *)
+let malformed =
+  [
+    ("truncated", fun s -> String.sub s 0 (String.length s - 1));
+    ("trailing byte", fun s -> s ^ "0");
+    ("unknown tag", fun s -> Util.Key.encode ("maybe" :: List.tl (fields s)));
+    ( "non-numeric",
+      fun s ->
+        (* The last field, the pruned count, is numeric in every outcome. *)
+        match List.rev (fields s) with
+        | _ :: rest -> Util.Key.encode (List.rev ("many" :: rest))
+        | [] -> Alcotest.fail "outcome has no field" );
+  ]
+
+let test_codec_rejects_malformed () =
+  List.iter
+    (fun (name, corrupt) ->
+      List.iter
+        (fun fixture ->
+          Alcotest.(check bool) (name ^ " decodes to None") true
+            (Htvm.Compile.decode_outcome (corrupt fixture) = None))
+        [ fixture_ok; fixture_error ])
+    malformed
+
+(* Through compile: each malformed shape, applied to the first outcome
+   of a real artifact-tier entry (the whole entry, for truncation and a
+   trailing byte), is one reject and a recompute that restores the
+   entry. An entry is three fields: solver totals, the solves (each a
+   signature with its outcome) and the tunes. *)
+let test_malformed_entries_recomputed () =
+  with_store (fun root ->
+      let cfg = both_cfg () and g = zoo_graph "resnet8" in
+      let cold = compile_with (Some (Store.open_root root)) cfg g in
+      let key = Htvm.Compile.artifact_store_key cfg g in
+      let payload = Option.get (Store.find (Store.open_root root) Store.Artifact ~key) in
+      let first_outcome corrupt =
+        match fields payload with
+        | [ stats; solves; tunes ] -> (
+            match fields solves with
+            | first :: rest -> (
+                match fields first with
+                | [ q; o ] ->
+                    Util.Key.encode
+                      [ stats;
+                        Util.Key.encode (Util.Key.encode [ q; corrupt o ] :: rest);
+                        tunes ]
+                | _ -> Alcotest.fail "a solve is not two fields")
+            | [] -> Alcotest.fail "entry records no solve")
+        | _ -> Alcotest.fail "entry is not three fields"
+      in
+      List.iter
+        (fun (name, corrupt) ->
+          let bad =
+            match name with
+            | "truncated" | "trailing byte" -> corrupt payload
+            | _ -> first_outcome corrupt
+          in
+          Store.put (Store.open_root root) Store.Artifact ~key bad;
+          let st = Store.open_root root in
+          let warm = compile_with (Some st) cfg g in
+          Alcotest.(check int) (name ^ ": one reject") 1 (Store.rejects st);
+          Alcotest.(check string) (name ^ ": recomputed") (digest cold) (digest warm);
+          Alcotest.(check (option string)) (name ^ ": entry restored") (Some payload)
+            (Store.find (Store.open_root root) Store.Artifact ~key))
+        malformed)
+
+let outcome_gen =
+  let open QCheck.Gen in
+  let stats =
+    map3 (fun explored feasible pruned -> { Dory.Tiling.explored; feasible; pruned }) int int int
+  in
+  let tile =
+    map3
+      (fun (c, k) (oy, ox) (iy, ix) -> { Arch.Tile.c; k; oy; ox; iy; ix })
+      (pair int int) (pair int int) (pair int int)
+  in
+  let ok =
+    map3
+      (fun tile (objective, mem_utilization) (tiled, tile_count) ->
+        Ok { Dory.Tiling.tile; objective; mem_utilization; tiled; tile_count })
+      tile (pair float float) (pair bool int)
+  in
+  let error =
+    map3
+      (fun inf_layer inf_accel inf_l1_budget ->
+        Error { Dory.Tiling.inf_layer; inf_accel; inf_l1_budget })
+      string string int
+  in
+  map2 (fun result stats -> { Dory.Tiling.result; stats }) (oneof [ ok; error ]) stats
+
+(* [compare], not [=]: a nan objective must round-trip too. *)
+let prop_codec_round_trips =
+  Helpers.qtest ~count:500 "outcome codec round-trips"
+    (QCheck.make outcome_gen)
+    (fun o ->
+      match Htvm.Compile.decode_outcome (Htvm.Compile.encode_outcome o) with
+      | Some o' -> compare o o' = 0
+      | None -> false)
+
 let suites =
   [ ( "store",
       [
@@ -407,5 +640,17 @@ let suites =
           Alcotest.test_case "platform variants do not collide" `Quick
             test_platform_variants_do_not_collide;
           prop_cold_warm_identical;
+          Alcotest.test_case "weight variants share one decisions entry" `Quick
+            test_weight_variants_share_entry;
+          Alcotest.test_case "an entry is a hint, never a wrong answer" `Quick
+            test_entry_is_a_hint;
+          Alcotest.test_case "tuning results are replayed" `Quick
+            test_tuning_replayed;
+          Alcotest.test_case "codec fixture" `Quick test_codec_fixture;
+          Alcotest.test_case "codec rejects malformed payloads" `Quick
+            test_codec_rejects_malformed;
+          Alcotest.test_case "malformed entries recomputed" `Quick
+            test_malformed_entries_recomputed;
+          prop_codec_round_trips;
         ] )
   ]

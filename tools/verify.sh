@@ -232,31 +232,59 @@ fi
 
 # Persistent-store smoke: compiling the same model twice into a fresh
 # cache directory must (a) produce byte-identical artifact digests,
-# (b) report zero hits cold and nonzero hits warm, and (c) leave a
-# store that `htvmc cache` can inspect, verify, and gc — the tight
-# --max-bytes cap forces the LRU eviction path to run.
+# (b) miss cold and read the store exactly once warm (one artifact-tier
+# hit replays every decision; the layer tier is not consulted), and
+# (c) leave a store that `htvmc cache` can inspect, verify, and gc — the
+# tight --max-bytes cap forces the LRU eviction path to run. The cpu
+# pair has no accelerator layer, so its artifact tier is the only tier.
 echo "== htvmc store smoke (cold vs warm, cache stats/verify/gc) =="
-rm -rf _build/store-cache
-dune exec bin/htvmc.exe -- compile _build/serve-smoke.htvm --config both \
-  --cache-dir _build/store-cache > _build/store-cold.out
-dune exec bin/htvmc.exe -- compile _build/serve-smoke.htvm --config both \
-  --cache-dir _build/store-cache > _build/store-warm.out
-grep '^artifact digest: ' _build/store-cold.out > _build/store-cold.digest
-grep '^artifact digest: ' _build/store-warm.out > _build/store-warm.digest
-if ! diff _build/store-cold.digest _build/store-warm.digest; then
-  echo "verify: warm compile artifact digest differs from cold" >&2
-  exit 1
-fi
-cold_hits=$(sed -n 's/^store: hits=\([0-9]*\).*/\1/p' _build/store-cold.out)
-warm_hits=$(sed -n 's/^store: hits=\([0-9]*\).*/\1/p' _build/store-warm.out)
-if [ "$cold_hits" != 0 ]; then
-  echo "verify: cold compile reported $cold_hits store hits (want 0)" >&2
-  exit 1
-fi
-if [ "$warm_hits" = "" ] || [ "$warm_hits" = 0 ]; then
-  echo "verify: warm compile reported no store hits" >&2
-  exit 1
-fi
+rm -rf _build/store-cache _build/store-cache-cpu
+store_pair() { # config cache-dir expected-cold-counts
+  dune exec bin/htvmc.exe -- compile _build/serve-smoke.htvm --config "$1" \
+    --cache-dir "$2" > _build/store-cold.out
+  dune exec bin/htvmc.exe -- compile _build/serve-smoke.htvm --config "$1" \
+    --cache-dir "$2" > _build/store-warm.out
+  grep '^artifact digest: ' _build/store-cold.out > _build/store-cold.digest
+  grep '^artifact digest: ' _build/store-warm.out > _build/store-warm.digest
+  if ! diff _build/store-cold.digest _build/store-warm.digest; then
+    echo "verify: $1 warm compile artifact digest differs from cold" >&2
+    exit 1
+  fi
+  if ! grep -q "^store: $3 " _build/store-cold.out; then
+    echo "verify: $1 cold compile: want '$3', got:" >&2
+    grep '^store: ' _build/store-cold.out >&2
+    exit 1
+  fi
+  if ! grep -q '^store: hits=1 misses=0 rejects=0 ' _build/store-warm.out; then
+    echo "verify: $1 warm compile must read the store exactly once, got:" >&2
+    grep '^store: ' _build/store-warm.out >&2
+    exit 1
+  fi
+}
+store_pair both _build/store-cache 'hits=0 misses=[0-9]* rejects=0'
+store_pair cpu _build/store-cache-cpu 'hits=0 misses=1 rejects=0'
+
+# A --cache-dir that is empty or cannot be opened (here a regular file)
+# exits 1 with one line and writes nothing, for every command taking it.
+echo "== htvmc bad --cache-dir (one line, exit 1, nothing written) =="
+rm -rf _build/store-bad && mkdir -p _build/store-bad && : > _build/store-bad/file
+htvmc="$PWD/_build/default/bin/htvmc.exe"
+for dir in "$PWD/_build/store-bad/file" ""; do
+  status=0
+  (cd _build/store-bad && "$htvmc" compile \
+    ../serve-smoke.htvm --config both --cache-dir "$dir") \
+    > _build/store-bad.out 2> _build/store-bad.err || status=$?
+  if [ "$status" != 1 ] || [ "$(wc -l < _build/store-bad.err)" != 1 ] \
+    || ! grep -q '^htvmc: cannot open cache: ' _build/store-bad.err; then
+    echo "verify: --cache-dir '$dir' gave exit $status and:" >&2
+    cat _build/store-bad.err >&2
+    exit 1
+  fi
+  if [ "$(ls _build/store-bad)" != file ]; then
+    echo "verify: --cache-dir '$dir' wrote into the working directory" >&2
+    exit 1
+  fi
+done
 dune exec bin/htvmc.exe -- cache stats --cache-dir _build/store-cache
 dune exec bin/htvmc.exe -- cache verify --cache-dir _build/store-cache
 dune exec bin/htvmc.exe -- cache gc --cache-dir _build/store-cache --max-bytes 2048
