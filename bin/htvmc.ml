@@ -1183,11 +1183,23 @@ let faults_file_arg =
        & info [ "faults" ] ~docv:"FILE"
            ~doc:"Load the fault plan from FILE (same grammar as \
                  $(b,--inject), one or more rules per line).")
+(* A negative budget would act as 0 (a guard aborts once a fault's
+   attempts exceed the budget), so it is refused before any work, with
+   one line and exit 1, not reinterpreted. *)
 let retry_budget_arg =
-  Arg.(value & opt int 3
-       & info [ "retry-budget" ] ~docv:"N"
-           ~doc:"Detected-fault retries allowed per operation before the \
-                 modeled runtime aborts the inference.")
+  let checked n =
+    if n < 0 then begin
+      Printf.eprintf "htvmc: --retry-budget must be >= 0 (got %d)\n" n;
+      exit 1
+    end;
+    n
+  in
+  Term.(const checked
+        $ Arg.(value & opt int 3
+               & info [ "retry-budget" ] ~docv:"N"
+                   ~doc:"Detected-fault retries allowed per operation before \
+                         the modeled runtime aborts the inference; must be \
+                         >= 0."))
 let degrade_arg =
   Arg.(value & opt_all string []
        & info [ "degrade" ] ~docv:"TARGET"

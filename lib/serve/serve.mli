@@ -79,7 +79,7 @@ type config = {
       (** fault campaign; {!Fault.Plan.empty} disables injection. Each
           request draws from a session seeded by [plan.seed] and the
           request id. *)
-  retry_budget : int;  (** per-operation retries before a request aborts *)
+  retry_budget : int;  (** per-operation retries before a request aborts; [>= 0] *)
   degrade_after : int option;
       (** mark an instance degraded once the fault sessions of the
           requests it served have reported this many faults (detected +
@@ -327,8 +327,8 @@ val run :
     registry. Registration is strict, so a caller-supplied registry must
     not have hosted a serve run before.
     @raise Invalid_argument on a non-positive [workers], [max_batch],
-    [queue_depth], [slo_sojourn], a negative [requests], [input_mix] or
-    [dispatch_overhead],
+    [queue_depth], [slo_sojourn], a negative [requests], [input_mix],
+    [retry_budget] or [dispatch_overhead],
     [memoize] combined with a non-empty fault [plan], a
     [degraded_instances] id outside [[0, workers)] or listed twice, an
     out-of-range [health] field (see {!Health.validate}), or [health]

@@ -31,7 +31,31 @@ module K = Nn.Kernels
    input contributes exactly 0 at the out-of-range taps the slow path's
    bounds checks skip. Reading weights live is what makes L2 bit rot and a
    program's own DMA-out over a later step's weight image follow the
-   oracle byte for byte: both paths decode the same bytes. *)
+   oracle byte for byte: both paths decode the same bytes.
+
+   Lanes. The conv kernel accumulates up to n output channels of one conv
+   group side by side in one [int], L bits per lane, so one multiply-add
+   serves n channels. The rule that keeps this exact:
+   - B = taps * max|x| * max|w|, taps = cg * fy * fx, each max taken over
+     the whole dtype range (I8 128, U7 127, Ternary 1, I16 2^15, I32 2^31).
+     Every decode lands in that range, rotted L2 and L1 bytes included:
+     [Mem]'s ternary fold stays in {-1,0,1}.
+   - L is the least width with 2^(L-1) > B, and
+     n = max 1 (min kpg (Sys.int_size / L)); n = 1 when B would
+     overflow.
+   - A packed tap, sum of w_l * 2^(l*L), is 0 iff every w_l is 0, since
+     |w_l| < 2^(L-1), so skipping it skips exactly the all-zero taps.
+     Every partial lane sum stays inside (-2^(L-1), 2^(L-1)) and
+     n * L <= Sys.int_size, so the packed int never wraps;
+     sign-extending its low L bits and shifting the rest right recovers
+     each channel's exact sum, the oracle's bits.
+   - Lane groups never straddle conv groups. Lane group j's packed row
+     lives in accumulator row j, and its first channel is at least j, so
+     unpacking the groups in descending order never overwrites a packed
+     row not yet read: the accumulator needs no extra words.
+   Depthwise layers have one channel per group, hence one lane, and one
+   lane runs the plain loop: the packed tap is the weight itself and
+   nothing is unpacked. *)
 
 (* --- Plan data types ---------------------------------------------------- *)
 
@@ -70,6 +94,8 @@ type compute =
       cv_oh : int;  (* pre-pool conv output dims on the padded input *)
       cv_ow : int;
       cv_ws : wslice;  (* the k0 slice: cv_k filters of cg * fy * fx taps *)
+      cv_lanes : int;  (* channels per packed accumulator (see the header) *)
+      cv_lane_bits : int;
       cv_in_dtype : Dtype.t;
       cv_ep : epilogue;
     }
@@ -262,13 +288,28 @@ let fill_padded ~l1 ~dtype ~l1_off ~dst ~chans ~rows ~cols ~ph ~pw ~pt ~pl =
    element read can fault. Nothing between the checks touches memory, so
    a fault leaves the state the slow path leaves. *)
 
+(* The lanes of a conv tile and their width, by the header's rule. Two
+   lanes need 2L <= Sys.int_size, so a bound past [cap] means one lane;
+   checking against [cap] first keeps B itself from overflowing. *)
+let conv_lanes ~in_dtype ~w_dtype ~taps ~kpg =
+  let mag dt = max (-Dtype.min_value dt) (Dtype.max_value dt) in
+  let mx = mag in_dtype and mw = mag w_dtype in
+  let cap = 1 lsl ((Sys.int_size / 2) - 1) in
+  if taps < 1 || mx > cap / mw || mx * mw > cap / taps then (1, Sys.int_size)
+  else
+    let b = taps * mx * mw in
+    let rec width l = if 1 lsl (l - 1) > b then l else width (l + 1) in
+    let l = width 1 in
+    (max 1 (min kpg (Sys.int_size / l)), l)
+
 (* Weight-stationary: each tap weight is decoded from L2 once, skipped
    when zero, and swept across the output plane in runs of contiguous
    output columns, so the innermost loop no longer spans the 1-3 kernel
    columns. The terms are [Nn.Kernels.conv2d]'s, summed in a different
-   order. *)
+   order. A tap carries the weights of a lane group's channels, packed
+   [lane_bits] apart, so each sweep accumulates them all at once. *)
 let conv_kernel ~l2 ~ws ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups
-    ~cv_oh ~cv_ow ~chw pin acc =
+    ~cv_oh ~cv_ow ~lanes ~lane_bits ~chw pin acc =
   Mem.check l2 ws.ws_off ws.ws_bytes;
   let wdt = ws.ws_dtype in
   let wb = Dtype.sim_bytes wdt in
@@ -281,19 +322,21 @@ let conv_kernel ~l2 ~ws ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_group
   let runs, run_len =
     if cv_sy = 1 && cv_sx = 1 && cv_w = cv_ow then (1, plane) else (cv_oh, cv_ow)
   in
-  Array.fill acc 0 (cv_k * plane) 0;
-  for ko = 0 to cv_k - 1 do
-    let grp = ko / kpg in
-    let out_base = ko * plane in
+  (* Channels [k0, k0 + m) of conv group [grp], packed into row [j]. *)
+  let sweep ~j ~k0 ~m ~grp =
+    let out_base = j * plane in
     for ci = 0 to cv_cg - 1 do
       let in_ch_base = ((grp * cv_cg) + ci) * chw in
       for ky = 0 to cv_fy - 1 do
         for kx = 0 to cv_fx - 1 do
-          let wv =
-            Mem.read_elt l2 wdt
-              (ws.ws_off
-              + (((ko * taps) + (((ci * cv_fy) + ky) * cv_fx) + kx) * wb))
-          in
+          let tap = (((ci * cv_fy) + ky) * cv_fx) + kx in
+          let wv = ref 0 in
+          for l = m - 1 downto 0 do
+            wv :=
+              (!wv lsl lane_bits)
+              + Mem.read_elt l2 wdt (ws.ws_off + ((((k0 + l) * taps) + tap) * wb))
+          done;
+          let wv = !wv in
           if wv <> 0 then
             for r = 0 to runs - 1 do
               let src = in_ch_base + (((r * cv_sy) + ky) * cv_w) + kx
@@ -315,7 +358,34 @@ let conv_kernel ~l2 ~ws ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_group
         done
       done
     done
-  done
+  in
+  (* Row [j] spread over channels [k0, k0 + m) in place: each lane is the
+     sign-extended low [lane_bits] bits left once the lanes below it are
+     shifted out. *)
+  let unpack ~j ~k0 ~m =
+    let drop = Sys.int_size - lane_bits in
+    for p = 0 to plane - 1 do
+      let v = ref (Array.unsafe_get acc ((j * plane) + p)) in
+      for l = 0 to m - 1 do
+        let s = (!v lsl drop) asr drop in
+        Array.unsafe_set acc (((k0 + l) * plane) + p) s;
+        v := (!v - s) asr lane_bits
+      done
+    done
+  in
+  (* Every lane group is swept on the way down and unpacked on the way
+     back up, so unpacking runs in descending order. *)
+  let rec lane_groups j k0 =
+    if k0 < cv_k then begin
+      let grp = k0 / kpg in
+      let m = min lanes (min cv_k ((grp + 1) * kpg) - k0) in
+      sweep ~j ~k0 ~m ~grp;
+      lane_groups (j + 1) (k0 + m);
+      if lanes > 1 then unpack ~j ~k0 ~m
+    end
+  in
+  Array.fill acc 0 (cv_k * plane) 0;
+  lane_groups 0 0
 
 let dense_kernel ~l2 ~ws ~dn_c ~dn_k pin acc =
   Mem.check l2 ws.ws_off ws.ws_bytes;
@@ -559,6 +629,11 @@ let build_astep ~platform ~blits ~prog ~accel_name ~(s : S.t) ~ins ~out
                           { p with K.padding = (0, 0) }
                       in
                       let ep = make_epilogue ~k:d.Tile.k ~oh ~ow ~k0:inst.S.k0 in
+                      let ws = wslice ~k0:inst.S.k0 ~kd:d.Tile.k in
+                      let lanes, lane_bits =
+                        conv_lanes ~in_dtype:l.L.in_dtype ~w_dtype:ws.ws_dtype
+                          ~taps:(cg * fy * fx) ~kpg:(d.Tile.k / groups)
+                      in
                       ( CConv
                           {
                             cv_chans = chans;
@@ -577,7 +652,9 @@ let build_astep ~platform ~blits ~prog ~accel_name ~(s : S.t) ~ins ~out
                             cv_groups = groups;
                             cv_oh = oh;
                             cv_ow = ow;
-                            cv_ws = wslice ~k0:inst.S.k0 ~kd:d.Tile.k;
+                            cv_ws = ws;
+                            cv_lanes = lanes;
+                            cv_lane_bits = lane_bits;
                             cv_in_dtype = l.L.in_dtype;
                             cv_ep = ep;
                           },
@@ -861,8 +938,8 @@ let exec_compute ~l2 ~l1 inst scr =
         ~pw:cv.cv_w ~pt:cv.cv_pt ~pl:cv.cv_pl;
       conv_kernel ~l2 ~ws:cv.cv_ws ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
         ~cv_fy:cv.cv_fy ~cv_fx:cv.cv_fx ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
-        ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow
-        ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;
+        ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~lanes:cv.cv_lanes
+        ~lane_bits:cv.cv_lane_bits ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;
       run_epilogue ~l2 cv.cv_ep scr.sc_acc scr.sc_out;
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off scr.sc_out ~pos:0
         ~len:inst.i_out_len

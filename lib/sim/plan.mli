@@ -7,7 +7,10 @@
     trace timeline — so that the per-request loop is pure data movement and
     kernel math over preallocated scratch. Like the oracle, a tile reads
     its weights and bias from the L2 it runs on, checking each slice once
-    and decoding with {!Mem.read_elt} and {!Mem.dot}.
+    and decoding with {!Mem.read_elt} and {!Mem.dot}. The conv kernel
+    packs the sums of several output channels into one [int], in lanes
+    [build] sizes so that no sum can overflow its lane, so one
+    multiply-add serves them all.
 
     Scratch lives in a per-domain {e arena}: reused L2/L1 memories plus
     per-tile padded-input, accumulator and output buffers, reset between

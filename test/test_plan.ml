@@ -40,17 +40,22 @@ let compare_traces label slow fast =
   Alcotest.(check bool) (label ^ ": trace events identical") true
     (Trace.events slow = Trace.events fast)
 
-(* Output bytes, per-step counters and trace events of one artifact on
-   the plan path against the slow oracle, for two requests in a row:
-   arena reuse across requests must not leak state. *)
-let check_against_oracle label artifact g =
-  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+(* Output bytes, per-step counters and trace events of one request on the
+   plan path against the slow oracle; returns the oracle's output. *)
+let traced_differential label artifact ~inputs =
   let tr_slow = Trace.create () and tr_fast = Trace.create () in
   let out_slow, rep_slow = C.run ~trace:tr_slow ~use_plan:false artifact ~inputs in
   let out_fast, rep_fast = C.run ~trace:tr_fast artifact ~inputs in
   compare_outputs label out_slow out_fast;
   compare_reports label rep_slow rep_fast;
   compare_traces label tr_slow tr_fast;
+  out_slow
+
+(* The same for two requests in a row: arena reuse across requests must
+   not leak state. *)
+let check_against_oracle label artifact g =
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  ignore (traced_differential label artifact ~inputs);
   let inputs2 = Models.Zoo.random_input ~seed:(Check.Golden.input_seed + 1) g in
   let out_slow2, rep_slow2 = C.run ~use_plan:false artifact ~inputs:inputs2 in
   let out_fast2, rep_fast2 = C.run artifact ~inputs:inputs2 in
@@ -105,6 +110,158 @@ let test_zero_filter_differential () =
   Alcotest.(check int) "the conv runs on the accelerator" 1
     (Sim.Plan.stats artifact.C.plan).Sim.Plan.accel_steps;
   check_against_oracle "zero filter" artifact g
+
+(* --- Lane sums at their bound ------------------------------------------- *)
+
+(* How a lane case fills its input and weights. [Bound]: both at their
+   dtype's most negative value, so every unpadded sum is
+   taps * max|x| * max|w|, the bound the plan sizes its packed lanes by.
+   [Opposite]: the most positive input against the most negative weight,
+   the negative extreme. [Random]: drawn from the seed. *)
+type fill = Bound | Opposite | Random of int
+
+let fill_name = function
+  | Bound -> "bound"
+  | Opposite -> "opposite"
+  | Random seed -> Printf.sprintf "random %d" seed
+
+(* One conv of [k] filters (depthwise: [c]) of [f] x [f] taps over a
+   [c] x [hw] x [hw] I8 input, with an optional fused 2x2 max pool, on
+   digital_only (I8 weights) or analog_only (ternary), [l1_kib] shrinking
+   L1 to force tiling. Under an extreme fill every unpadded sum is the
+   same, and the bias brings it back to a small per-channel value that
+   the unshifted requantize keeps bit for bit. A random fill is shifted
+   so that B lands in 8 bits, where a wrapped lane still shows. *)
+let lane_case ~analog ~c ~k ~f ~hw ~pad ~dw ~pool ~l1_kib fill =
+  let module B = Ir.Graph.Builder in
+  let module D = Tensor.Dtype in
+  let w_dtype = if analog then D.Ternary else D.I8 in
+  let cg = if dw then 1 else c and k = if dw then c else k in
+  let x_shape = [| c; hw; hw |] and w_shape = [| k; cg; f; f |] in
+  let x, w, sum =
+    match fill with
+    | Random seed ->
+        let rng = Util.Rng.create seed in
+        let x = Tensor.random rng D.I8 x_shape in
+        (x, Tensor.random rng w_dtype w_shape, None)
+    | Bound | Opposite ->
+        let xv = if fill = Bound then D.min_value D.I8 else D.max_value D.I8 in
+        let wv = D.min_value w_dtype in
+        let x = Tensor.create D.I8 x_shape and w = Tensor.create w_dtype w_shape in
+        Tensor.fill x xv;
+        Tensor.fill w wv;
+        (x, w, Some (cg * f * f * xv * wv))
+  in
+  let bias_of, shift =
+    match sum with
+    | Some s -> ((fun ko -> (13 * ko) - 40 - s), 0)
+    | None ->
+        let bound = cg * f * f * 128 * if analog then 1 else 128 in
+        let rec bits b = if bound lsr b = 0 then b else bits (b + 1) in
+        ((fun ko -> (13 * ko) - 40), max 0 (bits 0 - 8))
+  in
+  let b = B.create () in
+  let xi = B.input b ~name:"x" D.I8 x_shape in
+  let y =
+    B.conv2d b ~padding:(pad, pad) ~groups:(if dw then c else 1) xi
+      ~weights:(B.const b w)
+  in
+  let bias = Tensor.of_array D.I32 [| k |] (Array.init k bias_of) in
+  let y = B.requantize b ~shift ~out_dtype:D.I8 (B.bias_add b y ~bias:(B.const b bias)) in
+  let y = if pool then B.max_pool b ~pool:(2, 2) ~stride:(2, 2) y else y in
+  let g = B.finish b ~output:y in
+  let platform = if analog then Arch.Diana.analog_only else Arch.Diana.digital_only in
+  let platform =
+    match l1_kib with
+    | None -> platform
+    | Some n ->
+        {
+          platform with
+          Arch.Platform.l1 = { Arch.Memory.level_name = "L1"; size_bytes = Util.Ints.kib n };
+        }
+  in
+  let cfg = { (C.default_config platform) with C.jobs = 1; C.solver_cache = None } in
+  (C.compile cfg g, g, [ ("x", x) ])
+
+(* A compiled lane case on the plan path against the oracle (outputs,
+   counters, traces), and the oracle against the interpreter. *)
+let lane_differential label artifact g inputs =
+  let out = traced_differential label artifact ~inputs in
+  compare_outputs (label ^ " vs interpreter") (Ir.Eval.run g ~inputs) out
+
+(* Lane sums at both extremes, where a lane one bit narrower than the
+   header's rule wraps: I8 x I8 at 63 and 64 taps (the lane width steps
+   from 21 to 22 bits, three lanes to two), ternary x I8 below and at 128
+   taps (four lanes to three) and at the analog array's 1152 rows, channel
+   counts that leave a partial lane group, a fused pool, a depthwise layer
+   (one lane) and two layers tiled on a shrunken L1: the I8 one by rows,
+   the ternary one into tiles of 26 and 11 channels. *)
+let test_lane_bound () =
+  let digital = lane_case ~analog:false ~l1_kib:None
+  and analog = lane_case ~analog:true ~l1_kib:None in
+  let cases =
+    [ ("i8, 63 taps, k 5", digital ~c:63 ~k:5 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
+      ("i8, 64 taps, k 7", digital ~c:64 ~k:7 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
+      ("i8, 63 taps 3x3, k 7", digital ~c:7 ~k:7 ~f:3 ~hw:6 ~pad:0 ~dw:false ~pool:false);
+      ("i8, 64 taps, pool", digital ~c:64 ~k:5 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:true);
+      ("i8, depthwise", digital ~c:5 ~k:5 ~f:3 ~hw:6 ~pad:1 ~dw:true ~pool:false);
+      ( "i8, 64 taps, 2 kB L1",
+        lane_case ~analog:false ~c:64 ~k:7 ~f:1 ~hw:8 ~pad:0 ~dw:false ~pool:false
+          ~l1_kib:(Some 2) );
+      ( "ternary, 127 taps, 3 kB L1",
+        lane_case ~analog:true ~c:127 ~k:37 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false
+          ~l1_kib:(Some 3) );
+      ("ternary, 127 taps, k 5", analog ~c:127 ~k:5 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
+      ("ternary, 128 taps, k 7", analog ~c:128 ~k:7 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
+      ("ternary, 1152 taps, k 7", analog ~c:128 ~k:7 ~f:3 ~hw:5 ~pad:0 ~dw:false ~pool:false);
+      ("ternary, 127 taps, pool", analog ~c:127 ~k:7 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:true);
+    ]
+  in
+  List.iter
+    (fun (name, case) ->
+      List.iter
+        (fun fill ->
+          let label = name ^ ", " ^ fill_name fill in
+          match case fill with
+          | Error e, _, _ -> Alcotest.failf "%s: %s" label (C.error_to_string e)
+          | Ok artifact, g, inputs ->
+              Alcotest.(check int) (label ^ ": the conv runs on the accelerator") 1
+                (Sim.Plan.stats artifact.C.plan).Sim.Plan.accel_steps;
+              lane_differential label artifact g inputs)
+        [ Bound; Opposite ])
+    cases
+
+(* Random conv geometries on either accelerator, extreme or random
+   fills, sometimes tiled; a deployment that does not compile is the
+   fuzz suite's business. *)
+let prop_lane_sums =
+  Helpers.qtest ~count:60 "lane sums exact over random conv geometries"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let analog = Util.Rng.bool rng in
+      let f = if Util.Rng.int rng 3 = 0 then 3 else 1 in
+      let dw = (not analog) && Util.Rng.int rng 4 = 0 in
+      let c = Util.Rng.int_in rng 1 (if f = 3 then 128 else 200) in
+      let k = if dw then c else Util.Rng.int_in rng 1 9 in
+      let hw = Util.Rng.int_in rng f (f + 6) in
+      let pad = if Util.Rng.bool rng then f / 2 else 0 in
+      let pool = hw + (2 * pad) - f + 1 >= 2 && Util.Rng.int rng 3 = 0 in
+      let l1_kib = if Util.Rng.bool rng then None else Some [| 2; 8 |].(Util.Rng.int rng 2) in
+      let fill = [| Bound; Opposite; Random seed |].(Util.Rng.int rng 3) in
+      let label =
+        Printf.sprintf "seed %d: %s c %d k %d f %d hw %d pad %d%s%s, %s" seed
+          (if analog then "ternary" else "i8")
+          c k f hw pad
+          (if dw then " depthwise" else "")
+          (if pool then " pool" else "")
+          (fill_name fill)
+      in
+      match lane_case ~analog ~c ~k ~f ~hw ~pad ~dw ~pool ~l1_kib fill with
+      | Error _, _, _ -> true
+      | Ok artifact, g, inputs ->
+          lane_differential label artifact g inputs;
+          true)
 
 (* Random graphs x random deployment configs: the fuzz generator's whole
    operator vocabulary (depthwise, strides, residual adds, concats,
@@ -535,6 +692,8 @@ let suites =
       [ Alcotest.test_case "zoo differential" `Quick test_zoo_differential;
         Alcotest.test_case "zero filter differential" `Quick
           test_zero_filter_differential;
+        Alcotest.test_case "lane sums at their bound" `Quick test_lane_bound;
+        prop_lane_sums;
         Alcotest.test_case "random differential" `Quick test_random_differential;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "dma-out over a weight image" `Quick

@@ -505,6 +505,27 @@ let test_rejects_negative_overhead () =
       Alcotest.(check bool) "campaign error names the field" true
         (Helpers.contains msg "dispatch_overhead")
 
+(* A negative retry budget used to act as 0: the guard aborts once a
+   fault's attempts exceed the budget. It is a config violation on every
+   surface, with the same message from [validate] and [run], and a
+   campaign fails before its first rate point. *)
+let test_rejects_negative_retry_budget () =
+  let bad = { base with Serve.retry_budget = -2 } in
+  let want = "Serve.run: retry_budget must be >= 0" in
+  (match Serve.validate bad with
+  | Error (Serve.Bad_config msg) -> Alcotest.(check string) "validate" want msg
+  | Error e -> Alcotest.failf "expected Bad_config, got %s" (Serve.mt_error_to_string e)
+  | Ok () -> Alcotest.fail "validate accepted a negative retry budget");
+  (match serve ~cfg:bad () with
+  | _ -> Alcotest.fail "run accepted a negative retry budget"
+  | exception Invalid_argument msg -> Alcotest.(check string) "run" want msg);
+  Alcotest.(check bool) "a zero budget is valid" true
+    (Serve.validate { base with Serve.retry_budget = 0 } = Ok ());
+  let artifact, g = Lazy.force fixture in
+  match Campaign.run { Campaign.default with Campaign.c_serve = bad } artifact ~graph:g with
+  | Ok _ -> Alcotest.fail "campaign accepted a negative retry budget"
+  | Error msg -> Alcotest.(check string) "campaign" want msg
+
 (* --- serving goldens --------------------------------------------------
 
    Byte-level pins of serving output across commits (every other serving
@@ -880,6 +901,8 @@ let suites =
         Alcotest.test_case "report renderings" `Quick test_report_renderings;
         Alcotest.test_case "rejects negative dispatch overhead" `Quick
           test_rejects_negative_overhead;
+        Alcotest.test_case "rejects negative retry budget" `Quick
+          test_rejects_negative_retry_budget;
         Alcotest.test_case "auto resolution runs nothing" `Quick
           test_auto_resolution_runs_nothing;
         prop_tally_invariance;

@@ -290,6 +290,28 @@ dune exec bin/htvmc.exe -- cache verify --cache-dir _build/store-cache
 dune exec bin/htvmc.exe -- cache gc --cache-dir _build/store-cache --max-bytes 2048
 dune exec bin/htvmc.exe -- cache stats --cache-dir _build/store-cache
 
+# A negative --retry-budget would act as 0; it exits 1 with one line and
+# writes no result file, here on run, serve and campaign.
+echo "== htvmc negative --retry-budget (one line, exit 1, nothing written) =="
+rm -rf _build/retry-bad && mkdir -p _build/retry-bad
+for cmd in run serve campaign; do
+  status=0
+  (cd _build/retry-bad && "$htvmc" "$cmd" ../serve-smoke.htvm --config both \
+    --retry-budget=-1 $([ "$cmd" = run ] || echo --tally tally.txt)) \
+    > _build/retry-bad.out 2> _build/retry-bad.err || status=$?
+  if [ "$status" != 1 ] || [ -s _build/retry-bad.out ] \
+    || [ "$(wc -l < _build/retry-bad.err)" != 1 ] \
+    || ! grep -q '^htvmc: --retry-budget must be >= 0 ' _build/retry-bad.err; then
+    echo "verify: $cmd --retry-budget=-1 gave exit $status and:" >&2
+    cat _build/retry-bad.out _build/retry-bad.err >&2
+    exit 1
+  fi
+  if [ -n "$(ls _build/retry-bad)" ]; then
+    echo "verify: $cmd --retry-budget=-1 wrote a result file" >&2
+    exit 1
+  fi
+done
+
 # Differential conformance smoke: compiled artifacts must agree with the
 # reference interpreter over a fixed seed range. Any failure prints a
 # minimized reproducer and exits nonzero. The verdict tally is pinned.
