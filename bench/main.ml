@@ -1,6 +1,8 @@
 (* Benchmark harness entry point. Regenerates every table and figure of
    the paper's evaluation plus the ablations; see DESIGN.md's experiment
-   index. Usage: main.exe [fig4|fig5|table1|table2|ablation|micro|all]. *)
+   index. Usage:
+   main.exe [fig2|fig4|fig5|table1|table2|ablation|energy|quant|micro|all].
+   Host-time measurement of the system itself lives in bench/perf. *)
 
 let experiments =
   [
@@ -13,21 +15,6 @@ let experiments =
     ("energy", Energy.run);
     ("quant", Quantization.run);
     ("micro", Micro.run);
-    ("trace", Trace_bench.run);
-    ("parallel", Parallel.run);
-    ("parallel-smoke", Parallel.run_smoke);
-    ("resilience", Resilience.run);
-    ("resilience-smoke", Resilience.run_smoke);
-    ("serve", Serve_bench.run);
-    ("serve-smoke", Serve_bench.run_smoke);
-    ("mtserve", Mtserve.run);
-    ("mtserve-smoke", Mtserve.run_smoke);
-    ("simfast", Simfast.run);
-    ("simfast-smoke", Simfast.run_smoke);
-    ("metrics", Metrics_bench.run);
-    ("metrics-smoke", Metrics_bench.run_smoke);
-    ("campaign", Campaign_bench.run);
-    ("campaign-smoke", Campaign_bench.run_smoke);
   ]
 
 let () =

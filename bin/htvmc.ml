@@ -894,6 +894,9 @@ let serve_mt path config jobs f no_plan degraded health model_flags class_flags
           (json_out, fun () -> json_text (Serve.mt_to_json report));
         ]
 
+(* The --retry-budget of every command that takes it, when absent. *)
+let default_retry_budget = 3
+
 let serve path config jobs f inject faults_file retry_budget degrade_after degraded
     health no_plan memoize input_mix model_flags class_flags placement
     swap_overhead period burst replay arrival_trace_out trace_out json_out
@@ -915,10 +918,10 @@ let serve path config jobs f inject faults_file retry_budget degrade_after degra
         (faults_file <> None, "--faults");
         (degrade_after <> None, "--degrade-after");
         (f.slo_sojourn <> None, "--slo-sojourn (use per-class SLOs)");
+        (retry_budget <> None, "--retry-budget");
         (memoize, "--memoize");
         (input_mix <> 0, "--input-mix");
       ];
-    ignore retry_budget;
     serve_mt path config jobs f no_plan degraded health model_flags class_flags
       placement swap_overhead period burst replay arrival_trace_out trace_out
       json_out tally_out metrics_out metrics_format store
@@ -947,7 +950,9 @@ let serve path config jobs f inject faults_file retry_budget degrade_after degra
   in
   let scfg =
     {
-      (serve_config f ~jobs ~use_plan:(not no_plan) ~retry_budget ~health) with
+      (serve_config f ~jobs ~use_plan:(not no_plan)
+         ~retry_budget:(Option.value ~default:default_retry_budget retry_budget)
+         ~health) with
       Serve.plan;
       degrade_after;
       degraded_instances = degraded;
@@ -1185,21 +1190,25 @@ let faults_file_arg =
                  $(b,--inject), one or more rules per line).")
 (* A negative budget would act as 0 (a guard aborts once a fault's
    attempts exceed the budget), so it is refused before any work, with
-   one line and exit 1, not reinterpreted. *)
-let retry_budget_arg =
-  let checked n =
-    if n < 0 then begin
-      Printf.eprintf "htvmc: --retry-budget must be >= 0 (got %d)\n" n;
-      exit 1
-    end;
-    n
+   one line and exit 1, not reinterpreted. [None] when the flag is
+   absent, so multi-tenant [serve], which models no faults, can refuse
+   it rather than ignore it. *)
+let retry_budget_given =
+  let checked = function
+    | Some n when n < 0 ->
+        Printf.eprintf "htvmc: --retry-budget must be >= 0 (got %d)\n" n;
+        exit 1
+    | n -> n
   in
   Term.(const checked
-        $ Arg.(value & opt int 3
+        $ Arg.(value & opt (some int) None
                & info [ "retry-budget" ] ~docv:"N"
+                   ~absent:(string_of_int default_retry_budget)
                    ~doc:"Detected-fault retries allowed per operation before \
                          the modeled runtime aborts the inference; must be \
                          >= 0."))
+let retry_budget_arg =
+  Term.(const (Option.value ~default:default_retry_budget) $ retry_budget_given)
 let degrade_arg =
   Arg.(value & opt_all string []
        & info [ "degrade" ] ~docv:"TARGET"
@@ -1632,7 +1641,7 @@ let serve_cmd =
              several artifacts under per-class latency SLOs.")
     Term.(const serve $ path_arg $ config_arg $ jobs_arg
           $ fleet_term ~arrival_default:"closed" $ inject_arg $ faults_file_arg
-          $ retry_budget_arg $ degrade_after $ degraded $ health $ no_plan_arg
+          $ retry_budget_given $ degrade_after $ degraded $ health $ no_plan_arg
           $ memoize $ input_mix $ model_flags $ class_flags $ placement
           $ swap_overhead $ period $ burst $ replay $ arrival_trace_out
           $ trace_arg $ json_out_arg $ tally_out_arg $ metrics_arg

@@ -61,5 +61,5 @@ val summary : t -> string
 (** Human-readable curve, one row per rate point. *)
 
 val to_json : t -> Trace.Json.t
-(** Machine-readable sweep ([htvmc campaign --json],
-    [BENCH_campaign.json]): config plus the per-point curve fields. *)
+(** Machine-readable sweep ([htvmc campaign --json]): config plus the
+    per-point curve fields. *)

@@ -25,11 +25,13 @@ type config = {
   solver_cache : Dory.Tiling_cache.t option;
       (** when set, tiling solves are memoized across layers and across
           compiles by canonical layer signature; cached compilations stay
-          bit-identical to cold ones *)
+          bit-identical to cold ones. Only tests and the [htvmc check] /
+          [chaos] fuzzers set it. *)
   exhaustive_tiling : bool;
       (** disable the solver's binary search + branch-and-bound pruning
-          and scan every candidate (same chosen tiles; benches use it as
-          the pruning baseline) *)
+          and scan every candidate (same chosen tiles). Only tests and the
+          [htvmc check] / [chaos] fuzzers set it, as the pruning
+          baseline. *)
   degraded_targets : string list;
       (** accelerators a health monitor has marked unreliable: segments
           the partitioner assigns to them descend the fallback ladder

@@ -348,8 +348,7 @@ val summary : report -> string
 
 val to_json : report -> Trace.Json.t
 (** Machine-readable report: everything in {!report}, including the
-    worker-dependent serving metrics ([htvmc serve --json] and
-    [BENCH_serve.json]). *)
+    worker-dependent serving metrics ([htvmc serve --json]). *)
 
 (** {1 Multi-tenant serving}
 

@@ -55,8 +55,7 @@ let run_cpu_step ~l2 ~(prog : P.t) ~nodes ~ins ~out =
   | Some v -> write_buffer l2 (P.buffer prog out) v
   | None -> invalid_arg "Machine: empty CPU kernel"
 
-let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
-    ?(plan_fresh_arena = false) (prog : P.t) ~inputs =
+let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan (prog : P.t) ~inputs =
   (match P.validate prog with
   | Ok () -> ()
   | Error e -> invalid_arg ("Machine: invalid program: " ^ e));
@@ -66,7 +65,7 @@ let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
   | _ -> ());
   let l2, l1 =
     match plan with
-    | Some p -> Plan.checkout ~fresh:plan_fresh_arena p
+    | Some p -> Plan.checkout p
     | None ->
         let l2 = Mem.create "L2" platform.Arch.Platform.l2.Arch.Memory.size_bytes in
         let l1 = Mem.create "L1" platform.Arch.Platform.l1.Arch.Memory.size_bytes in

@@ -21,7 +21,6 @@ val run :
   ?faults:Fault.Session.t ->
   ?retry_budget:int ->
   ?plan:Plan.t ->
-  ?plan_fresh_arena:bool ->
   Program.t ->
   inputs:(string * Tensor.t) list ->
   Tensor.t * report
@@ -32,8 +31,6 @@ val run :
     counters, traces and high-water marks, fault session or not. Both
     paths read each step's weights and biases from the run's L2, so L2
     bit rot reaches the plan exactly as it reaches the oracle.
-    [plan_fresh_arena] (default false) discards the domain's cached arena
-    first — benchmarks use it to measure the no-reuse path.
 
     When [trace] is given, each
     step contributes one interval on the ["steps"] track (whose summed

@@ -904,17 +904,17 @@ end)
 
 let arenas = Domain.DLS.new_key (fun () -> Arenas.create 8)
 
-let arena plan ~fresh =
+let arena plan =
   let table = Domain.DLS.get arenas in
   match Arenas.find_opt table plan with
-  | Some ar when not fresh -> ar
-  | _ ->
+  | Some ar -> ar
+  | None ->
       let ar = alloc_arena plan in
       Arenas.replace table plan ar;
       ar
 
-let checkout ?(fresh = false) plan =
-  let ar = arena plan ~fresh in
+let checkout plan =
+  let ar = arena plan in
   (* Rewind to the exact state [Machine.run] would build from scratch: a
      zeroed L2 holding the weight images (with its post-load high-water
      mark) and a poisoned L1. *)
@@ -978,7 +978,7 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
     | None -> invalid_arg "Plan.run_accel_step: step is not an accelerator step"
   in
   (match a.a_fail with Some e -> raise e | None -> ());
-  let scratch = (arena plan ~fresh:false).ar_scratch.(step_index) in
+  let scratch = (arena plan).ar_scratch.(step_index) in
   let c = copy_counters a.a_counters in
   let rc = Resilience.make ?faults ~retry_budget c in
   (* The slow path's guard sequence per tile ([Exec_accel.run]),

@@ -65,13 +65,11 @@ val service_cycles : t -> int
     reports exactly this [totals.wall] on either path, for every input.
     A step recorded as malformed counts 0; its run raises instead. *)
 
-val checkout : ?fresh:bool -> t -> Mem.t * Mem.t
+val checkout : t -> Mem.t * Mem.t
 (** [(l2, l1)] of the calling domain's arena, rewound to the exact state a
     fresh {!Machine.run} would build: L2 holding the weight prefix, zeroed
     past it, with its post-load high-water mark, L1 poisoned with [0x5A].
-    The first call in a
-    domain allocates the arena; [~fresh:true] discards any cached arena and
-    allocates anew (benchmarks use it to measure the no-reuse path). *)
+    The first call in a domain allocates the arena; later calls reuse it. *)
 
 val run_accel_step :
   t ->

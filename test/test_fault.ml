@@ -157,6 +157,26 @@ let test_retry_accounting_exact () =
   Alcotest.(check int) "base dma_in counter unchanged" clean.Sim.Counters.dma_in
     faulty.Sim.Counters.dma_in
 
+(* The same contract under repeated drops on a whole network: ds_cnn
+   (int8, digital accelerator) with every fifth input transfer dropped.
+   Each drop is detected and retried, the output stays bit-exact, and the
+   wall grows by exactly the accounted retry cycles. *)
+let test_repeated_drops_exact () =
+  let g = (Models.Zoo.find "ds_cnn").Models.Zoo.build Models.Policy.All_int8 in
+  let artifact = compile_exn (C.default_config Arch.Diana.digital_only) g in
+  let inputs = Models.Zoo.random_input g in
+  let out_clean, rep_clean = C.run artifact ~inputs in
+  let session = Session.create (plan_exn "seed=7,dma_in@every=5:drop") in
+  let out, rep = C.run ~faults:session artifact ~inputs in
+  Alcotest.(check bool) "recovered run bit-identical" true
+    (Tensor.equal out_clean out);
+  Alcotest.(check bool) "more than one fault detected" true
+    ((Session.stats session).Session.detected > 1);
+  let clean = rep_clean.Sim.Machine.totals and faulty = rep.Sim.Machine.totals in
+  Alcotest.(check int) "wall = fault-free wall + retry cycles"
+    (clean.Sim.Counters.wall + faulty.Sim.Counters.retry_cycles)
+    faulty.Sim.Counters.wall
+
 let test_backoff_formula () =
   Alcotest.(check (list int)) "exponential, capped at 256"
     [ 8; 16; 32; 64; 128; 256; 256 ]
@@ -348,6 +368,8 @@ let suites =
           test_plan_rejects_memory_drop;
         Alcotest.test_case "empty plan is a strict no-op" `Quick test_empty_plan_noop;
         Alcotest.test_case "exact retry accounting" `Quick test_retry_accounting_exact;
+        Alcotest.test_case "repeated drops bit-exact, exact cost" `Quick
+          test_repeated_drops_exact;
         Alcotest.test_case "backoff formula" `Quick test_backoff_formula;
         Alcotest.test_case "stall accounting" `Quick test_stall_accounting;
         Alcotest.test_case "silent compute flip corrupts" `Quick

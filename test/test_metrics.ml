@@ -435,6 +435,31 @@ let test_compile_metrics () =
   in
   Alcotest.(check int) "eight phase gauges" 8 (List.length phases)
 
+(* Attaching a registry must not make a compile measurably slower:
+   recording is a few integer stores per phase. The bar (median of three
+   compiles of resnet8 mixed on both, with a registry at most 2x bare +
+   10 ms) is lenient on purpose: it catches an accidentally quadratic
+   recording path, not host noise. *)
+let test_registry_overhead () =
+  let g = (Models.Zoo.find "resnet8").Models.Zoo.build Models.Policy.Mixed in
+  let cfg = Htvm.Compile.default_config Arch.Diana.platform in
+  let median_s with_registry =
+    let times =
+      List.init 3 (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          let metrics = if with_registry then Some (M.create ()) else None in
+          ignore (Result.get_ok (Htvm.Compile.compile ?metrics cfg g));
+          Unix.gettimeofday () -. t0)
+    in
+    List.nth (List.sort compare times) 1
+  in
+  ignore (median_s false) (* warm-up *);
+  let bare = median_s false in
+  let with_registry = median_s true in
+  if with_registry > (bare *. 2.0) +. 0.01 then
+    Alcotest.failf "compile %.4f s with a registry, %.4f s bare" with_registry
+      bare
+
 let suites =
   [ ( "metrics",
       [ Alcotest.test_case "registry basics" `Quick test_registry_basics;
@@ -462,5 +487,7 @@ let suites =
         Alcotest.test_case "queue-depth trace track" `Quick
           test_queue_depth_trace;
         Alcotest.test_case "compile metrics" `Quick test_compile_metrics;
+        Alcotest.test_case "registry overhead bounded" `Slow
+          test_registry_overhead;
       ] );
   ]

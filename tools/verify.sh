@@ -17,27 +17,6 @@ HTVM_JOBS=1 dune runtest
 echo "== dune runtest (HTVM_JOBS=4) =="
 HTVM_JOBS=4 dune runtest --force
 
-echo "== bench smoke: parallel engine on one small model =="
-dune exec bench/main.exe -- parallel-smoke
-
-echo "== bench smoke: resilience (faulty run bit-exact, exact retry cost) =="
-dune exec bench/main.exe -- resilience-smoke
-
-echo "== bench smoke: serve (fleet throughput, tally invariance) =="
-dune exec bench/main.exe -- serve-smoke
-
-echo "== bench smoke: metrics (instrument cost, cycles-track determinism) =="
-dune exec bench/main.exe -- metrics-smoke
-
-echo "== bench smoke: mtserve (multi-tenant tally invariance, trace replay) =="
-dune exec bench/main.exe -- mtserve-smoke
-
-# The compiled-plan fast path: output digests and simulated cycles must
-# be byte-identical to the slow oracle, and the memoize hit path must
-# leave the serve tally untouched. Exits nonzero on any divergence.
-echo "== bench smoke: simfast (plan fast path byte-identical to the oracle) =="
-dune exec bench/main.exe -- simfast-smoke
-
 # Committed goldens: the serving tallies and metrics cycles tracks and
 # the check/chaos fuzz tallies the smokes below produce are pinned byte
 # for byte across commits, not just between two runs of one binary.
@@ -55,10 +34,10 @@ SERVE_GOLDEN=test/golden/serve/cli
 # function of the seed — byte-identical at any fleet size and any host
 # job count. Diff a 1-worker and a 4-worker run of the same stream.
 echo "== htvmc serve smoke (workers 1 vs 4) =="
-dune exec bin/htvmc.exe -- export resnet8 --policy mixed -o _build/serve-smoke.htvm
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- export resnet8 --policy mixed -o _build/smoke-resnet8.htvm
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 1 --requests 16 --batch 4 --tally _build/serve-tally-w1.txt
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 4 -j 4 --requests 16 --batch 4 --tally _build/serve-tally-w4.txt
 if ! diff _build/serve-tally-w1.txt _build/serve-tally-w4.txt; then
   echo "verify: serve tallies differ between workers 1 and 4" >&2
@@ -70,7 +49,7 @@ golden_diff "$SERVE_GOLDEN/serve.tally" _build/serve-tally-w1.txt
 # (--no-plan forces the slow interpretive oracle) must leave the
 # per-request tally byte-identical.
 echo "== htvmc serve smoke (plan on vs --no-plan) =="
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 1 --requests 16 --batch 4 --no-plan --tally _build/serve-tally-noplan.txt
 if ! diff _build/serve-tally-w1.txt _build/serve-tally-noplan.txt; then
   echo "verify: serve tallies differ between plan on and --no-plan" >&2
@@ -82,10 +61,10 @@ fi
 # from L2) and must match the oracle's tally byte for byte.
 echo "== htvmc serve smoke (faulted, plan on vs --no-plan) =="
 INJECT='seed=3,dma_in@p=0.05:flip,compute@p=0.02:flip,l2@p=0.01:flip'
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 1 --requests 16 --batch 4 --inject "$INJECT" \
   --tally _build/serve-faulted-plan.txt
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 1 --requests 16 --batch 4 --inject "$INJECT" --no-plan \
   --tally _build/serve-faulted-noplan.txt
 if ! diff _build/serve-faulted-plan.txt _build/serve-faulted-noplan.txt; then
@@ -102,10 +81,10 @@ golden_diff "$SERVE_GOLDEN/serve-faulted.tally" _build/serve-faulted-plan.txt
 # render after the `# track sched` marker, so stripping from that marker
 # leaves the deterministic section.
 echo "== htvmc serve metrics smoke (workers 1 vs 4, SLO accounting) =="
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 1 -j 1 --requests 16 --batch 4 --arrival poisson --queue-depth 4 \
   --slo-sojourn 2000000 --metrics _build/serve-metrics-w1.prom
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 4 -j 4 --requests 16 --batch 4 --arrival poisson --queue-depth 4 \
   --slo-sojourn 2000000 --metrics _build/serve-metrics-w4.prom
 awk '/^# track sched/{exit} {print}' _build/serve-metrics-w1.prom \
@@ -134,13 +113,13 @@ fi
 echo "== htvmc serve multi-tenant smoke (2 models, 2 classes, trace replay) =="
 dune exec bin/htvmc.exe -- export ds_cnn --policy mixed -o _build/mtserve-a.htvm
 dune exec bin/htvmc.exe -- serve _build/mtserve-a.htvm --config both \
-  --model vision=_build/serve-smoke.htvm \
+  --model vision=_build/smoke-resnet8.htvm \
   --class keyword=main:2000000:2 --class vision=vision:0:1 \
   --arrival poisson --requests 16 --workers 1 -j 1 \
   --trace-out _build/mtserve.trace --tally _build/mtserve-tally-w1.txt \
   --metrics _build/mtserve-metrics-w1.prom
 dune exec bin/htvmc.exe -- serve _build/mtserve-a.htvm --config both \
-  --model vision=_build/serve-smoke.htvm \
+  --model vision=_build/smoke-resnet8.htvm \
   --class keyword=main:2000000:2 --class vision=vision:0:1 \
   --replay _build/mtserve.trace --workers 4 -j 4 \
   --tally _build/mtserve-tally-w4.txt --metrics _build/mtserve-metrics-w4.prom
@@ -172,7 +151,7 @@ fi
 # never reach.
 echo "== htvmc serve multi-tenant smoke (plan on vs --no-plan) =="
 dune exec bin/htvmc.exe -- serve _build/mtserve-a.htvm --config both \
-  --model vision=_build/serve-smoke.htvm \
+  --model vision=_build/smoke-resnet8.htvm \
   --class keyword=main:2000000:2 --class vision=vision:0:1 \
   --arrival poisson --requests 16 --workers 1 -j 1 --no-plan \
   --tally _build/mtserve-tally-noplan.txt
@@ -187,11 +166,11 @@ fi
 # at any fleet shape / job count. The footer line proves the lifecycle
 # actually ran (readmissions/relapses are recorded there).
 echo "== htvmc serve health smoke (lifecycle, workers 2 vs 4) =="
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 2 -j 1 --requests 16 --batch 4 --retry-budget 4 \
   --inject "seed=3,dma_in@p=0.3:flip" --health --degraded 0 \
   --tally _build/serve-health-w2.txt
-dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- serve _build/smoke-resnet8.htvm --config both \
   --workers 4 -j 4 --requests 16 --batch 4 --retry-budget 4 \
   --inject "seed=3,dma_in@p=0.3:flip" --health --degraded 0 \
   --tally _build/serve-health-w4.txt
@@ -210,10 +189,10 @@ fi
 # from the predicted plane, so the w1/j1 and w4/j4 sweeps must be
 # byte-identical; the rate lines carry the curve fields.
 echo "== htvmc campaign smoke (3 rate points, w1/j1 vs w4/j4) =="
-dune exec bin/htvmc.exe -- campaign _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- campaign _build/smoke-resnet8.htvm --config both \
   --workers 1 -j 1 --requests 12 --batch 4 --retry-budget 4 \
   --rates 0,0.01,0.2 --tally _build/campaign-tally-w1.txt
-dune exec bin/htvmc.exe -- campaign _build/serve-smoke.htvm --config both \
+dune exec bin/htvmc.exe -- campaign _build/smoke-resnet8.htvm --config both \
   --workers 4 -j 4 --requests 12 --batch 4 --retry-budget 4 \
   --rates 0,0.01,0.2 --tally _build/campaign-tally-w4.txt
 if ! diff _build/campaign-tally-w1.txt _build/campaign-tally-w4.txt; then
@@ -240,9 +219,9 @@ fi
 echo "== htvmc store smoke (cold vs warm, cache stats/verify/gc) =="
 rm -rf _build/store-cache _build/store-cache-cpu
 store_pair() { # config cache-dir expected-cold-counts
-  dune exec bin/htvmc.exe -- compile _build/serve-smoke.htvm --config "$1" \
+  dune exec bin/htvmc.exe -- compile _build/smoke-resnet8.htvm --config "$1" \
     --cache-dir "$2" > _build/store-cold.out
-  dune exec bin/htvmc.exe -- compile _build/serve-smoke.htvm --config "$1" \
+  dune exec bin/htvmc.exe -- compile _build/smoke-resnet8.htvm --config "$1" \
     --cache-dir "$2" > _build/store-warm.out
   grep '^artifact digest: ' _build/store-cold.out > _build/store-cold.digest
   grep '^artifact digest: ' _build/store-warm.out > _build/store-warm.digest
@@ -272,7 +251,7 @@ htvmc="$PWD/_build/default/bin/htvmc.exe"
 for dir in "$PWD/_build/store-bad/file" ""; do
   status=0
   (cd _build/store-bad && "$htvmc" compile \
-    ../serve-smoke.htvm --config both --cache-dir "$dir") \
+    ../smoke-resnet8.htvm --config both --cache-dir "$dir") \
     > _build/store-bad.out 2> _build/store-bad.err || status=$?
   if [ "$status" != 1 ] || [ "$(wc -l < _build/store-bad.err)" != 1 ] \
     || ! grep -q '^htvmc: cannot open cache: ' _build/store-bad.err; then
@@ -291,26 +270,35 @@ dune exec bin/htvmc.exe -- cache gc --cache-dir _build/store-cache --max-bytes 2
 dune exec bin/htvmc.exe -- cache stats --cache-dir _build/store-cache
 
 # A negative --retry-budget would act as 0; it exits 1 with one line and
-# writes no result file, here on run, serve and campaign.
-echo "== htvmc negative --retry-budget (one line, exit 1, nothing written) =="
+# writes no result file, here on run, serve and campaign. Multi-tenant
+# serve models no faults, so it refuses any --retry-budget the same way
+# rather than ignore it.
+echo "== htvmc refused --retry-budget (one line, exit 1, nothing written) =="
 rm -rf _build/retry-bad && mkdir -p _build/retry-bad
-for cmd in run serve campaign; do
+refuse_retry() { # expected stderr line after "htvmc: ", then htvmc's arguments
+  want=$1; shift
   status=0
-  (cd _build/retry-bad && "$htvmc" "$cmd" ../serve-smoke.htvm --config both \
-    --retry-budget=-1 $([ "$cmd" = run ] || echo --tally tally.txt)) \
+  (cd _build/retry-bad && "$htvmc" "$@") \
     > _build/retry-bad.out 2> _build/retry-bad.err || status=$?
   if [ "$status" != 1 ] || [ -s _build/retry-bad.out ] \
     || [ "$(wc -l < _build/retry-bad.err)" != 1 ] \
-    || ! grep -q '^htvmc: --retry-budget must be >= 0 ' _build/retry-bad.err; then
-    echo "verify: $cmd --retry-budget=-1 gave exit $status and:" >&2
+    || ! grep -q "^htvmc: $want" _build/retry-bad.err; then
+    echo "verify: htvmc $* gave exit $status and:" >&2
     cat _build/retry-bad.out _build/retry-bad.err >&2
     exit 1
   fi
   if [ -n "$(ls _build/retry-bad)" ]; then
-    echo "verify: $cmd --retry-budget=-1 wrote a result file" >&2
+    echo "verify: htvmc $* wrote a result file" >&2
     exit 1
   fi
+}
+for cmd in run serve campaign; do
+  refuse_retry '--retry-budget must be >= 0 ' "$cmd" ../smoke-resnet8.htvm \
+    --config both --retry-budget=-1 $([ "$cmd" = run ] || echo --tally tally.txt)
 done
+refuse_retry '--retry-budget is not supported with --model/--class/--replay$' \
+  serve ../smoke-resnet8.htvm --config both --class a=main --requests 4 \
+  --retry-budget 7 --tally tally.txt
 
 # Differential conformance smoke: compiled artifacts must agree with the
 # reference interpreter over a fixed seed range. Any failure prints a
