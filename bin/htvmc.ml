@@ -141,13 +141,6 @@ let print_store_summary = function
 
 (* --- metrics plumbing --- *)
 
-let metrics_format_of fmt =
-  match Metrics.format_of_string fmt with
-  | Ok f -> f
-  | Error e ->
-      Printf.eprintf "htvmc: %s\n" e;
-      exit 1
-
 (* A registry is only allocated when --metrics names a file, so runs
    without the flag skip instrumentation entirely (the null sink). *)
 let metrics_registry metrics_out =
@@ -157,7 +150,7 @@ let write_metrics metrics_out fmt snapshot =
   match metrics_out with
   | None -> ()
   | Some path ->
-      write_file path (Metrics.render (metrics_format_of fmt) snapshot);
+      write_file path (Metrics.render fmt snapshot);
       Printf.printf "wrote %s (%d metrics)\n" path (List.length snapshot)
 
 (* Per-request simulator counters and fault-session stats, exported via
@@ -1171,17 +1164,28 @@ let metrics_arg =
                  per-window series). Cycle-domain metrics are byte-identical \
                  at any $(b,--workers)/$(b,--jobs); host wall-clock gauges \
                  live in a separate track rendered last.")
+(* Resolved when the command line is parsed, like [retry_budget_given]:
+   a bad format exits 1 with one line before any work, whether or not
+   --metrics asks for a dump. *)
 let metrics_format_arg =
-  Arg.(value & opt string "prom"
-       & info [ "metrics-format" ] ~docv:"FMT"
-           ~doc:"Metrics dump format: $(b,prom) (Prometheus text), \
-                 $(b,json) or $(b,csv).")
+  let checked fmt =
+    match Metrics.format_of_string fmt with
+    | Ok f -> f
+    | Error e ->
+        Printf.eprintf "htvmc: %s\n" e;
+        exit 1
+  in
+  Term.(const checked
+        $ Arg.(value & opt string "prom"
+               & info [ "metrics-format" ] ~docv:"FMT"
+                   ~doc:"Metrics dump format: $(b,prom) (Prometheus text), \
+                         $(b,json) or $(b,csv)."))
 
 let inject_arg =
   Arg.(value & opt (some string) None
        & info [ "inject" ] ~docv:"SPEC"
            ~doc:"Run under a fault-injection campaign, e.g. \
-                 $(b,seed=42,dma_in\\@every=5:drop,l2\\@nth=3:flip). \
+                 $(b,seed=42,dma_in@every=5:drop,l2@nth=3:flip). \
                  $(b,none) is an explicit empty campaign (a strict no-op).")
 let faults_file_arg =
   Arg.(value & opt (some string) None

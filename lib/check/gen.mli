@@ -23,7 +23,7 @@ val random_config : int -> Htvm.Compile.config
     the five platforms (DIANA cpu/digital/analog/full, NOVA), sometimes
     with L1 shrunk to 2–32 KiB so tiling paths are exercised end to end,
     random planner strategy, buffering, heuristic and engine (jobs /
-    cache / pruning) knobs. Never degrades a target or sets a segment
+    pruning) knobs. Never degrades a target or sets a segment
     budget — that is {!chaos_config}'s job. *)
 
 val random_fault_plan : int -> Fault.Plan.t

@@ -55,12 +55,10 @@ let compute ~model ~config =
   | _, None -> Error (Printf.sprintf "unknown config %S" config)
   | Some entry, Some (_, platform, policy) -> (
       let g = entry.Models.Zoo.build policy in
-      (* Pinned to jobs = 1 / no cache so the snapshot is independent of
-         HTVM_JOBS — the engine guarantees bit-identical artifacts at any
-         job count, and the suite relies on exactly that. *)
-      let cfg =
-        { (C.default_config platform) with C.jobs = 1; C.solver_cache = None }
-      in
+      (* Pinned to jobs = 1 so the snapshot is independent of HTVM_JOBS —
+         the engine guarantees bit-identical artifacts at any job count,
+         and the suite relies on exactly that. *)
+      let cfg = { (C.default_config platform) with C.jobs = 1 } in
       match C.compile cfg g with
       | Error e ->
           Error

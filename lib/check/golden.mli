@@ -38,8 +38,8 @@ val digest_tensor : Tensor.t -> string
 
 val compute : model:string -> config:string -> (entry, string) result
 (** Build the model, compile it with the configuration's platform
-    (stock {!Htvm.Compile.default_config} pinned to [jobs = 1], no
-    cache), run it on the fixed input and measure. [Error] carries a
+    (stock {!Htvm.Compile.default_config} pinned to [jobs = 1]), run
+    it on the fixed input and measure. [Error] carries a
     rendered compile failure or an unknown model/config name. *)
 
 val to_string : entry -> string

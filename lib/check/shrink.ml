@@ -293,9 +293,6 @@ let graph_cands g =
 let config_cands (cfg : C.config) (canon : C.config) =
   List.filter_map Fun.id
     [
-      (if cfg.C.solver_cache <> None then
-         Some (Cfg (fun c -> { c with C.solver_cache = None }))
-       else None);
       (if cfg.C.jobs <> canon.C.jobs then
          Some (Cfg (fun c -> { c with C.jobs = canon.C.jobs }))
        else None);
@@ -348,7 +345,6 @@ let cfg_delta (c : C.config) (d : C.config) =
   + b (c.C.use_dma_heuristic <> d.C.use_dma_heuristic)
   + b (c.C.autotune_budget <> d.C.autotune_budget)
   + b (c.C.jobs <> d.C.jobs)
-  + b ((c.C.solver_cache <> None) <> (d.C.solver_cache <> None))
   + b (c.C.exhaustive_tiling <> d.C.exhaustive_tiling)
   + b (c.C.degraded_targets <> d.C.degraded_targets)
   + b (c.C.segment_budget_cycles <> d.C.segment_budget_cycles)
@@ -357,9 +353,7 @@ let shrink ?(max_checks = 400) ~predicate cfg g =
   (* Simplification target: the stock deployment a human would debug
      with. The platform itself is never changed — an undersized L1 is
      usually part of the bug being reproduced. *)
-  let canon =
-    { (C.default_config cfg.C.platform) with C.jobs = 1; C.solver_cache = None }
-  in
+  let canon = { (C.default_config cfg.C.platform) with C.jobs = 1 } in
   let measure cfg g = (G.app_count g, total_elems g, cfg_delta cfg canon) in
   let checks = ref 0 and accepted = ref 0 in
   let state = ref (cfg, g) in

@@ -254,6 +254,26 @@ let search_counted ~exhaustive counters cfg accel l =
         }
   | Some (tile, _) -> Ok (solution_of cfg accel l tile)
 
+(* Everything [solve_stats] can observe: the layer's signature (geometry
+   and dtypes, never weight/bias contents: cycle models, capacity rules
+   and heuristics only read those), the accelerator and the solver
+   config. Config floats are rendered in hex so distinct alphas can never
+   collide.
+
+   Fields are assembled with [Util.Key.encode] (length-prefixed), not
+   concatenated with separators: the accelerator name is caller-supplied,
+   so a name containing a separator could otherwise shift field
+   boundaries and make two distinct (config, accel, layer) triples
+   collide — and the persistent store would then serve the wrong tile. *)
+let signature cfg ~accel l =
+  Util.Key.encode
+    [
+      accel;
+      Printf.sprintf "%h;%b;%b;%b;%d" cfg.alpha cfg.use_pe_heuristics
+        cfg.use_dma_heuristic cfg.double_buffer cfg.l1_budget;
+      L.signature l;
+    ]
+
 (* Tiling is only invoked when the whole layer does not fit (paper
    Sec. III-B / Fig. 4's grey region): a feasible full tile wins outright. *)
 let solve_stats ?(exhaustive = false) cfg accel l =

@@ -70,11 +70,19 @@ val infeasible_to_string : infeasible -> string
 
 type outcome = { result : (solution, infeasible) result; stats : stats }
 
+val signature : config -> accel:string -> Ir.Layer.t -> string
+(** The canonical question a solve answers: an injective encoding of
+    everything {!solve_stats} can observe — the accelerator name, the
+    solver config and {!Ir.Layer.signature} (geometry and dtypes, never
+    tensor contents). Layers with equal signatures get equal outcomes,
+    statistics included. The persistent store keys its layer tier on it,
+    and every solve an artifact-tier entry records is filed under it. *)
+
 val solve_stats :
   ?exhaustive:bool -> config -> Arch.Accel.t -> Ir.Layer.t -> outcome
 (** The solver proper: deterministic and side-effect free apart from the
     process-wide work counters, so calls may run on pool domains and
-    outcomes may be memoized ({!Tiling_cache}). By default the search
+    outcomes may be stored and replayed ({!signature}). By default the search
     binary-searches the tallest feasible oy of each (k, ox) column
     (feasibility is monotone in oy) and skips columns whose objective
     upper bound cannot beat the incumbent; [~exhaustive:true] restores
@@ -105,7 +113,8 @@ type work = { solves : int; tests : int }
 val solver_work : unit -> work
 (** Process-wide count of solver invocations and feasibility tests
     actually performed since the last reset — unlike the per-solve
-    {!stats} (which caches replay verbatim), this measures real work, so
-    benches can quantify what pruning and caching avoid. *)
+    {!stats} (which a store replays verbatim), this measures real work,
+    so benches and tests can quantify what pruning and the persistent
+    store avoid. *)
 
 val reset_solver_work : unit -> unit

@@ -10,7 +10,6 @@ type config = {
   use_dma_heuristic : bool;
   autotune_budget : int option;
   jobs : int;
-  solver_cache : Dory.Tiling_cache.t option;
   exhaustive_tiling : bool;
   degraded_targets : string list;
   segment_budget_cycles : int option;
@@ -25,7 +24,6 @@ let default_config platform =
     use_dma_heuristic = true;
     autotune_budget = None;
     jobs = Util.Pool.jobs_from_env ();
-    solver_cache = None;
     exhaustive_tiling = false;
     degraded_targets = [];
     segment_budget_cycles = None;
@@ -46,8 +44,6 @@ type solver_stats = {
   ss_explored : int;
   ss_infeasible : int;
   ss_pruned : int;
-  ss_cache_hits : int;
-  ss_cache_misses : int;
 }
 
 type demotion_reason =
@@ -126,7 +122,7 @@ let is_resource_error = function
    encoding (pinned by a fixture test) must bump it, so entries written
    by older code read as clean misses. *)
 
-let code_version = "htvm-code-v2"
+let code_version = "htvm-code-v3"
 
 exception Malformed
 
@@ -229,7 +225,7 @@ let parse_pair parse s =
 
 (* The answers one compile gave its solver and tuner, in the order the
    pipeline asked: each tiling outcome the lower phase used, under its
-   [Dory.Tiling_cache.signature], and each tuned kernel's search result,
+   [Dory.Tiling.signature], and each tuned kernel's search result,
    under its kernel name, budget and layer signature. Together with the
    solver totals they are all a compile decides that costs search work;
    everything else is recomputed from the graph. *)
@@ -243,10 +239,7 @@ let encode_decisions d =
   let s = d.stats in
   Util.Key.encode
     [
-      Util.Key.encode
-        (ints
-           [ s.ss_explored; s.ss_infeasible; s.ss_pruned; s.ss_cache_hits;
-             s.ss_cache_misses ]);
+      Util.Key.encode (ints [ s.ss_explored; s.ss_infeasible; s.ss_pruned ]);
       Util.Key.encode (List.map (encode_pair encode_outcome) d.solves);
       Util.Key.encode (List.map (encode_pair encode_tune) d.tunes);
     ]
@@ -257,8 +250,8 @@ let decode_decisions =
       | [ stats; solves; tunes ] ->
           let stats =
             match List.map int (fields stats) with
-            | [ ss_explored; ss_infeasible; ss_pruned; ss_cache_hits; ss_cache_misses ] ->
-                { ss_explored; ss_infeasible; ss_pruned; ss_cache_hits; ss_cache_misses }
+            | [ ss_explored; ss_infeasible; ss_pruned ] ->
+                { ss_explored; ss_infeasible; ss_pruned }
             | _ -> raise Malformed
           in
           {
@@ -335,12 +328,12 @@ let store_put_outcome st signature o =
     (encode_pair encode_outcome (signature, o))
 
 (* Every config field that can influence the compiled artifact. [jobs]
-   and [solver_cache] are excluded on purpose: compilation is
-   deterministic in both (enforced by the test suite), so they must not
-   fragment the key space. The platform name alone does not identify the
-   hardware: every [Platform.with_accels] variant and every shrunken L1
-   keeps the base platform's name, so its accelerators (in order), memory
-   sizes, DMA cost model and clock are part of the key too. *)
+   is excluded on purpose: compilation is deterministic in it (enforced
+   by the test suite), so it must not fragment the key space. The
+   platform name alone does not identify the hardware: every
+   [Platform.with_accels] variant and every shrunken L1 keeps the base
+   platform's name, so its accelerators (in order), memory sizes, DMA
+   cost model and clock are part of the key too. *)
 let platform_fingerprint (p : Arch.Platform.t) =
   let dma = p.Arch.Platform.dma in
   Util.Key.encode
@@ -396,8 +389,9 @@ let artifact_store_key cfg graph =
     [ code_version; "artifact"; config_fingerprint cfg; graph_digest graph ]
 
 (* The artifact's canonical form: every field but [cfg] and the derived
-   plan, as one [No_sharing] marshal. The tuple's field order and layout
-   are fixed: pinned digests (CLI smokes, README) depend on them. *)
+   plan, as one [No_sharing] marshal. Only comparisons are contracts
+   (cold = warm, store = no store, any job count); a change to a
+   digested type moves every absolute value. *)
 let artifact_digest a =
   Digest.to_hex
     (Digest.string
@@ -644,17 +638,15 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
      descend a fallback ladder (every other healthy accelerator accepting
      the layer, in platform order, then the host path), each hop recorded
      as a structured demotion. The primary solves are pure, so they fan
-     out across the pool (deduplicated through the cache first, when one
-     is configured — lookups and insertions stay on this domain). The
-     sequential pass below then consumes the outcomes in segment order,
-     replaying each ["tiling.solve"] trace event from this domain, so
-     parallel and cached runs stay bit-identical to sequential cold
-     ones. A replay skips the fan-out: the sequential pass asks the
-     entry for every outcome instead. *)
+     out across the pool (after the layer-tier lookups, with a store —
+     those stay on this domain). The sequential pass below then consumes
+     the outcomes in segment order, replaying each ["tiling.solve"] trace
+     event from this domain, so parallel and store-backed runs stay
+     bit-identical to sequential storeless ones. A replay skips the
+     fan-out: the sequential pass asks the entry for every outcome
+     instead. *)
   let host_pool = ref [] in
   let accel_units = ref [] in
-  let cache_hits = ref 0 in
-  let cache_misses = ref 0 in
   let seg_outcomes = ref [] in
   let demotions = ref [] in
   phase "lower" (fun () ->
@@ -694,18 +686,17 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
           layer
       in
       let signature ((accel : Arch.Accel.t), layer) =
-        Dory.Tiling_cache.signature tiling_cfg ~accel:accel.Arch.Accel.accel_name layer
+        Dory.Tiling.signature tiling_cfg ~accel:accel.Arch.Accel.accel_name layer
       in
       let solved =
-        match (solves, cfg.solver_cache) with
+        match (solves, store) with
         | Replay _, _ -> []
-        | _, None when store = None -> Util.Pool.map pool solve offloads
-        | _, None ->
-            (* Store, no in-process cache: each task consults the layer
-               tier individually — duplicates included — so the solver
-               totals folded from [seg_outcomes] match an uncached cold
-               compile exactly (a store hit replays the stored stats). *)
-            let st = Option.get store in
+        | _, None -> Util.Pool.map pool solve offloads
+        | _, Some st ->
+            (* Each task consults the layer tier individually — duplicates
+               included — so the solver totals folded from [seg_outcomes]
+               match a storeless compile exactly (a store hit replays the
+               stored stats). *)
             let looked =
               List.map
                 (fun task ->
@@ -726,64 +717,6 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
             List.map
               (fun (_, found, _) -> match found with Some o -> o | None -> next ())
               looked
-        | _, Some cache ->
-            (* Deterministic accounting regardless of pool scheduling: a
-               segment counts as a hit when its signature is already
-               cached or an earlier segment of this compile is about to
-               solve it; only distinct new signatures reach the pool. *)
-            let keyed = List.map (fun task -> (signature task, task)) offloads in
-            let pending = Hashtbl.create 16 in
-            let fresh =
-              List.filter_map
-                (fun (key, task) ->
-                  let hit =
-                    Dory.Tiling_cache.find cache key <> None
-                    || Hashtbl.mem pending key
-                  in
-                  Dory.Tiling_cache.note cache ~hit;
-                  if hit then begin
-                    incr cache_hits;
-                    None
-                  end
-                  else begin
-                    incr cache_misses;
-                    Hashtbl.add pending key ();
-                    Some (key, task)
-                  end)
-                keyed
-            in
-            (* In-process misses still get one shot at the layer tier of
-               the persistent store before burning solver work; they keep
-               counting as in-process misses either way, so the solver
-               stats stay byte-identical between cold and warm runs. *)
-            let from_store, to_solve =
-              match store with
-              | None -> ([], fresh)
-              | Some st ->
-                  List.partition_map
-                    (fun (key, task) ->
-                      match store_find_outcome st key with
-                      | Some o -> Either.Left (key, o)
-                      | None -> Either.Right (key, task))
-                    fresh
-            in
-            List.iter
-              (fun (key, o) -> Dory.Tiling_cache.add cache key o)
-              from_store;
-            let solved_fresh =
-              Util.Pool.map pool (fun (_, task) -> solve task) to_solve
-            in
-            List.iter2
-              (fun (key, _) outcome ->
-                Dory.Tiling_cache.add cache key outcome;
-                Option.iter (fun st -> store_put_outcome st key outcome) store)
-              to_solve solved_fresh;
-            List.map
-              (fun (key, _) ->
-                match Dory.Tiling_cache.find cache key with
-                | Some o -> o
-                | None -> assert false)
-              keyed
       in
       let take = cursor solved in
       List.iter
@@ -859,8 +792,7 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
                       descend alternates)))
         plan.Byoc.Partition.segments);
   let solves = close solves in
-  (* A replay reports the entry's totals: the in-process cache's hit and
-     miss split belongs to the compile that recorded them. *)
+  (* A replay reports the entry's totals. *)
   let solver =
     match replay with
     | Some d -> d.stats
@@ -869,32 +801,14 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
           (fun acc (o : Dory.Tiling.outcome) ->
             let s = o.Dory.Tiling.stats in
             {
-              acc with
               ss_explored = acc.ss_explored + s.Dory.Tiling.explored;
               ss_infeasible =
                 acc.ss_infeasible + (s.Dory.Tiling.explored - s.Dory.Tiling.feasible);
               ss_pruned = acc.ss_pruned + s.Dory.Tiling.pruned;
             })
-          {
-            ss_explored = 0;
-            ss_infeasible = 0;
-            ss_pruned = 0;
-            ss_cache_hits = !cache_hits;
-            ss_cache_misses = !cache_misses;
-          }
+          { ss_explored = 0; ss_infeasible = 0; ss_pruned = 0 }
           !seg_outcomes
   in
-  (match cfg.solver_cache with
-  | Some cache ->
-      Trace.event trace ~cat:"dory"
-        ~args:
-          [
-            ("hits", Trace.Json.Int solver.ss_cache_hits);
-            ("misses", Trace.Json.Int solver.ss_cache_misses);
-            ("entries", Trace.Json.Int (Dory.Tiling_cache.length cache));
-          ]
-        "tiling_cache.stats"
-  | None -> ());
   (* Solver totals are a pure function of config + graph (parallel solves
      replay in segment order), so they live on the deterministic track. *)
   count "htvm_compile_solver_explored_total" "Tiling candidates explored."
@@ -903,10 +817,6 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
     "Tiling candidates rejected as infeasible." solver.ss_infeasible;
   count "htvm_compile_solver_pruned_total"
     "Tiling candidates pruned before full evaluation." solver.ss_pruned;
-  count "htvm_compile_cache_hits_total" "Tiling-cache hits this compile."
-    solver.ss_cache_hits;
-  count "htvm_compile_cache_misses_total" "Tiling-cache misses this compile."
-    solver.ss_cache_misses;
   let kernels =
     phase "fuse" (fun () ->
         Codegen.Fuse.kernels ~cpu:platform.Arch.Platform.cpu

@@ -22,11 +22,6 @@ type config = {
       (** worker domains for tiling solves and autotune trials; 1 =
           sequential (no domain is ever spawned). Results are
           bit-identical at every job count. *)
-  solver_cache : Dory.Tiling_cache.t option;
-      (** when set, tiling solves are memoized across layers and across
-          compiles by canonical layer signature; cached compilations stay
-          bit-identical to cold ones. Only tests and the [htvmc check] /
-          [chaos] fuzzers set it. *)
   exhaustive_tiling : bool;
       (** disable the solver's binary search + branch-and-bound pruning
           and scan every candidate (same chosen tiles). Only tests and the
@@ -46,8 +41,8 @@ type config = {
 
 val default_config : Arch.Platform.t -> config
 (** Reuse planner, double buffering and all tiling heuristics on;
-    [jobs] honours the [HTVM_JOBS] environment variable (default 1), no
-    cache, pruned search. *)
+    [jobs] honours the [HTVM_JOBS] environment variable (default 1),
+    pruned search. *)
 
 val tvm_baseline_config : Arch.Platform.t -> config
 (** Plain-TVM deployment model: no buffer reuse (and accelerators are
@@ -66,13 +61,11 @@ type solver_stats = {
   ss_explored : int;  (** candidate tiles feasibility-tested, all solves *)
   ss_infeasible : int;  (** of those, how many failed *)
   ss_pruned : int;  (** candidates skipped by the branch-and-bound bound *)
-  ss_cache_hits : int;  (** this compile's {!Dory.Tiling_cache} hits (0 without) *)
-  ss_cache_misses : int;
 }
-(** Tiling-search totals summed over every offloaded segment. The
-    explored / infeasible / pruned totals are per-solve statistics, so
+(** Tiling-search totals summed over every solve the lower phase used,
+    fallback-ladder rungs included. They are per-solve statistics, so
     they are identical whether a solve ran or was replayed from the
-    cache; only the hit/miss split depends on caching. *)
+    persistent store. *)
 
 type demotion_reason =
   | Degraded_target  (** the target is in [cfg.degraded_targets] *)
@@ -149,17 +142,19 @@ val artifact_digest : artifact -> string
     graph under the same config twice — cold, warm from the persistent
     store, or on another machine — must produce the same digest; the CI
     smoke diffs it across a cold and a warm [htvmc compile]. Its
-    definition does not depend on what the store persists. *)
+    definition does not depend on what the store persists. Only such
+    comparisons are contracts: a change to a digested type moves every
+    absolute value. *)
 
 val artifact_store_key : config -> Ir.Graph.t -> string
 (** The artifact-tier store key: an injective encoding of the code
-    version, every artifact-relevant config field (not [jobs] or
-    [solver_cache] — results are deterministic in both) and a digest of
-    the graph's structure: every node, each constant reduced to its
-    dtype and shape. Graphs that differ only in constant values (weight
-    variants of one network) share a key, because the decisions the
-    entry holds do not depend on those values. Exposed for tests that
-    need to corrupt or inspect a specific store entry. *)
+    version, every artifact-relevant config field (not [jobs]: results
+    are deterministic in it) and a digest of the graph's structure:
+    every node, each constant reduced to its dtype and shape. Graphs
+    that differ only in constant values (weight variants of one network)
+    share a key, because the decisions the entry holds do not depend on
+    those values. Exposed for tests that need to corrupt or inspect a
+    specific store entry. *)
 
 val encode_outcome : Dory.Tiling.outcome -> string
 (** The store's encoding of one tiling outcome: a {!Util.Key} field
@@ -187,10 +182,10 @@ val compile :
     When [metrics] is given, the same phases register
     [htvm_wall_compile_phase_seconds{phase=...}] gauges on the wall
     track, and deterministic solver totals (candidates explored /
-    infeasible / pruned, tiling-cache hits/misses, demotions, tuning
-    trials) register as counters on the cycles track. Registration is
-    strict, so pass a registry that has not seen a compile yet (one
-    registry per compile; merge snapshots to aggregate).
+    infeasible / pruned, demotions, tuning trials) register as counters
+    on the cycles track. Registration is strict, so pass a registry that
+    has not seen a compile yet (one registry per compile; merge
+    snapshots to aggregate).
 
     With [cfg.jobs > 1] the per-segment tiling solves and per-kernel
     autotune trials run on a domain pool; trace events are replayed in
@@ -206,8 +201,10 @@ val compile :
     against the question the replay asks), and the layer tier is not
     consulted, so a warm compile reads the store once. The artifact and
     its solver counters report the entry's solver stats. On a miss, each
-    tiling solve consults the layer tier before burning search work, and
-    the compile's decisions are written back. Warm compiles are
+    primary tiling solve (fallback-ladder rungs excepted) consults the
+    layer tier before burning search work, and the compile's decisions
+    are written back. The layer tier is the only cache of solve
+    outcomes: without a store, every solve runs. Warm compiles are
     byte-identical to cold ones: same {!artifact_digest}, same solver
     stats. Corrupt, truncated or version-skewed entries, and entries
     whose replay asks a question they did not record, are rejected

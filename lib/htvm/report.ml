@@ -126,10 +126,10 @@ let to_json_value ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.arti
               ( "peak_latency_ms",
                 J.Float (Compile.latency_ms cfg (Compile.peak_cycles report)) );
             ]) );
-      (* Per-solve search totals only: these are identical whether solves
-         ran sequentially, on a pool, or were replayed from the cache, so
-         the report JSON stays byte-identical across engine settings
-         (cache hit/miss counts live in the markdown and the trace). *)
+      (* Per-solve search totals: these are identical whether solves ran
+         sequentially, on a pool, or were replayed from the persistent
+         store, so the report JSON stays byte-identical across engine
+         settings. *)
       ( "solver",
         J.Obj
           [
@@ -213,9 +213,6 @@ let to_markdown ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.artifa
   let sv = artifact.Compile.solver in
   add "- tiling search: %d candidates explored (%d infeasible), %d pruned\n"
     sv.Compile.ss_explored sv.Compile.ss_infeasible sv.Compile.ss_pruned;
-  if cfg.Compile.solver_cache <> None then
-    add "- solver cache: %d hits, %d misses this compile\n" sv.Compile.ss_cache_hits
-      sv.Compile.ss_cache_misses;
   let ps = Sim.Plan.stats artifact.Compile.plan in
   add
     "- execution plan: %d accelerator step(s), %d tile instance(s), %d scratch \

@@ -10,7 +10,7 @@
 
     Task functions run on worker domains: they must not touch shared
     mutable state (in this codebase: a {!Trace.t} sink or a
-    {!Dory.Tiling_cache.t}) — coordinate those from the submitting
+    {!Store.t} handle's counters) — coordinate those from the submitting
     domain instead. *)
 
 type t

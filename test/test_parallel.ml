@@ -1,12 +1,12 @@
-(* The engine determinism contract: parallel (jobs > 1), cached, and
-   pruned compilation must be behaviorally invisible — artifacts, report
-   JSON and trace payloads byte-identical to a sequential, uncached,
-   run (and pruned search must choose the same tiles as exhaustive). *)
+(* The engine determinism contract: parallel (jobs > 1) and pruned
+   compilation must be behaviorally invisible — artifacts, report JSON
+   and trace payloads byte-identical to a sequential run (and pruned
+   search must choose the same tiles as exhaustive). *)
 
 module C = Htvm.Compile
 
 (* An 8 kB L1 forces the zoo's layers through the tiler, so the solver
-   paths (pruning, fan-out, cache) actually run. *)
+   paths (pruning, fan-out) actually run. *)
 let constrained platform =
   {
     platform with
@@ -31,8 +31,8 @@ let report_of g artifact =
   let _, r = C.run artifact ~inputs:(Models.Zoo.random_input g) in
   Htvm.Report.to_json artifact r
 
-(* jobs=2/4 with a cache vs sequential uncached, across the zoo: same C
-   source, same report JSON, same tiling.solve trace payloads. *)
+(* jobs=2/4 vs sequential, across the zoo: same C source, same report
+   JSON, same tiling.solve trace payloads. *)
 let test_zoo_parallel_identical () =
   List.iter
     (fun (e : Models.Zoo.entry) ->
@@ -44,13 +44,7 @@ let test_zoo_parallel_identical () =
       List.iter
         (fun jobs ->
           let trace_par = Trace.create () in
-          let cfg =
-            {
-              base_cfg with
-              C.jobs;
-              solver_cache = Some (Dory.Tiling_cache.create ());
-            }
-          in
+          let cfg = { base_cfg with C.jobs } in
           let par = compile_exn cfg g in
           ignore (C.compile ~trace:trace_par cfg g);
           Alcotest.(check string)
@@ -101,63 +95,17 @@ let test_pruned_matches_exhaustive () =
         (pr.C.solver.C.ss_explored <= ex.C.solver.C.ss_explored))
     Models.Zoo.all
 
-(* The cache is a pure memo: a second compile through the same cache hits
-   on every segment and still produces the identical artifact. *)
-let test_cache_hits_and_identity () =
-  let e = Models.Zoo.find Models.Resnet8.name in
-  let g = e.Models.Zoo.build Models.Policy.Mixed in
-  let cache = Dory.Tiling_cache.create () in
-  let cfg =
-    {
-      (C.default_config (constrained Arch.Diana.platform)) with
-      C.solver_cache = Some cache;
-    }
-  in
-  let cold = compile_exn cfg g in
-  let offloads = cold.C.solver.C.ss_cache_hits + cold.C.solver.C.ss_cache_misses in
-  Alcotest.(check bool) "cold run has misses" true (cold.C.solver.C.ss_cache_misses > 0);
-  let warm = compile_exn cfg g in
-  Alcotest.(check int) "warm run all hits" offloads warm.C.solver.C.ss_cache_hits;
-  Alcotest.(check int) "warm run no misses" 0 warm.C.solver.C.ss_cache_misses;
-  Alcotest.(check string) "identical C source" cold.C.c_source warm.C.c_source;
-  Alcotest.(check string) "identical report" (report_of g cold) (report_of g warm);
-  (* The report JSON never leaks cache state, so cached and uncached
-     compilations agree byte-for-byte too. *)
-  let uncached = compile_exn { cfg with C.solver_cache = None } g in
-  Alcotest.(check string) "cache invisible in report" (report_of g uncached)
-    (report_of g warm)
-
-(* Solver work (not per-solve stats) is what the cache eliminates. *)
-let test_cache_skips_work () =
-  let e = Models.Zoo.find Models.Resnet8.name in
-  let g = e.Models.Zoo.build Models.Policy.Mixed in
-  let cache = Dory.Tiling_cache.create () in
-  let cfg =
-    {
-      (C.default_config (constrained Arch.Diana.platform)) with
-      C.solver_cache = Some cache;
-    }
-  in
-  ignore (compile_exn cfg g);
-  Dory.Tiling.reset_solver_work ();
-  ignore (compile_exn cfg g);
-  let w = Dory.Tiling.solver_work () in
-  Alcotest.(check int) "warm compile solves nothing" 0 w.Dory.Tiling.solves;
-  Alcotest.(check int) "warm compile tests nothing" 0 w.Dory.Tiling.tests
-
 (* Fuzzed graphs and configs: whatever engine knobs the generator picked,
-   forcing jobs=4 + cache + pruning must not change the artifact. *)
+   forcing jobs=4 must not change the artifact. *)
 let test_fuzz_graphs_identical () =
   for seed = 1 to 25 do
     let g = Check.Gen.generate seed in
     let cfg = Check.Gen.random_config seed in
-    (* Vary only jobs and cache: the report surfaces solver search totals,
-       which (by design) differ between exhaustive and pruned search, so
-       the exhaustive flag stays whatever the generator picked. *)
-    let seq_cfg = { cfg with C.jobs = 1; solver_cache = None } in
-    let par_cfg =
-      { cfg with C.jobs = 4; solver_cache = Some (Dory.Tiling_cache.create ()) }
-    in
+    (* Vary only jobs: the report surfaces solver search totals, which
+       (by design) differ between exhaustive and pruned search, so the
+       exhaustive flag stays whatever the generator picked. *)
+    let seq_cfg = { cfg with C.jobs = 1 } in
+    let par_cfg = { cfg with C.jobs = 4 } in
     match (C.compile seq_cfg g, C.compile par_cfg g) with
     | Ok a, Ok b ->
         Alcotest.(check string)
@@ -181,8 +129,6 @@ let suites =
           test_zoo_parallel_identical;
         Alcotest.test_case "pruned = exhaustive choices" `Slow
           test_pruned_matches_exhaustive;
-        Alcotest.test_case "cache hits and identity" `Quick test_cache_hits_and_identity;
-        Alcotest.test_case "cache skips solver work" `Quick test_cache_skips_work;
         Alcotest.test_case "fuzz: engines agree" `Slow test_fuzz_graphs_identical;
       ] )
   ]

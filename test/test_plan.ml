@@ -68,7 +68,7 @@ let compile_zoo model config =
     List.find (fun (c, _, _) -> c = config) Check.Golden.configurations
   in
   let g = entry.Models.Zoo.build policy in
-  let cfg = { (C.default_config platform) with C.jobs = 1; C.solver_cache = None } in
+  let cfg = { (C.default_config platform) with C.jobs = 1 } in
   match C.compile cfg g with
   | Ok a -> (a, g)
   | Error e -> Alcotest.failf "%s/%s: %s" model config (C.error_to_string e)
@@ -103,9 +103,7 @@ let test_zero_filter_differential () =
   let bias = Tensor.of_array Tensor.Dtype.I32 [| k |] (Array.init k (fun i -> (97 * i) - 300)) in
   let y = B.bias_add b y ~bias:(B.const b bias) in
   let g = B.finish b ~output:(B.requantize b ~shift:3 ~out_dtype:Tensor.Dtype.I8 y) in
-  let cfg =
-    { (C.default_config Arch.Diana.analog_only) with C.jobs = 1; C.solver_cache = None }
-  in
+  let cfg = { (C.default_config Arch.Diana.analog_only) with C.jobs = 1 } in
   let artifact = Result.get_ok (C.compile cfg g) in
   Alcotest.(check int) "the conv runs on the accelerator" 1
     (Sim.Plan.stats artifact.C.plan).Sim.Plan.accel_steps;
@@ -180,7 +178,7 @@ let lane_case ~analog ~c ~k ~f ~hw ~pad ~dw ~pool ~l1_kib fill =
           Arch.Platform.l1 = { Arch.Memory.level_name = "L1"; size_bytes = Util.Ints.kib n };
         }
   in
-  let cfg = { (C.default_config platform) with C.jobs = 1; C.solver_cache = None } in
+  let cfg = { (C.default_config platform) with C.jobs = 1 } in
   (C.compile cfg g, g, [ ("x", x) ])
 
 (* A compiled lane case on the plan path against the oracle (outputs,
@@ -270,7 +268,7 @@ let test_random_differential () =
   let ran = ref 0 in
   for seed = 0 to 39 do
     let g = Check.Gen.generate seed in
-    let cfg = { (Check.Gen.random_config seed) with C.solver_cache = None } in
+    let cfg = Check.Gen.random_config seed in
     match C.compile cfg g with
     | Error _ -> () (* infeasible deployments are the fuzz suite's business *)
     | Ok artifact -> (
@@ -324,7 +322,7 @@ let prop_service_cycles_random =
     QCheck.(pair (int_bound 100_000) (input_seeds 3))
     (fun (case, seeds) ->
       let g = Check.Gen.generate case in
-      match C.compile { (Check.Gen.random_config case) with C.solver_cache = None } g with
+      match C.compile (Check.Gen.random_config case) g with
       | Error _ -> true
       | Ok artifact ->
           service_cycles_hold ~label:(Printf.sprintf "case %d" case) (artifact, g) seeds)
@@ -344,10 +342,7 @@ let digital_artifact =
   lazy
     (let entry = Models.Zoo.find "resnet8" in
      let g = entry.Models.Zoo.build Models.Policy.All_int8 in
-     let cfg =
-       { (C.default_config Arch.Diana.digital_only) with
-         C.jobs = 1; C.solver_cache = None }
-     in
+     let cfg = { (C.default_config Arch.Diana.digital_only) with C.jobs = 1 } in
      (Result.get_ok (C.compile cfg g), g))
 
 (* Plan stats agree with the program they were compiled from. *)
@@ -481,7 +476,7 @@ let test_arena_dies_with_plan () =
     List.find (fun (c, _, _) -> c = "both") Check.Golden.configurations
   in
   let g = (Models.Zoo.find "resnet8").Models.Zoo.build policy in
-  let cfg = { (C.default_config platform) with C.jobs = 1; C.solver_cache = None } in
+  let cfg = { (C.default_config platform) with C.jobs = 1 } in
   let artifact = Result.get_ok (C.compile cfg g) in
   let inputs = Models.Zoo.random_input ~seed:1 g in
   let run () =
@@ -642,7 +637,7 @@ let test_random_faulted_differential () =
   let ran = ref 0 in
   for seed = 0 to 39 do
     let g = Check.Gen.generate seed in
-    let cfg = { (Check.Gen.chaos_config seed) with C.solver_cache = None } in
+    let cfg = Check.Gen.chaos_config seed in
     let plan = Check.Gen.random_fault_plan seed in
     let diff_of artifact g =
       let inputs = Models.Zoo.random_input ~seed g in
@@ -674,10 +669,7 @@ let test_random_faulted_differential () =
    without a fault session. *)
 let test_foreign_plan_rejected () =
   let artifact, g = Lazy.force digital_artifact in
-  let cfg =
-    { (C.default_config Arch.Diana.digital_only) with
-      C.jobs = 1; C.solver_cache = None }
-  in
+  let cfg = { (C.default_config Arch.Diana.digital_only) with C.jobs = 1 } in
   let artifact2 = Result.get_ok (C.compile cfg g) in
   let inputs = Models.Zoo.random_input ~seed:3 g in
   let session () =

@@ -92,7 +92,6 @@ let test_simplifies_config_toward_default () =
       (C.default_config Arch.Diana.platform) with
       C.memory_strategy = Dory.Memplan.No_reuse;
       jobs = 4;
-      solver_cache = Some (Dory.Tiling_cache.create ());
       exhaustive_tiling = true;
       autotune_budget = Some 32;
     }
@@ -102,8 +101,6 @@ let test_simplifies_config_toward_default () =
   in
   Alcotest.(check int) "graph fully minimized" 1 (G.app_count o.Check.Shrink.graph);
   Alcotest.(check int) "jobs reset" 1 o.Check.Shrink.config.C.jobs;
-  Alcotest.(check bool) "cache dropped" true
-    (o.Check.Shrink.config.C.solver_cache = None);
   Alcotest.(check bool) "exhaustive search off" false
     o.Check.Shrink.config.C.exhaustive_tiling;
   Alcotest.(check bool) "autotune off" true

@@ -363,7 +363,7 @@ let test_platform_variants_do_not_collide () =
         [ "cold"; "warm" ])
 
 (* qcheck: cold vs warm byte-identity over fuzzed graph/config pairs,
-   including configs with the in-process solver cache on. *)
+   at whatever job count and search mode the generator picked. *)
 let prop_cold_warm_identical =
   Helpers.qtest ~count:12 "cold vs warm compile byte-identical (fuzzed)"
     QCheck.(int_range 0 1_000_000)
@@ -442,6 +442,27 @@ let test_entry_is_a_hint () =
       check_counts "next compile is a clean hit" (1, 0, 0) again_st;
       Alcotest.(check string) "same artifact" (digest warm) (digest again))
 
+(* The layer tier answers what the artifact tier cannot: with the
+   artifact entry gone, a compile of the same deployment solves nothing,
+   reading every primary solve from the layer tier, and still yields the
+   cold artifact. The cold compile demotes nothing: ladder rungs never
+   consult the layer tier, so a demotion would be solved again. *)
+let test_layer_tier_answers_artifact_miss () =
+  with_store (fun root ->
+      let cfg = both_cfg () and g = zoo_graph "resnet8" in
+      let cold = compile_with (Some (Store.open_root root)) cfg g in
+      Alcotest.(check int) "no demotions" 0 (List.length cold.Htvm.Compile.demotions);
+      Store.invalidate (Store.open_root root) Store.Artifact
+        ~key:(Htvm.Compile.artifact_store_key cfg g);
+      Dory.Tiling.reset_solver_work ();
+      let st = Store.open_root root in
+      let warm = compile_with (Some st) cfg g in
+      Alcotest.(check int) "no solve" 0 (Dory.Tiling.solver_work ()).Dory.Tiling.solves;
+      Alcotest.(check bool) "layer hits" true (Store.hits st > 0);
+      Alcotest.(check int) "one miss: the artifact entry" 1 (Store.misses st);
+      Alcotest.(check int) "no reject" 0 (Store.rejects st);
+      Alcotest.(check string) "the cold artifact" (digest cold) (digest warm))
+
 (* Autotuning results are decisions too: a warm cpu-only compile with a
    tuning budget replays every search instead of measuring again. *)
 let test_tuning_replayed () =
@@ -468,7 +489,7 @@ let test_tuning_replayed () =
 (* The codec fixture. These encodings pin the store's format: a change
    that breaks them must also bump the code version, pinned here as the
    first field of every store key, so old entries read as misses. *)
-let fixture_version = "htvm-code-v2"
+let fixture_version = "htvm-code-v3"
 
 let fixture_ok =
   "2:ok1:82:161:41:81:62:1020:0x1.3333333333334p-220:0x1.5555555555555p-24:true2:122:402:311:9"
@@ -646,6 +667,8 @@ let suites =
             test_entry_is_a_hint;
           Alcotest.test_case "tuning results are replayed" `Quick
             test_tuning_replayed;
+          Alcotest.test_case "layer tier answers an artifact-tier miss" `Quick
+            test_layer_tier_answers_artifact_miss;
           Alcotest.test_case "codec fixture" `Quick test_codec_fixture;
           Alcotest.test_case "codec rejects malformed payloads" `Quick
             test_codec_rejects_malformed;
