@@ -1192,18 +1192,26 @@ let faults_file_arg =
        & info [ "faults" ] ~docv:"FILE"
            ~doc:"Load the fault plan from FILE (same grammar as \
                  $(b,--inject), one or more rules per line).")
-(* A negative budget would act as 0 (a guard aborts once a fault's
-   attempts exceed the budget), so it is refused before any work, with
-   one line and exit 1, not reinterpreted. [None] when the flag is
-   absent, so multi-tenant [serve], which models no faults, can refuse
-   it rather than ignore it. *)
+(* A negative count that the command would reinterpret (a budget acting
+   as 0, an empty seed range) is refused when the command line is
+   parsed, before any work, with one line and exit 1. *)
+let refuse_negative flag n =
+  if n < 0 then begin
+    Printf.eprintf "htvmc: --%s must be >= 0 (got %d)\n" flag n;
+    exit 1
+  end;
+  n
+
+let count_arg names ~default ~doc =
+  Term.(const (refuse_negative (List.hd names))
+        $ Arg.(value & opt int default & info names ~docv:"N" ~doc))
+
+(* A negative budget would act as 0: a guard aborts once a fault's
+   attempts exceed the budget. [None] when the flag is absent, so
+   multi-tenant [serve], which models no faults, can refuse it rather
+   than ignore it. *)
 let retry_budget_given =
-  let checked = function
-    | Some n when n < 0 ->
-        Printf.eprintf "htvmc: --retry-budget must be >= 0 (got %d)\n" n;
-        exit 1
-    | n -> n
-  in
+  let checked = Option.map (refuse_negative "retry-budget") in
   Term.(const checked
         $ Arg.(value & opt (some int) None
                & info [ "retry-budget" ] ~docv:"N"
@@ -1317,10 +1325,15 @@ let verify_cmd =
        ~doc:"Differentially verify the compiled artifact against the interpreter")
     Term.(const verify $ path_arg $ config_arg $ jobs_arg $ trials)
 
+(* A negative budget would act as 0. *)
+let max_shrink_checks_arg =
+  count_arg [ "max-shrink-checks" ] ~default:400
+    ~doc:"Budget of failure-predicate re-checks for the shrinker; must be >= 0."
+
 let check_cmd =
   let seeds =
-    Arg.(value & opt int 100
-         & info [ "seeds"; "n" ] ~docv:"N" ~doc:"Number of fuzz seeds to run.")
+    count_arg [ "seeds"; "n" ] ~default:100
+      ~doc:"Number of fuzz seeds to run; must be >= 0."
   in
   let start =
     Arg.(value & opt int 0 & info [ "start" ] ~docv:"S" ~doc:"First seed of the range.")
@@ -1346,24 +1359,18 @@ let check_cmd =
          & info [ "o"; "repro" ] ~docv:"FILE"
              ~doc:"Where to write the minimized reproducer on failure.")
   in
-  let max_shrink_checks =
-    Arg.(value & opt int 400
-         & info [ "max-shrink-checks" ] ~docv:"N"
-             ~doc:"Budget of failure-predicate re-checks for the shrinker.")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Differential conformance check: fuzz random (graph, config) cases \
              against the reference interpreter, auto-shrink the first failure \
              to a minimal reproducer; --bless records golden snapshots")
     Term.(const check $ seeds $ start $ jobs_arg $ golden_dir $ bless $ replay_seed
-          $ out $ max_shrink_checks)
+          $ out $ max_shrink_checks_arg)
 
 let chaos_cmd =
   let seeds =
-    Arg.(value & opt int 100
-         & info [ "seeds"; "n" ] ~docv:"N"
-             ~doc:"Number of chaos campaigns to run.")
+    count_arg [ "seeds"; "n" ] ~default:100
+      ~doc:"Number of chaos campaigns to run; must be >= 0."
   in
   let start =
     Arg.(value & opt int 0 & info [ "start" ] ~docv:"S" ~doc:"First seed of the range.")
@@ -1380,11 +1387,6 @@ let chaos_cmd =
              ~doc:"Where to write the minimized reproducer (fault plan \
                    embedded) on failure.")
   in
-  let max_shrink_checks =
-    Arg.(value & opt int 400
-         & info [ "max-shrink-checks" ] ~docv:"N"
-             ~doc:"Budget of failure-predicate re-checks for the shrinker.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Fuzz under randomized fault-injection campaigns: each seed pairs \
@@ -1392,7 +1394,7 @@ let chaos_cmd =
              detected-uncorrected or silent-corruption verdict fails and is \
              shrunk to a replayable reproducer")
     Term.(const chaos $ seeds $ start $ jobs_arg $ retry_budget_arg
-          $ replay_seed $ out $ max_shrink_checks $ metrics_arg
+          $ replay_seed $ out $ max_shrink_checks_arg $ metrics_arg
           $ metrics_format_arg)
 
 (* Health-lifecycle knobs shared by `serve` and `campaign`. [enable] is
@@ -1546,7 +1548,7 @@ let serve_cmd =
     Arg.(value & opt (some int) None
          & info [ "degrade-after" ] ~docv:"N"
              ~doc:"Route around an instance once the requests it served have \
-                   reported N faults (detected + silent).")
+                   reported N faults (detected + silent); must be >= 1.")
   in
   let degraded =
     Arg.(value & opt_all int []

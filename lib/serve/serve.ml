@@ -1075,6 +1075,8 @@ let validate cfg =
   | None ->
       if cfg.max_batch < 1 then bad "max_batch must be >= 1"
       else if cfg.retry_budget < 0 then bad "retry_budget must be >= 0"
+      else if (match cfg.degrade_after with Some n -> n < 1 | None -> false) then
+        bad "degrade_after must be >= 1"
       else if (match cfg.slo_sojourn with Some t -> t < 1 | None -> false) then
         bad "slo_sojourn must be >= 1"
       else if cfg.input_mix < 0 then bad "input_mix must be >= 0"

@@ -83,7 +83,7 @@ type config = {
   degrade_after : int option;
       (** mark an instance degraded once the fault sessions of the
           requests it served have reported this many faults (detected +
-          silent); [None] = never *)
+          silent); [>= 1]; [None] = never *)
   degraded_instances : int list;
       (** instance ids degraded from cycle 0 (a health monitor's prior) *)
   jobs : int;
@@ -328,7 +328,7 @@ val run :
     not have hosted a serve run before.
     @raise Invalid_argument on a non-positive [workers], [max_batch],
     [queue_depth], [slo_sojourn], a negative [requests], [input_mix],
-    [retry_budget] or [dispatch_overhead],
+    [retry_budget] or [dispatch_overhead], a [degrade_after] below 1,
     [memoize] combined with a non-empty fault [plan], a
     [degraded_instances] id outside [[0, workers)] or listed twice, an
     out-of-range [health] field (see {!Health.validate}), or [health]

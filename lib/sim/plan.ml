@@ -15,7 +15,8 @@ module K = Nn.Kernels
    preloaded images in the paper's deployment, a tile reads its weights
    and bias from the L2 it runs on, at the oracle's point in the tile:
    one bounds check per slice (the oracle's [Mem.Fault]), then [Mem]'s
-   element decoder per tap, per dense row ([Mem.dot]) or per channel.
+   decoder per conv filter row ([Mem.read_flat_into]), per dense row
+   ([Mem.dot]) or per bias channel ([Mem.read_elt]).
 
    Byte-identity contract (enforced by the golden snapshots and the
    plan-on/plan-off differential tests, fault-free and faulted): for a
@@ -27,11 +28,13 @@ module K = Nn.Kernels
    and commutative (modulo 2^63). So the conv kernel may sum a tile's
    terms in any loop order (weight-stationary here, output-stationary in
    [Nn.Kernels.conv2d]) and still produce the oracle's bits; a zero tap
-   adds nothing, so skipping it changes no sum; and a pre-zero-padded
-   input contributes exactly 0 at the out-of-range taps the slow path's
-   bounds checks skip. Reading weights live is what makes L2 bit rot and a
-   program's own DMA-out over a later step's weight image follow the
-   oracle byte for byte: both paths decode the same bytes.
+   adds nothing, so skipping a tap, or a triple of taps, that is all zero
+   changes no sum, and a zero tap swept inside a live triple adds 0; and
+   a pre-zero-padded input contributes exactly 0 at the out-of-range taps
+   the slow path's bounds checks skip. Reading weights live is what makes
+   L2 bit rot and a program's own DMA-out over a later step's weight
+   image follow the oracle byte for byte: both paths decode the same
+   bytes.
 
    Lanes. The conv kernel accumulates up to n output channels of one conv
    group side by side in one [int], L bits per lane, so one multiply-add
@@ -45,8 +48,12 @@ module K = Nn.Kernels
      overflow.
    - A packed tap, sum of w_l * 2^(l*L), is 0 iff every w_l is 0, since
      |w_l| < 2^(L-1), so skipping it skips exactly the all-zero taps.
-     Every partial lane sum stays inside (-2^(L-1), 2^(L-1)) and
-     n * L <= Sys.int_size, so the packed int never wraps;
+   - The kernel adds three horizontally adjacent taps of a kernel row in
+     one pass, w0 * x[s] + w1 * x[s+1] + w2 * x[s+2], before the sum
+     reaches the accumulator. Every term of a lane is bounded by
+     max|x| * max|w|, so any sum of a subset of a lane's terms, such a
+     triple or any partial sum in the accumulator, has magnitude at most
+     B < 2^(L-1). With n * L <= Sys.int_size the packed int never wraps;
      sign-extending its low L bits and shifting the rest right recovers
      each channel's exact sum, the oracle's bits.
    - Lane groups never straddle conv groups. Lane group j's packed row
@@ -171,7 +178,12 @@ type scratch = {
   sc_tensor : Tensor.t option;
 }
 
-type arena = { ar_l2 : Mem.t; ar_l1 : Mem.t; ar_scratch : scratch array array }
+type arena = {
+  ar_l2 : Mem.t;
+  ar_l1 : Mem.t;
+  ar_scratch : scratch array array;
+  ar_wrows : int array;  (* the conv kernel's decoded filter rows *)
+}
 
 type t = {
   p_prog : P.t;
@@ -182,6 +194,7 @@ type t = {
   p_id : int;  (* unique per plan: its hash in the arena tables *)
   p_tiles : int;
   p_scratch_words : int;
+  p_wrows : int;  (* max lanes * taps over the conv tiles *)
   p_service_cycles : int;  (* wall of every fault-free run *)
 }
 
@@ -302,90 +315,149 @@ let conv_lanes ~in_dtype ~w_dtype ~taps ~kpg =
     let l = width 1 in
     (max 1 (min kpg (Sys.int_size / l)), l)
 
-(* Weight-stationary: each tap weight is decoded from L2 once, skipped
-   when zero, and swept across the output plane in runs of contiguous
-   output columns, so the innermost loop no longer spans the 1-3 kernel
-   columns. The terms are [Nn.Kernels.conv2d]'s, summed in a different
-   order. A tap carries the weights of a lane group's channels, packed
-   [lane_bits] apart, so each sweep accumulates them all at once. *)
+(* [acc.(o) += w * pin.(s)], and the same for three horizontally
+   adjacent taps of one kernel row, summed before they reach the
+   accumulator, so it is read and written once per three taps. *)
+let[@inline] add1 acc pin w o s =
+  Array.unsafe_set acc o (Array.unsafe_get acc o + (w * Array.unsafe_get pin s))
+
+let[@inline] add3 acc pin w0 w1 w2 o s =
+  Array.unsafe_set acc o
+    (Array.unsafe_get acc o
+    + ((w0 * Array.unsafe_get pin s)
+      + (w1 * Array.unsafe_get pin (s + 1))
+      + (w2 * Array.unsafe_get pin (s + 2))))
+
+(* The conv kernel's two sweeps over one run of [len] output columns
+   from [dst], reading the input from [src], [sx] columns apart. Both are
+   closure-free and unrolled by two, stepping their indices instead of
+   multiplying them: [acc] and [pin] stay in registers, and the loop's
+   safepoint poll runs once per two columns. *)
+let sweep1 acc pin w ~dst ~src ~len ~sx =
+  let last = dst + len - 1 in
+  let o = ref dst and s = ref src in
+  while !o < last do
+    let o0 = !o and s0 = !s in
+    let s1 = s0 + sx in
+    add1 acc pin w o0 s0;
+    add1 acc pin w (o0 + 1) s1;
+    o := o0 + 2;
+    s := s1 + sx
+  done;
+  if !o = last then add1 acc pin w last !s
+
+let sweep3 acc pin w0 w1 w2 ~dst ~src ~len ~sx =
+  let last = dst + len - 1 in
+  let o = ref dst and s = ref src in
+  while !o < last do
+    let o0 = !o and s0 = !s in
+    let s1 = s0 + sx in
+    add3 acc pin w0 w1 w2 o0 s0;
+    add3 acc pin w0 w1 w2 (o0 + 1) s1;
+    o := o0 + 2;
+    s := s1 + sx
+  done;
+  if !o = last then add3 acc pin w0 w1 w2 last !s
+
+(* Weight-stationary: a lane group's filter rows are decoded from L2 into
+   [wrows] once per tile, each tap packed from its channels' weights
+   [lane_bits] apart, and every tap, or triple of horizontally adjacent
+   taps, that is not all zero is swept across the output plane in runs of
+   contiguous output columns. One multiply-add thus serves the whole lane
+   group, and the innermost loop no longer spans the kernel columns. The
+   terms are [Nn.Kernels.conv2d]'s, summed in a different order. *)
 let conv_kernel ~l2 ~ws ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_groups
-    ~cv_oh ~cv_ow ~lanes ~lane_bits ~chw pin acc =
+    ~cv_oh ~cv_ow ~lanes ~lane_bits ~chw pin acc wrows =
   Mem.check l2 ws.ws_off ws.ws_bytes;
-  let wdt = ws.ws_dtype in
-  let wb = Dtype.sim_bytes wdt in
   let kpg = cv_k / cv_groups in
   let plane = cv_oh * cv_ow in
   let taps = cv_cg * cv_fy * cv_fx in
+  let row_bytes = taps * Dtype.sim_bytes ws.ws_dtype in
+  let triples = cv_fx / 3 in
   (* A one-column kernel at unit stride reads input rows exactly as wide
      as the output's, so the whole plane is one run; otherwise each
      output row is. *)
   let runs, run_len =
     if cv_sy = 1 && cv_sx = 1 && cv_w = cv_ow then (1, plane) else (cv_oh, cv_ow)
   in
-  (* Channels [k0, k0 + m) of conv group [grp], packed into row [j]. *)
-  let sweep ~j ~k0 ~m ~grp =
-    let out_base = j * plane in
+  Array.fill acc 0 (cv_k * plane) 0;
+  (* Lane group [j] packs channels [k0, k0 + m) of conv group [grp] into
+     accumulator row [j]. *)
+  let j = ref 0 and k0 = ref 0 in
+  while !k0 < cv_k do
+    let grp = !k0 / kpg in
+    let m = min lanes (min cv_k ((grp + 1) * kpg) - !k0) in
+    for l = 0 to m - 1 do
+      Mem.read_flat_into l2 ws.ws_dtype
+        (ws.ws_off + ((!k0 + l) * row_bytes))
+        wrows ~pos:(l * taps) ~len:taps
+    done;
+    (* Packed into row 0 in place: tap [t] reads column [t] of every row
+       before it overwrites row 0's. *)
+    if m > 1 then
+      for t = 0 to taps - 1 do
+        let w = ref 0 in
+        for l = m - 1 downto 0 do
+          w := (!w lsl lane_bits) + Array.unsafe_get wrows ((l * taps) + t)
+        done;
+        Array.unsafe_set wrows t !w
+      done;
+    let out_base = !j * plane in
     for ci = 0 to cv_cg - 1 do
       let in_ch_base = ((grp * cv_cg) + ci) * chw in
       for ky = 0 to cv_fy - 1 do
-        for kx = 0 to cv_fx - 1 do
-          let tap = (((ci * cv_fy) + ky) * cv_fx) + kx in
-          let wv = ref 0 in
-          for l = m - 1 downto 0 do
-            wv :=
-              (!wv lsl lane_bits)
-              + Mem.read_elt l2 wdt (ws.ws_off + ((((k0 + l) * taps) + tap) * wb))
-          done;
-          let wv = !wv in
-          if wv <> 0 then
+        let tap_row = ((ci * cv_fy) + ky) * cv_fx in
+        let src_row = in_ch_base + (ky * cv_w) in
+        for q = 0 to triples - 1 do
+          let kx = 3 * q in
+          let w0 = Array.unsafe_get wrows (tap_row + kx)
+          and w1 = Array.unsafe_get wrows (tap_row + kx + 1)
+          and w2 = Array.unsafe_get wrows (tap_row + kx + 2) in
+          if w0 lor w1 lor w2 <> 0 then
             for r = 0 to runs - 1 do
-              let src = in_ch_base + (((r * cv_sy) + ky) * cv_w) + kx
-              and dst = out_base + (r * cv_ow) in
-              if cv_sx = 1 then
-                for i = 0 to run_len - 1 do
-                  let o = dst + i in
-                  Array.unsafe_set acc o
-                    (Array.unsafe_get acc o + (wv * Array.unsafe_get pin (src + i)))
-                done
-              else
-                for i = 0 to run_len - 1 do
-                  let o = dst + i in
-                  Array.unsafe_set acc o
-                    (Array.unsafe_get acc o
-                    + (wv * Array.unsafe_get pin (src + (i * cv_sx))))
-                done
+              sweep3 acc pin w0 w1 w2 ~dst:(out_base + (r * cv_ow))
+                ~src:(src_row + (r * cv_sy * cv_w) + kx)
+                ~len:run_len ~sx:cv_sx
+            done
+        done;
+        for kx = 3 * triples to cv_fx - 1 do
+          let w = Array.unsafe_get wrows (tap_row + kx) in
+          if w <> 0 then
+            for r = 0 to runs - 1 do
+              sweep1 acc pin w ~dst:(out_base + (r * cv_ow))
+                ~src:(src_row + (r * cv_sy * cv_w) + kx)
+                ~len:run_len ~sx:cv_sx
             done
         done
       done
-    done
-  in
-  (* Row [j] spread over channels [k0, k0 + m) in place: each lane is the
-     sign-extended low [lane_bits] bits left once the lanes below it are
-     shifted out. *)
-  let unpack ~j ~k0 ~m =
+    done;
+    incr j;
+    k0 := !k0 + m
+  done;
+  (* Every lane group was swept on the way up; they are unpacked on the
+     way back down, in place. Lane groups never straddle conv groups, so
+     every conv group but a last partial one holds [per_grp] of them and
+     lane group [j] is the [j mod per_grp]-th of conv group
+     [j / per_grp]. Row [j] spreads over channels [k0, k0 + m): each lane
+     is the sign-extended low [lane_bits] bits left once the lanes below
+     it are shifted out. *)
+  if lanes > 1 then begin
     let drop = Sys.int_size - lane_bits in
-    for p = 0 to plane - 1 do
-      let v = ref (Array.unsafe_get acc ((j * plane) + p)) in
-      for l = 0 to m - 1 do
-        let s = (!v lsl drop) asr drop in
-        Array.unsafe_set acc (((k0 + l) * plane) + p) s;
-        v := (!v - s) asr lane_bits
+    let per_grp = (kpg + lanes - 1) / lanes in
+    for j = !j - 1 downto 0 do
+      let grp = j / per_grp in
+      let k0 = (grp * kpg) + (j mod per_grp * lanes) in
+      let m = min lanes (min cv_k ((grp + 1) * kpg) - k0) in
+      for p = 0 to plane - 1 do
+        let v = ref (Array.unsafe_get acc ((j * plane) + p)) in
+        for l = 0 to m - 1 do
+          let s = (!v lsl drop) asr drop in
+          Array.unsafe_set acc (((k0 + l) * plane) + p) s;
+          v := (!v - s) asr lane_bits
+        done
       done
     done
-  in
-  (* Every lane group is swept on the way down and unpacked on the way
-     back up, so unpacking runs in descending order. *)
-  let rec lane_groups j k0 =
-    if k0 < cv_k then begin
-      let grp = k0 / kpg in
-      let m = min lanes (min cv_k ((grp + 1) * kpg) - k0) in
-      sweep ~j ~k0 ~m ~grp;
-      lane_groups (j + 1) (k0 + m);
-      if lanes > 1 then unpack ~j ~k0 ~m
-    end
-  in
-  Array.fill acc 0 (cv_k * plane) 0;
-  lane_groups 0 0
+  end
 
 let dense_kernel ~l2 ~ws ~dn_c ~dn_k pin acc =
   Mem.check l2 ws.ws_off ws.ws_bytes;
@@ -822,24 +894,26 @@ let build ~platform (prog : P.t) =
                     ~out ~weights_offset ~bias_offset))
          prog.P.steps)
   in
-  let tiles =
+  let fold_insts f =
     Array.fold_left
-      (fun n -> function Some a -> n + Array.length a.a_insts | None -> n)
+      (fun n -> function Some a -> Array.fold_left f n a.a_insts | None -> n)
       0 p_steps
   in
+  let tiles = fold_insts (fun n _ -> n + 1) in
   let scratch_words =
-    Array.fold_left
-      (fun n -> function
-        | None -> n
-        | Some a ->
-            Array.fold_left
-              (fun n i ->
-                n + i.i_scr.ss_pin + i.i_scr.ss_acc + i.i_scr.ss_out
-                + (match i.i_scr.ss_tensor with
-                  | Some (_, shape) -> Array.fold_left ( * ) 1 shape
-                  | None -> 0))
-              n a.a_insts)
-      0 p_steps
+    fold_insts (fun n i ->
+        n + i.i_scr.ss_pin + i.i_scr.ss_acc + i.i_scr.ss_out
+        + (match i.i_scr.ss_tensor with
+          | Some (_, shape) -> Array.fold_left ( * ) 1 shape
+          | None -> 0))
+  in
+  (* One buffer of decoded filter rows serves every conv tile of the
+     arena: a lane group's [lanes] rows of [taps] weights. *)
+  let wrows =
+    fold_insts (fun n i ->
+        match i.i_compute with
+        | CConv cv -> max n (cv.cv_lanes * cv.cv_cg * cv.cv_fy * cv.cv_fx)
+        | CDense _ | CAdd _ | CPool _ -> n)
   in
   (* No step's timing depends on the data it moves: a fault-free run's
      wall is the sum of the accelerator templates' and the CPU kernels'
@@ -860,7 +934,8 @@ let build ~platform (prog : P.t) =
     p_l2_size = l2_size;
     p_id = Atomic.fetch_and_add next_id 1;
     p_tiles = tiles;
-    p_scratch_words = scratch_words;
+    p_scratch_words = scratch_words + wrows;
+    p_wrows = wrows;
     p_service_cycles = service_cycles;
   }
 
@@ -888,7 +963,7 @@ let alloc_arena plan =
               a.a_insts)
       plan.p_steps
   in
-  { ar_l2; ar_l1; ar_scratch }
+  { ar_l2; ar_l1; ar_scratch; ar_wrows = Array.make plan.p_wrows 0 }
 
 (* Each domain maps its plans to their arenas through ephemerons, so an
    arena dies with its plan (the table never keeps a plan alive) or with
@@ -930,7 +1005,7 @@ let copy_counters c =
   Counters.add r c;
   r
 
-let exec_compute ~l2 ~l1 inst scr =
+let exec_compute ~l2 ~l1 ~wrows inst scr =
   match inst.i_compute with
   | CConv cv ->
       fill_padded ~l1 ~dtype:cv.cv_in_dtype ~l1_off:inst.i_in_off ~dst:scr.sc_pin
@@ -939,7 +1014,8 @@ let exec_compute ~l2 ~l1 inst scr =
       conv_kernel ~l2 ~ws:cv.cv_ws ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
         ~cv_fy:cv.cv_fy ~cv_fx:cv.cv_fx ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
         ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~lanes:cv.cv_lanes
-        ~lane_bits:cv.cv_lane_bits ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;
+        ~lane_bits:cv.cv_lane_bits ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc
+        wrows;
       run_epilogue ~l2 cv.cv_ep scr.sc_acc scr.sc_out;
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off scr.sc_out ~pos:0
         ~len:inst.i_out_len
@@ -978,7 +1054,8 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
     | None -> invalid_arg "Plan.run_accel_step: step is not an accelerator step"
   in
   (match a.a_fail with Some e -> raise e | None -> ());
-  let scratch = (arena plan).ar_scratch.(step_index) in
+  let ar = arena plan in
+  let scratch = ar.ar_scratch.(step_index) in
   let c = copy_counters a.a_counters in
   let rc = Resilience.make ?faults ~retry_budget c in
   (* The slow path's guard sequence per tile ([Exec_accel.run]),
@@ -994,7 +1071,7 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
       if inst.i_wload then
         Resilience.guard rc ~site:Fault.Plan.Weight_load ~cycles:inst.i_wl
           ~flip_detected:true ();
-      exec_compute ~l2 ~l1 inst scratch.(i);
+      exec_compute ~l2 ~l1 ~wrows:ar.ar_wrows inst scratch.(i);
       Resilience.guard rc ~site:a.a_engine ~cycles:inst.i_cc
         ~corrupt:(fun fs bits ->
           Resilience.flip_in_mem fs l1 ~base:inst.i_out_off

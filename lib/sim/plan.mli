@@ -7,14 +7,16 @@
     trace timeline — so that the per-request loop is pure data movement and
     kernel math over preallocated scratch. Like the oracle, a tile reads
     its weights and bias from the L2 it runs on, checking each slice once
-    and decoding with {!Mem.read_elt} and {!Mem.dot}. The conv kernel
-    packs the sums of several output channels into one [int], in lanes
-    [build] sizes so that no sum can overflow its lane, so one
-    multiply-add serves them all.
+    and decoding with {!Mem.read_flat_into} (a conv filter row at a
+    time), {!Mem.dot} and {!Mem.read_elt}. The conv kernel packs the sums
+    of several output channels into one [int], in lanes [build] sizes so
+    that no sum can overflow its lane, so one multiply-add serves them
+    all.
 
-    Scratch lives in a per-domain {e arena}: reused L2/L1 memories plus
-    per-tile padded-input, accumulator and output buffers, reset between
-    requests instead of reallocated. A plan is therefore safe to share
+    Scratch lives in a per-domain {e arena}: reused L2/L1 memories,
+    per-tile padded-input, accumulator and output buffers, and one buffer
+    for the conv kernel's decoded weight rows, reset between requests
+    instead of reallocated. A plan is therefore safe to share
     across domains. An arena dies with its plan or its domain, whichever
     goes first.
 
@@ -35,7 +37,10 @@ type t
 type stats = {
   accel_steps : int;  (** accelerator steps covered by the plan *)
   tiles : int;  (** precomputed tile instances across all steps *)
-  scratch_words : int;  (** per-arena scratch footprint, in [int] words *)
+  scratch_words : int;
+      (** per-arena scratch footprint, in [int] words: the per-tile
+          buffers plus the weight-row buffer, sized to the largest
+          lanes x taps of the plan's conv tiles *)
   image_bytes : int;
       (** size of the captured L2 weight prefix [[0, post-load high-water)];
           0 when the program preloads no weights *)

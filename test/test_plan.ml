@@ -123,19 +123,21 @@ let fill_name = function
   | Opposite -> "opposite"
   | Random seed -> Printf.sprintf "random %d" seed
 
-(* One conv of [k] filters (depthwise: [c]) of [f] x [f] taps over a
-   [c] x [hw] x [hw] I8 input, with an optional fused 2x2 max pool, on
-   digital_only (I8 weights) or analog_only (ternary), [l1_kib] shrinking
-   L1 to force tiling. Under an extreme fill every unpadded sum is the
-   same, and the bias brings it back to a small per-channel value that
-   the unshifted requantize keeps bit for bit. A random fill is shifted
-   so that B lands in 8 bits, where a wrapped lane still shows. *)
-let lane_case ~analog ~c ~k ~f ~hw ~pad ~dw ~pool ~l1_kib fill =
+(* One conv of [k] filters (depthwise: [c]) of [fy] x [fx] taps at
+   [stride] over a [c] x [h] x [w] I8 input, padded by [pad], with an
+   optional fused 2x2 max pool, on digital_only (I8 weights) or
+   analog_only (ternary), [l1_kib] shrinking L1 to force tiling. Under an
+   extreme fill every unpadded sum is the same, and the bias brings it
+   back to a small per-channel value that the unshifted requantize keeps
+   bit for bit. A random fill is shifted so that B lands in 8 bits, where
+   a wrapped lane still shows. *)
+let lane_case ~analog ~c ~k ~kernel:(fy, fx) ~input:(h, w) ~stride ~pad ~dw ~pool
+    ~l1_kib fill =
   let module B = Ir.Graph.Builder in
   let module D = Tensor.Dtype in
   let w_dtype = if analog then D.Ternary else D.I8 in
   let cg = if dw then 1 else c and k = if dw then c else k in
-  let x_shape = [| c; hw; hw |] and w_shape = [| k; cg; f; f |] in
+  let x_shape = [| c; h; w |] and w_shape = [| k; cg; fy; fx |] in
   let x, w, sum =
     match fill with
     | Random seed ->
@@ -148,21 +150,22 @@ let lane_case ~analog ~c ~k ~f ~hw ~pad ~dw ~pool ~l1_kib fill =
         let x = Tensor.create D.I8 x_shape and w = Tensor.create w_dtype w_shape in
         Tensor.fill x xv;
         Tensor.fill w wv;
-        (x, w, Some (cg * f * f * xv * wv))
+        (x, w, Some (cg * fy * fx * xv * wv))
   in
   let bias_of, shift =
     match sum with
     | Some s -> ((fun ko -> (13 * ko) - 40 - s), 0)
     | None ->
-        let bound = cg * f * f * 128 * if analog then 1 else 128 in
+        let bound = cg * fy * fx * 128 * if analog then 1 else 128 in
         let rec bits b = if bound lsr b = 0 then b else bits (b + 1) in
         ((fun ko -> (13 * ko) - 40), max 0 (bits 0 - 8))
   in
   let b = B.create () in
   let xi = B.input b ~name:"x" D.I8 x_shape in
   let y =
-    B.conv2d b ~padding:(pad, pad) ~groups:(if dw then c else 1) xi
-      ~weights:(B.const b w)
+    B.conv2d b ~stride:(stride, stride) ~padding:pad
+      ~groups:(if dw then c else 1)
+      xi ~weights:(B.const b w)
   in
   let bias = Tensor.of_array D.I32 [| k |] (Array.init k bias_of) in
   let y = B.requantize b ~shift ~out_dtype:D.I8 (B.bias_add b y ~bias:(B.const b bias)) in
@@ -193,10 +196,16 @@ let lane_differential label artifact g inputs =
    taps (four lanes to three) and at the analog array's 1152 rows, channel
    counts that leave a partial lane group, a fused pool, a depthwise layer
    (one lane) and two layers tiled on a shrunken L1: the I8 one by rows,
-   the ternary one into tiles of 26 and 11 channels. *)
+   the ternary one into tiles of 26 and 11 channels. Two non-square
+   kernels add kernel rows of two triples and a leftover tap, and of one
+   triple and a leftover tap, at stride 2 and at an odd output width. *)
 let test_lane_bound () =
-  let digital = lane_case ~analog:false ~l1_kib:None
-  and analog = lane_case ~analog:true ~l1_kib:None in
+  let square ~analog ~l1_kib ~c ~k ~f ~hw ~pad =
+    lane_case ~analog ~c ~k ~kernel:(f, f) ~input:(hw, hw) ~stride:1 ~pad:(pad, pad)
+      ~l1_kib
+  in
+  let digital = square ~analog:false ~l1_kib:None
+  and analog = square ~analog:true ~l1_kib:None in
   let cases =
     [ ("i8, 63 taps, k 5", digital ~c:63 ~k:5 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
       ("i8, 64 taps, k 7", digital ~c:64 ~k:7 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
@@ -204,15 +213,21 @@ let test_lane_bound () =
       ("i8, 64 taps, pool", digital ~c:64 ~k:5 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:true);
       ("i8, depthwise", digital ~c:5 ~k:5 ~f:3 ~hw:6 ~pad:1 ~dw:true ~pool:false);
       ( "i8, 64 taps, 2 kB L1",
-        lane_case ~analog:false ~c:64 ~k:7 ~f:1 ~hw:8 ~pad:0 ~dw:false ~pool:false
+        square ~analog:false ~c:64 ~k:7 ~f:1 ~hw:8 ~pad:0 ~dw:false ~pool:false
           ~l1_kib:(Some 2) );
       ( "ternary, 127 taps, 3 kB L1",
-        lane_case ~analog:true ~c:127 ~k:37 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false
+        square ~analog:true ~c:127 ~k:37 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false
           ~l1_kib:(Some 3) );
       ("ternary, 127 taps, k 5", analog ~c:127 ~k:5 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
       ("ternary, 128 taps, k 7", analog ~c:128 ~k:7 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:false);
       ("ternary, 1152 taps, k 7", analog ~c:128 ~k:7 ~f:3 ~hw:5 ~pad:0 ~dw:false ~pool:false);
       ("ternary, 127 taps, pool", analog ~c:127 ~k:7 ~f:1 ~hw:6 ~pad:0 ~dw:false ~pool:true);
+      ( "i8, 5x7 stride 2, k 5",
+        lane_case ~analog:false ~c:3 ~k:5 ~kernel:(5, 7) ~input:(11, 14) ~stride:2
+          ~pad:(0, 0) ~dw:false ~pool:false ~l1_kib:None );
+      ( "ternary, 7x4, odd width",
+        lane_case ~analog:true ~c:9 ~k:7 ~kernel:(7, 4) ~input:(9, 12) ~stride:1
+          ~pad:(3, 2) ~dw:false ~pool:false ~l1_kib:None );
     ]
   in
   List.iter
@@ -229,33 +244,42 @@ let test_lane_bound () =
         [ Bound; Opposite ])
     cases
 
-(* Random conv geometries on either accelerator, extreme or random
-   fills, sometimes tiled; a deployment that does not compile is the
-   fuzz suite's business. *)
+(* Random conv geometries on either accelerator: kernels of 1 to 7 rows
+   and columns (so kernel rows of 0 to 2 triples with 0 to 2 leftover
+   taps), stride 1 or 2, non-square inputs giving odd and even output
+   widths, extreme or random fills, sometimes tiled; a deployment that
+   does not compile is the fuzz suite's business. *)
 let prop_lane_sums =
   Helpers.qtest ~count:60 "lane sums exact over random conv geometries"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Util.Rng.create seed in
       let analog = Util.Rng.bool rng in
-      let f = if Util.Rng.int rng 3 = 0 then 3 else 1 in
+      let fy = Util.Rng.int_in rng 1 7 and fx = Util.Rng.int_in rng 1 7 in
+      let stride = Util.Rng.int_in rng 1 2 in
       let dw = (not analog) && Util.Rng.int rng 4 = 0 in
-      let c = Util.Rng.int_in rng 1 (if f = 3 then 128 else 200) in
+      let c = Util.Rng.int_in rng 1 (max 1 (min 200 (1152 / (fy * fx)))) in
       let k = if dw then c else Util.Rng.int_in rng 1 9 in
-      let hw = Util.Rng.int_in rng f (f + 6) in
-      let pad = if Util.Rng.bool rng then f / 2 else 0 in
-      let pool = hw + (2 * pad) - f + 1 >= 2 && Util.Rng.int rng 3 = 0 in
+      let h = Util.Rng.int_in rng fy (fy + 6) and w = Util.Rng.int_in rng fx (fx + 7) in
+      let ((py, px) as pad) = if Util.Rng.bool rng then (fy / 2, fx / 2) else (0, 0) in
+      let oh = ((h + (2 * py) - fy) / stride) + 1
+      and ow = ((w + (2 * px) - fx) / stride) + 1 in
+      let pool = oh >= 2 && ow >= 2 && Util.Rng.int rng 3 = 0 in
       let l1_kib = if Util.Rng.bool rng then None else Some [| 2; 8 |].(Util.Rng.int rng 2) in
       let fill = [| Bound; Opposite; Random seed |].(Util.Rng.int rng 3) in
       let label =
-        Printf.sprintf "seed %d: %s c %d k %d f %d hw %d pad %d%s%s, %s" seed
+        Printf.sprintf "seed %d: %s c %d k %d %dx%d stride %d in %dx%d pad %d,%d%s%s, %s"
+          seed
           (if analog then "ternary" else "i8")
-          c k f hw pad
+          c k fy fx stride h w py px
           (if dw then " depthwise" else "")
           (if pool then " pool" else "")
           (fill_name fill)
       in
-      match lane_case ~analog ~c ~k ~f ~hw ~pad ~dw ~pool ~l1_kib fill with
+      match
+        lane_case ~analog ~c ~k ~kernel:(fy, fx) ~input:(h, w) ~stride ~pad ~dw ~pool
+          ~l1_kib fill
+      with
       | Error _, _, _ -> true
       | Ok artifact, g, inputs ->
           lane_differential label artifact g inputs;

@@ -526,6 +526,25 @@ let test_rejects_negative_retry_budget () =
   | Ok _ -> Alcotest.fail "campaign accepted a negative retry budget"
   | Error msg -> Alcotest.(check string) "campaign" want msg
 
+(* A [degrade_after] of 0 or below used to degrade every instance that
+   served a batch, with no fault reported. *)
+let test_rejects_degrade_after_below_one () =
+  let want = "Serve.run: degrade_after must be >= 1" in
+  List.iter
+    (fun n ->
+      let bad = { base with Serve.degrade_after = Some n } in
+      (match Serve.validate bad with
+      | Error (Serve.Bad_config msg) -> Alcotest.(check string) "validate" want msg
+      | Error e ->
+          Alcotest.failf "expected Bad_config, got %s" (Serve.mt_error_to_string e)
+      | Ok () -> Alcotest.failf "validate accepted degrade_after %d" n);
+      match serve ~cfg:bad () with
+      | _ -> Alcotest.failf "run accepted degrade_after %d" n
+      | exception Invalid_argument msg -> Alcotest.(check string) "run" want msg)
+    [ 0; -1 ];
+  Alcotest.(check bool) "degrade_after 1 is valid" true
+    (Serve.validate { base with Serve.degrade_after = Some 1 } = Ok ())
+
 (* --- serving goldens --------------------------------------------------
 
    Byte-level pins of serving output across commits (every other serving
@@ -903,6 +922,8 @@ let suites =
           test_rejects_negative_overhead;
         Alcotest.test_case "rejects negative retry budget" `Quick
           test_rejects_negative_retry_budget;
+        Alcotest.test_case "rejects degrade_after below 1" `Quick
+          test_rejects_degrade_after_below_one;
         Alcotest.test_case "auto resolution runs nothing" `Quick
           test_auto_resolution_runs_nothing;
         prop_tally_invariance;

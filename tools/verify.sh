@@ -273,7 +273,10 @@ dune exec bin/htvmc.exe -- cache stats --cache-dir _build/store-cache
 # stderr line, no result file in the working directory. A negative
 # --retry-budget would act as 0; multi-tenant serve models no faults, so
 # it refuses any --retry-budget rather than ignore it; an unknown
-# --metrics-format is refused even when the run would never dump.
+# --metrics-format is refused even when the run would never dump; a
+# negative --seeds would run an empty range (and crash chaos's metrics
+# dump), a negative --max-shrink-checks would act as 0, and a
+# --degrade-after below 1 would degrade every instance that serves.
 echo "== htvmc refused flags (one line, exit 1, nothing written) =="
 rm -rf _build/refused && mkdir -p _build/refused
 refuse() { # expected stderr line after "htvmc: ", then htvmc's arguments
@@ -308,6 +311,14 @@ for cmd in serve campaign; do
     --requests 4 --tally tally.txt --metrics m.prom --metrics-format bogus
 done
 refuse "$bad_format" chaos --seeds 4 --metrics m.prom --metrics-format bogus
+refuse '--seeds must be >= 0 (got -1)$' check --seeds=-1
+refuse '--seeds must be >= 0 (got -3)$' chaos --seeds=-3 --metrics m.prom
+for cmd in check chaos; do
+  refuse '--max-shrink-checks must be >= 0 (got -1)$' "$cmd" --seeds 2 \
+    --max-shrink-checks=-1
+done
+refuse 'Serve.run: degrade_after must be >= 1$' serve ../smoke-resnet8.htvm \
+  --config both --requests 4 --degrade-after 0 --tally tally.txt
 
 # Every subcommand's --help renders: exit 0, nothing on stderr (a doc
 # string cmdliner cannot parse is reported there), and the --inject
