@@ -1,7 +1,7 @@
 (* Benchmark harness entry point. Regenerates every table and figure of
    the paper's evaluation plus the ablations; see DESIGN.md's experiment
    index. Usage:
-   main.exe [fig2|fig4|fig5|table1|table2|ablation|energy|quant|micro|all].
+   main.exe [fig2|fig4|fig5|table1|table2|ablation|energy|quant|all].
    Host-time measurement of the system itself lives in bench/perf. *)
 
 let experiments =
@@ -14,7 +14,6 @@ let experiments =
     ("ablation", Ablation.run);
     ("energy", Energy.run);
     ("quant", Quantization.run);
-    ("micro", Micro.run);
   ]
 
 let () =

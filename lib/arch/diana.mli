@@ -27,9 +27,6 @@ val cpu_only : Platform.t
 
 (** Cycle-model constants, exposed for benches and tests. *)
 
-val pe_rows : int
-(** Digital PE array rows (16). *)
-
 val pe_cols : int
 (** Digital PE array columns (16). *)
 

@@ -53,8 +53,8 @@ let validate cfg =
   else
     (* Surface an unparseable site/kind spec before any point runs. *)
     match plan_of_rate cfg (List.hd cfg.c_rates) with
-    | Ok _ -> Ok ()
     | Error msg -> Error ("campaign: " ^ msg)
+    | Ok _ -> Result.map_error Serve.mt_error_to_string (Serve.validate cfg.c_serve)
 
 let run ?metrics cfg artifact ~graph =
   match validate cfg with

@@ -38,6 +38,12 @@ type point = {
 
 type t = { t_config : config; t_points : point list  (** in sweep order *) }
 
+val validate : config -> (unit, string) result
+(** Diagnose a campaign without the artifact: an empty, out-of-range or
+    repeated rate list, an unparseable site/kind spec, or a base config
+    {!Serve.validate} rejects. [htvmc campaign] calls this before it
+    compiles. *)
+
 val run :
   ?metrics:Metrics.t ->
   config ->
@@ -48,8 +54,8 @@ val run :
     registry) and record the curve into [metrics] (or a private
     registry) as rate-labelled cycles-track counters
     ([htvm_campaign_*_total{rate=...}]). All failures are typed
-    [Error]s: an empty or out-of-range rate list, an unparseable
-    site/kind spec, or a base config {!Serve.run} rejects. *)
+    [Error]s: whatever {!validate} rejects, or a base config
+    {!Serve.run} rejects at a rate point. *)
 
 val tally : t -> string
 (** The functional ledger of the sweep: one line per rate point with

@@ -116,10 +116,6 @@ val cause_label : cause -> string
 val transition_label : transition -> string
 (** ["@<at> <from>-><to> (<cause>)"] — stable, used in logs/tallies. *)
 
-val render_log : t -> string
-(** One line: ["inst <id> <label>; <label>; ..."] (["inst <id> -"] when
-    no transitions). *)
-
 val legal_pairs : (state * state) list
 (** Every (from, to) pair the machine can produce, in a stable order —
     the canonical enumeration for pre-registering transition counters. *)
@@ -139,7 +135,8 @@ val simulate :
     occurrences from a {!Fault.Session} over [plan] reseeded per
     instance (mirroring the serve runtime's per-request reseeding), one
     batch of site draws per window, observed at each window close; the
-    machine is advanced to each window close first. Returns the
-    concatenated {!render_log} lines. Per-instance streams are
+    machine is advanced to each window close first. Returns one line per
+    instance, ["inst <id> <label>; <label>; ..."] ([inst <id> -] when
+    it made no transition), labels as in {!transition_label}. Per-instance streams are
     independent, so instance [i]'s line is identical whatever
     [instances] or [jobs] is — the fan-out runs on {!Util.Pool}. *)

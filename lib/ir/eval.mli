@@ -13,7 +13,3 @@ val run : Graph.t -> inputs:(string * Tensor.t) list -> Tensor.t
 (** Evaluate the whole graph. Every graph [Input] must be bound by name in
     [inputs]; extra bindings are an error, as are shape/dtype mismatches.
     @raise Invalid_argument on binding problems. *)
-
-val run_all : Graph.t -> inputs:(string * Tensor.t) list -> Tensor.t array
-(** Like {!run} but returns the value of every node (used by layer-level
-    differential tests). *)

@@ -36,9 +36,6 @@ type track =
   | Sched  (** cycle-stamped, fleet-shape dependent *)
   | Wall  (** host wall-clock, non-deterministic *)
 
-val track_name : track -> string
-(** ["cycles"], ["sched"], ["wall"]. *)
-
 type t
 (** A mutable registry. Not domain-safe: registries are owned by the
     coordinating domain (the serving loop and the compile driver both

@@ -1041,66 +1041,6 @@ let serve_engine ?trace e ~models ~classes requests =
 
 (* --- validation --------------------------------------------------------- *)
 
-(* The fleet checks both front ends share: the first violation, if any.
-   Degraded ids must name real instances, once each — out-of-range or
-   duplicate ids always indicate a config bug (a typo'd fleet size, a
-   doubled flag). *)
-let fleet_violation ~workers ~queue_depth ~requests ~dispatch_overhead ~degraded =
-  if workers < 1 then Some "workers must be >= 1"
-  else if queue_depth < 1 then Some "queue_depth must be >= 1"
-  else if requests < 0 then Some "requests must be >= 0"
-  else if dispatch_overhead < 0 then Some "dispatch_overhead must be >= 0"
-  else
-    match List.find_opt (fun id -> id < 0 || id >= workers) degraded with
-    | Some id ->
-        Some (Printf.sprintf "degraded instance id %d out of range [0, %d)" id workers)
-    | None ->
-        if List.length (List.sort_uniq compare degraded) <> List.length degraded then
-          Some "degraded instance ids must be distinct"
-        else None
-
-(* Single-tenant validation; [run] raises [Invalid_argument] with the
-   same message, its historical contract. The health lifecycle replaces
-   the one-way degrade_after flag (the two would fight over instance
-   eligibility), and memoization is sound only for input-pure
-   executions, which per-request fault sessions are not. *)
-let validate cfg =
-  let bad msg = Error (Bad_config ("Serve.run: " ^ msg)) in
-  match
-    fleet_violation ~workers:cfg.workers ~queue_depth:cfg.queue_depth
-      ~requests:cfg.requests ~dispatch_overhead:cfg.dispatch_overhead
-      ~degraded:cfg.degraded_instances
-  with
-  | Some msg -> bad msg
-  | None ->
-      if cfg.max_batch < 1 then bad "max_batch must be >= 1"
-      else if cfg.retry_budget < 0 then bad "retry_budget must be >= 0"
-      else if (match cfg.degrade_after with Some n -> n < 1 | None -> false) then
-        bad "degrade_after must be >= 1"
-      else if (match cfg.slo_sojourn with Some t -> t < 1 | None -> false) then
-        bad "slo_sojourn must be >= 1"
-      else if cfg.input_mix < 0 then bad "input_mix must be >= 0"
-      else if cfg.health <> None && cfg.degrade_after <> None then
-        bad "health and degrade_after are mutually exclusive"
-      else if cfg.memoize && not (Fault.Plan.is_empty cfg.plan) then
-        bad "memoize requires an empty fault plan"
-      else Ok ()
-
-(* --- auto resolution --------------------------------------------------- *)
-
-(* Auto values derive from a request's fault-free service cycles, read
-   from the plan ({!C.service_cycles}), the slowest model winning: a
-   pure function of the models — never of the fleet size or the seed,
-   so auto values never leak the worker count into the arrival
-   process. Nothing is executed. *)
-let service_cycles models =
-  List.fold_left (fun acc m -> max acc (C.service_cycles m.m_artifact)) 1 models
-
-(* [<= 0] means auto: the mean gap is half a service (roughly 2x one
-   instance's capacity), the window one service. *)
-let auto_gap service gap = if gap > 0 then gap else max 1 (service / 2)
-let auto_window service window = if window > 0 then window else service
-
 (* Fill a health config's auto fields from the fault-free service
    cycles: probation two services, probes every quarter service costing
    a tenth, escalation capped at 8 probation windows. *)
@@ -1127,6 +1067,88 @@ let resolve_health hc ~service =
   match Health.validate resolved with
   | Ok () -> Ok resolved
   | Error msg -> Error msg
+
+(* Each auto sentinel is one value, 0 (-1 for the probe interval);
+   below it is a violation, not another spelling of auto. The rest must
+   hold for the smallest service any plan can have (one cycle), where
+   every auto field resolves to its most lenient value, so all that is
+   left to the plan is an explicit cap below an auto probation window. *)
+let health_violation hc =
+  if hc.Health.probation_window < 0 then
+    Some "health: probation_window must be >= 0 (0 = auto)"
+  else if hc.Health.probe_interval < -1 then
+    Some "health: probe_interval must be >= -1 (-1 = auto)"
+  else if hc.Health.probe_cost < 0 then
+    Some "health: probe_cost must be >= 0 (0 = auto)"
+  else if hc.Health.backoff_cap < 0 then
+    Some "health: backoff_cap must be >= 0 (0 = auto)"
+  else
+    match resolve_health hc ~service:1 with Ok _ -> None | Error msg -> Some msg
+
+(* The fleet checks both front ends share: the first violation, if any.
+   Degraded ids must name real instances, once each — out-of-range or
+   duplicate ids always indicate a config bug (a typo'd fleet size, a
+   doubled flag). *)
+let fleet_violation ~workers ~queue_depth ~requests ~mean_gap ~window
+    ~dispatch_overhead ~degraded ~health =
+  if workers < 1 then Some "workers must be >= 1"
+  else if queue_depth < 1 then Some "queue_depth must be >= 1"
+  else if requests < 0 then Some "requests must be >= 0"
+  else if mean_gap < 0 then Some "mean_gap must be >= 0 (0 = auto)"
+  else if window < 0 then Some "window must be >= 0 (0 = auto)"
+  else if dispatch_overhead < 0 then Some "dispatch_overhead must be >= 0"
+  else
+    match List.find_opt (fun id -> id < 0 || id >= workers) degraded with
+    | Some id ->
+        Some (Printf.sprintf "degraded instance id %d out of range [0, %d)" id workers)
+    | None ->
+        if List.length (List.sort_uniq compare degraded) <> List.length degraded then
+          Some "degraded instance ids must be distinct"
+        else Option.bind health health_violation
+
+(* Single-tenant validation; [run] raises [Invalid_argument] with the
+   same message, its historical contract. The health lifecycle replaces
+   the one-way degrade_after flag (the two would fight over instance
+   eligibility), and memoization is sound only for input-pure
+   executions, which per-request fault sessions are not. *)
+let validate cfg =
+  let bad msg = Error (Bad_config ("Serve.run: " ^ msg)) in
+  match
+    fleet_violation ~workers:cfg.workers ~queue_depth:cfg.queue_depth
+      ~requests:cfg.requests
+      ~mean_gap:(match cfg.arrival with Poisson { mean_gap } -> mean_gap | Closed -> 0)
+      ~window:cfg.window ~dispatch_overhead:cfg.dispatch_overhead
+      ~degraded:cfg.degraded_instances ~health:cfg.health
+  with
+  | Some msg -> bad msg
+  | None ->
+      if cfg.max_batch < 1 then bad "max_batch must be >= 1"
+      else if cfg.retry_budget < 0 then bad "retry_budget must be >= 0"
+      else if (match cfg.degrade_after with Some n -> n < 1 | None -> false) then
+        bad "degrade_after must be >= 1"
+      else if (match cfg.slo_sojourn with Some t -> t < 1 | None -> false) then
+        bad "slo_sojourn must be >= 1"
+      else if cfg.input_mix < 0 then bad "input_mix must be >= 0"
+      else if cfg.health <> None && cfg.degrade_after <> None then
+        bad "health and degrade_after are mutually exclusive"
+      else if cfg.memoize && not (Fault.Plan.is_empty cfg.plan) then
+        bad "memoize requires an empty fault plan"
+      else Ok ()
+
+(* --- auto resolution --------------------------------------------------- *)
+
+(* Auto values derive from a request's fault-free service cycles, read
+   from the plan ({!C.service_cycles}), the slowest model winning: a
+   pure function of the models — never of the fleet size or the seed,
+   so auto values never leak the worker count into the arrival
+   process. Nothing is executed. *)
+let service_cycles models =
+  List.fold_left (fun acc m -> max acc (C.service_cycles m.m_artifact)) 1 models
+
+(* 0 means auto: the mean gap is half a service (roughly 2x one
+   instance's capacity), the window one service. *)
+let auto_gap service gap = if gap > 0 then gap else max 1 (service / 2)
+let auto_window service window = if window > 0 then window else service
 
 let health_stat_of m =
   {
@@ -1640,15 +1662,22 @@ let mt_arrival_to_string r =
 
 let placement_to_string = function Pinned -> "pinned" | Swap -> "swap"
 
-(* Validate the static configuration; every violation is a typed
-   [Bad_config] rather than an exception, so `htvmc serve` can print it
-   and exit cleanly. *)
+(* Validate the static configuration over the registry's model names,
+   so `htvmc serve` can check a command line before compiling anything;
+   every violation is a typed error rather than an exception. *)
 let mt_validate cfg ~models ~classes =
   let err msg = Error (Bad_config msg) in
+  let distinct l = List.length (List.sort_uniq compare l) = List.length l in
   match
     fleet_violation ~workers:cfg.mt_workers ~queue_depth:cfg.mt_queue_depth
-      ~requests:cfg.mt_requests ~dispatch_overhead:cfg.mt_dispatch_overhead
-      ~degraded:cfg.mt_degraded_instances
+      ~requests:cfg.mt_requests
+      ~mean_gap:
+        (match cfg.mt_arrival with
+        | Mt_poisson { mean_gap } | Mt_diurnal { mean_gap; _ } | Mt_bursty { mean_gap; _ } ->
+            mean_gap
+        | Mt_closed | Mt_replay _ -> 0)
+      ~window:cfg.mt_window ~dispatch_overhead:cfg.mt_dispatch_overhead
+      ~degraded:cfg.mt_degraded_instances ~health:cfg.mt_health
   with
   | Some msg -> err msg
   | None -> (
@@ -1656,14 +1685,9 @@ let mt_validate cfg ~models ~classes =
       else if cfg.mt_swap_overhead < 0 then err "swap_overhead must be >= 0"
       else if models = [] then err "the model registry is empty"
       else if classes = [] then err "at least one model class is required"
-      else if
-        List.length (List.sort_uniq compare (List.map (fun m -> m.m_name) models))
-        <> List.length models
-      then err "model registry names must be unique"
-      else if
-        List.length (List.sort_uniq compare (List.map (fun k -> k.k_name) classes))
-        <> List.length classes
-      then err "class names must be unique"
+      else if not (distinct models) then err "model registry names must be unique"
+      else if not (distinct (List.map (fun k -> k.k_name) classes)) then
+        err "class names must be unique"
       else if List.exists (fun k -> k.k_name = "" || String.contains k.k_name ' ') classes
       then err "class names must be non-empty and contain no spaces"
       else if List.exists (fun k -> k.k_weight < 1) classes then
@@ -1676,73 +1700,64 @@ let mt_validate cfg ~models ~classes =
         | Mt_diurnal { period; _ } when period < 0 ->
             err "diurnal period must be >= 0 (0 = auto)"
         | Mt_bursty { burst; _ } when burst < 1 -> err "burst must be >= 1"
-        | _ -> Ok ())
+        | arrival -> (
+            let n_models =
+              List.length (List.sort_uniq compare (List.map (fun k -> k.k_model) classes))
+            in
+            let configured name = List.exists (fun k -> k.k_name = name) classes in
+            match (List.find_opt (fun k -> not (List.mem k.k_model models)) classes, arrival) with
+            | Some k, _ -> Error (Unknown_model { class_name = k.k_name; model = k.k_model })
+            | None, _ when cfg.mt_placement = Pinned && cfg.mt_workers < n_models ->
+                err
+                  (Printf.sprintf
+                     "pinned placement needs workers >= distinct models (%d < %d)"
+                     cfg.mt_workers n_models)
+            | None, Mt_replay entries -> (
+                match List.find_opt (fun e -> not (configured e.t_class)) entries with
+                | Some e ->
+                    Error
+                      (Unknown_class
+                         {
+                           class_name = e.t_class;
+                           context = Printf.sprintf "trace line %d" e.t_line;
+                         })
+                | None -> Ok ())
+            | None, _ -> Ok ()))
 
-(* Resolve each class's model name against the registry; the distinct
-   models actually referenced get dense indices in first-reference
-   order (the pinning map runs over those). *)
+(* Resolve each class's model name against the (validated) registry;
+   the distinct models actually referenced get dense indices in
+   first-reference order (the pinning map runs over those). *)
 let mt_resolve ~models ~classes =
   let rec resolve acc used = function
-    | [] -> Ok (List.rev acc, List.rev used)
-    | k :: rest -> (
-        match List.find_opt (fun m -> m.m_name = k.k_model) models with
-        | None -> Error (Unknown_model { class_name = k.k_name; model = k.k_model })
-        | Some m ->
-            let used, idx =
-              match
-                List.mapi (fun i u -> (i, u)) (List.rev used)
-                |> List.find_opt (fun (_, u) -> u.m_name = m.m_name)
-              with
-              | Some (i, _) -> (used, i)
-              | None -> (m :: used, List.length used)
-            in
-            resolve ((k, idx) :: acc) used rest)
+    | [] -> (List.rev acc, List.rev used)
+    | k :: rest ->
+        let m = List.find (fun m -> m.m_name = k.k_model) models in
+        let used, idx =
+          match
+            List.mapi (fun i u -> (i, u)) (List.rev used)
+            |> List.find_opt (fun (_, u) -> u.m_name = m.m_name)
+          with
+          | Some (i, _) -> (used, i)
+          | None -> (m :: used, List.length used)
+        in
+        resolve ((k, idx) :: acc) used rest
   in
   resolve [] [] classes
 
 let mt_run ?trace ?metrics cfg ~models ~classes =
   let ( let* ) = Result.bind in
-  let* () = mt_validate cfg ~models ~classes in
-  let* class_models, used_models = mt_resolve ~models ~classes in
-  let n_classes = List.length classes in
+  let* () = mt_validate cfg ~models:(List.map (fun m -> m.m_name) models) ~classes in
+  let class_models, used_models = mt_resolve ~models ~classes in
   let class_arr = Array.of_list classes in
   let used = Array.of_list used_models in
-  let n_models = Array.length used in
-  let* () =
-    match cfg.mt_placement with
-    | Pinned when cfg.mt_workers < n_models ->
-        Error
-          (Bad_config
-             (Printf.sprintf
-                "pinned placement needs workers >= distinct models (%d < %d)"
-                cfg.mt_workers n_models))
-    | _ -> Ok ()
-  in
-  (* Replayed traces must only reference configured classes. *)
   let class_index name =
-    let rec go i = if i >= n_classes then None
-      else if class_arr.(i).k_name = name then Some i else go (i + 1)
-    in
+    let rec go i = if class_arr.(i).k_name = name then i else go (i + 1) in
     go 0
   in
-  let* replay =
+  let replay =
     match cfg.mt_arrival with
-    | Mt_replay entries ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | e :: rest -> (
-              match class_index e.t_class with
-              | None ->
-                  Error
-                    (Unknown_class
-                       {
-                         class_name = e.t_class;
-                         context = Printf.sprintf "trace line %d" e.t_line;
-                       })
-              | Some i -> go ((e, i) :: acc) rest)
-        in
-        go [] entries
-    | _ -> Ok []
+    | Mt_replay entries -> List.map (fun e -> (e, class_index e.t_class)) entries
+    | _ -> []
   in
   let service = service_cycles used_models in
   let open_mode =

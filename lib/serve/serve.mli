@@ -58,7 +58,7 @@ type arrival =
           shedding. The throughput experiment. *)
   | Poisson of { mean_gap : int }
       (** Open loop with exponential inter-arrival gaps of the given
-          mean (cycles); [mean_gap <= 0] means auto: half a request's
+          mean (cycles); [>= 0], where [0] means auto: half a request's
           fault-free service cycles, read from the plan
           ({!Htvm.Compile.service_cycles}), i.e. roughly 2x one
           instance's capacity. *)
@@ -72,8 +72,8 @@ type config = {
   arrival : arrival;
   window : int;
       (** dispatch window length in cycles (Poisson mode only);
-          [<= 0] means auto: a request's fault-free service cycles,
-          read from the plan *)
+          [>= 0], where [0] means auto: a request's fault-free service
+          cycles, read from the plan *)
   dispatch_overhead : int;  (** cycles charged once per dispatched batch *)
   plan : Fault.Plan.t;
       (** fault campaign; {!Fault.Plan.empty} disables injection. Each
@@ -118,12 +118,14 @@ type config = {
   health : Health.config option;
       (** enable the health lifecycle. Mutually exclusive with
           [degrade_after] (the lifecycle subsumes the one-way flag).
-          Auto-resolution against a request's fault-free service
-          cycles, read from the plan (nothing is executed):
-          [probation_window <= 0] becomes twice the service cycles,
-          [probe_interval < 0] a quarter of them (0 stays legal:
-          back-to-back probes), [probe_cost <= 0] a tenth (min 1), and
-          [backoff_cap <= 0] eight probation windows.
+          Four fields take an auto sentinel, resolved against a
+          request's fault-free service cycles, read from the plan
+          (nothing is executed). [probation_window >= 0], where [0]
+          becomes twice the service cycles; [probe_interval >= -1],
+          where [-1] becomes a quarter of them ([0] means back-to-back
+          probes); [probe_cost >= 0], where [0] becomes a tenth (min
+          1); [backoff_cap >= 0], where [0] becomes eight probation
+          windows.
 
           Two planes run the same machine. The {e predicted} plane is
           one logical machine (instance id -1) advanced along the
@@ -301,11 +303,12 @@ type mt_error =
 val mt_error_to_string : mt_error -> string
 
 val validate : config -> (unit, mt_error) result
-(** Diagnose a single-tenant config without running it: [Error
-    (Bad_config msg)] for exactly the violations {!run} would raise
-    [Invalid_argument msg] on (e.g. [memoize] under a non-empty fault
-    plan). [htvmc serve] calls this first so a bad flag combination is
-    a clear one-line error and a nonzero exit, not a backtrace. *)
+(** Diagnose a single-tenant config without the artifact: [Error
+    (Bad_config msg)] for every violation {!run} raises [Invalid_argument
+    msg] on but one (e.g. [memoize] under a non-empty fault plan). The
+    exception needs the plan: an explicit [backoff_cap] below an auto
+    [probation_window] that resolves above it. [htvmc serve] calls this
+    before it opens a store or compiles. *)
 
 val run :
   ?trace:Trace.t ->
@@ -328,7 +331,8 @@ val run :
     not have hosted a serve run before.
     @raise Invalid_argument on a non-positive [workers], [max_batch],
     [queue_depth], [slo_sojourn], a negative [requests], [input_mix],
-    [retry_budget] or [dispatch_overhead], a [degrade_after] below 1,
+    [retry_budget], [dispatch_overhead], [window] or Poisson
+    [mean_gap], a [degrade_after] below 1,
     [memoize] combined with a non-empty fault [plan], a
     [degraded_instances] id outside [[0, workers)] or listed twice, an
     out-of-range [health] field (see {!Health.validate}), or [health]
@@ -409,13 +413,13 @@ type trace_entry = {
 type mt_arrival =
   | Mt_closed  (** saturating backlog at cycle 0; never queue-sheds *)
   | Mt_poisson of { mean_gap : int }
-      (** exponential gaps; [mean_gap <= 0] = auto (half the slowest
-          referenced model's fault-free service cycles, read from its
-          plan) *)
+      (** exponential gaps; [mean_gap >= 0], [0] = auto (half the
+          slowest referenced model's fault-free service cycles, read
+          from its plan) *)
   | Mt_diurnal of { mean_gap : int; period : int }
       (** sinusoid-ish load: the gap mean sweeps from [mean_gap / 2]
           (peak) to [2 * mean_gap] (trough) over each [period] cycles;
-          [period <= 0] = auto (8 dispatch windows) *)
+          [period >= 0], [0] = auto (8 dispatch windows) *)
   | Mt_bursty of { mean_gap : int; burst : int }
       (** [burst] requests arrive together, then an exponential idle
           gap of mean [burst * mean_gap] *)
@@ -444,7 +448,7 @@ type mt_config = {
   mt_seed : int;
   mt_arrival : mt_arrival;
   mt_window : int;
-      (** [<= 0] = auto: the slowest referenced model's fault-free
+      (** [>= 0], [0] = auto: the slowest referenced model's fault-free
           service cycles, read from its plan *)
   mt_dispatch_overhead : int;
   mt_swap_overhead : int;  (** model reload cost in cycles *)
@@ -552,6 +556,13 @@ type mt_report = {
           SLO violations, per-instance busy/served/swaps, makespan,
           throughput. *)
 }
+
+val mt_validate :
+  mt_config -> models:string list -> classes:model_class list -> (unit, mt_error) result
+(** Diagnose a multi-tenant config against the registry's model names,
+    before any model is compiled: every error {!mt_run} returns but the
+    one that needs the plans (an explicit health [backoff_cap] below an
+    auto [probation_window] that resolves above it). *)
 
 val mt_run :
   ?trace:Trace.t ->

@@ -10,11 +10,6 @@ type buffers = {
   bias_offset : int;
 }
 
-let l1_bytes_required (s : S.t) =
-  let l = s.S.layer in
-  let per = Tile.bytes_in l s.S.nominal + Tile.bytes_out l s.S.nominal in
-  if s.S.double_buffer && S.is_tiled s then 2 * per else per
-
 (* --- L1 scratch layout -------------------------------------------------- *)
 
 type l1_layout = { in_size : int; out_size : int; slots : int }

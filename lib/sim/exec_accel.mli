@@ -17,9 +17,6 @@ type buffers = {
   bias_offset : int;      (** L2 offset of the i32 bias; -1 when none *)
 }
 
-val l1_bytes_required : Dory.Schedule.t -> int
-(** L1 scratch the schedule needs under its buffering policy. *)
-
 type l1_layout = { in_size : int; out_size : int; slots : int }
 (** The schedule's L1 scratch layout: [slots] (1, or 2 under double
     buffering) input blocks of [in_size] bytes followed by [slots] output

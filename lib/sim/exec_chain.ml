@@ -25,49 +25,10 @@ let read_bias l2 (l : L.t) off =
   | None -> None
   | Some b -> Some (Mem.read_tensor l2 off Dtype.I32 (Tensor.shape b))
 
-type prep = {
-  pr_chain : C.t;
-  pr_w1 : Tensor.t;
-  pr_b1 : Tensor.t option;
-  pr_w2 : Tensor.t;
-  pr_b2 : Tensor.t option;
-  pr_scratch : (Dtype.t * int array, Tensor.t) Hashtbl.t;
-}
-
-let prepare ~l2 ~buffers (t : C.t) =
-  let first = t.C.first and second = t.C.second in
-  {
-    pr_chain = t;
-    pr_w1 = read_weights l2 first buffers.w1_offset;
-    pr_b1 = read_bias l2 first buffers.b1_offset;
-    pr_w2 = read_weights l2 second buffers.w2_offset;
-    pr_b2 = read_bias l2 second buffers.b2_offset;
-    pr_scratch = Hashtbl.create 8;
-  }
-
-(* Stripe scratch: fresh zeroed tensors on the slow path, reset-for-reuse
-   tensors from the prep cache on the prepared path. Lifetimes within a
-   stripe never overlap between same-shaped requests, so shape-keyed reuse
-   is sound. *)
-let scratch prep dtype shape =
-  match prep with
-  | None -> Tensor.create dtype shape
-  | Some p -> (
-      let key = (dtype, shape) in
-      match Hashtbl.find_opt p.pr_scratch key with
-      | Some t ->
-          Tensor.reset t;
-          t
-      | None ->
-          let t = Tensor.create dtype shape in
-          Hashtbl.add p.pr_scratch key t;
-          t)
-
 (* Read [rows] full-width rows starting at [row_lo] of a CHW activation at
    [l2_off] into a fresh tensor with [pt]/[pb] zero rows around them. *)
-let load_rows_padded ~alloc ~l2 ~l2_off ~dtype ~chans ~height ~width ~row_lo ~rows ~pt
-    ~pb =
-  let t = alloc dtype [| chans; pt + rows + pb; width |] in
+let load_rows_padded ~l2 ~l2_off ~dtype ~chans ~height ~width ~row_lo ~rows ~pt ~pb =
+  let t = Tensor.create dtype [| chans; pt + rows + pb; width |] in
   let elt = Dtype.sim_bytes dtype in
   for ch = 0 to chans - 1 do
     for r = 0 to rows - 1 do
@@ -107,29 +68,16 @@ let stripe_layer (l : L.t) ~in_rows ~out_rows =
   }
 
 let run ~platform ~accel ~l2 ~l1 ~buffers ?trace ?(t0 = 0) ?faults
-    ?(retry_budget = 3) ?prep (t : C.t) =
-  (match (prep, faults) with
-  | Some _, Some _ ->
-      invalid_arg "Exec_chain: prep cannot be combined with fault injection"
-  | Some p, None ->
-      if not (p.pr_chain == t) then
-        invalid_arg "Exec_chain: prep was built for a different chain"
-  | None, _ -> ());
+    ?(retry_budget = 3) (t : C.t) =
   let c = Counters.create () in
   let rc = Resilience.make ?faults ~retry_budget c in
   let engine_site = Fault.Plan.Compute (Some accel.Arch.Accel.accel_name) in
   let dma = platform.Arch.Platform.dma in
   let first = t.C.first and second = t.C.second in
-  let alloc = scratch prep in
-  let w1, b1, w2, b2 =
-    match prep with
-    | Some p -> (p.pr_w1, p.pr_b1, p.pr_w2, p.pr_b2)
-    | None ->
-        ( read_weights l2 first buffers.w1_offset,
-          read_bias l2 first buffers.b1_offset,
-          read_weights l2 second buffers.w2_offset,
-          read_bias l2 second buffers.b2_offset )
-  in
+  let w1 = read_weights l2 first buffers.w1_offset
+  and b1 = read_bias l2 first buffers.b1_offset
+  and w2 = read_weights l2 second buffers.w2_offset
+  and b2 = read_bias l2 second buffers.b2_offset in
   (* Weight memories are loaded once for the whole fused pair. *)
   let wl =
     accel.Arch.Accel.weight_load_cycles first (Arch.Tile.full first)
@@ -155,7 +103,7 @@ let run ~platform ~accel ~l2 ~l1 ~buffers ?trace ?(t0 = 0) ?faults
     (* 1. input stripe L2 -> L1 (modeled: we read rows directly and push
        the intermediate through L1 below; costs use the DMA model). *)
     let input =
-      load_rows_padded ~alloc ~l2 ~l2_off:buffers.in_offset ~dtype:first.L.in_dtype
+      load_rows_padded ~l2 ~l2_off:buffers.in_offset ~dtype:first.L.in_dtype
         ~chans:first.L.in_shape.(0) ~height:first.L.in_shape.(1)
         ~width:first.L.in_shape.(2) ~row_lo:in_lo ~rows:in_n ~pt:in_pt ~pb:in_pb
     in
@@ -185,7 +133,7 @@ let run ~platform ~accel ~l2 ~l1 ~buffers ?trace ?(t0 = 0) ?faults
     (* 3. second conv consumes the intermediate stripe. *)
     let mid_padded =
       let k1 = Tensor.dim mid 0 and w1d = Tensor.dim mid 2 in
-      let padded = alloc (Tensor.dtype mid) [| k1; mid_pt + mid_n + mid_pb; w1d |] in
+      let padded = Tensor.create (Tensor.dtype mid) [| k1; mid_pt + mid_n + mid_pb; w1d |] in
       Tensor.iteri_flat
         (fun i v ->
           let per_ch = mid_n * w1d in

@@ -15,17 +15,6 @@ type buffers = {
   b2_offset : int;
 }
 
-type prep
-(** Per-chain reusable state: the pair's weight/bias tensors decoded once
-    from L2 plus a shape-keyed cache of stripe scratch tensors, reset
-    ({!Tensor.reset}) instead of reallocated on every stripe. Byte-identity
-    holds because weights never change between fault-free requests and every
-    scratch interior is fully rewritten after the reset. *)
-
-val prepare : l2:Mem.t -> buffers:buffers -> Dory.Chain.t -> prep
-(** Decode the pair's weights and biases from [l2] once; subsequent
-    [run ~prep] calls skip those reads and reuse stripe scratch. *)
-
 val run :
   platform:Arch.Platform.t ->
   accel:Arch.Accel.t ->
@@ -36,18 +25,11 @@ val run :
   ?t0:int ->
   ?faults:Fault.Session.t ->
   ?retry_budget:int ->
-  ?prep:prep ->
   Dory.Chain.t ->
   Counters.t
 (** When [trace] is given, per-stripe DMA/compute intervals are recorded
     on the simulated clock starting at cycle [t0]. When [faults] is
     given, the pair's weight load and each stripe's transfers/computes
-    consult the plan exactly as in {!Exec_accel.run}. When [prep] is given
-    (it must come from {!prepare} on this very chain, physical equality),
-    weight reads and stripe scratch allocation are skipped in favour of the
-    prep's cached state — outputs and counters stay byte-identical.
-    @raise Invalid_argument when [prep] is combined with [faults] (the
-    slow path stays the fault-injection oracle) or belongs to another
-    chain.
+    consult the plan exactly as in {!Exec_accel.run}.
     @raise Fault.Session.Unrecovered past the retry budget.
     @raise Mem.Fault on out-of-bounds plans. *)

@@ -70,8 +70,6 @@ let fill t v =
   check_value t.dtype v;
   Array.fill t.data 0 (Array.length t.data) v
 
-let reset t = Array.fill t.data 0 (Array.length t.data) 0
-
 let reshape t shape =
   check_shape shape;
   if product shape <> numel t then invalid_arg "Tensor.reshape: element count mismatch";

@@ -63,11 +63,6 @@ val unsafe_data : t -> int array
 val fill : t -> int -> unit
 (** Set every element to a (range-checked) value. *)
 
-val reset : t -> unit
-(** Zero every element in place — the arena-reuse path. Equivalent to
-    [fill t 0] (zero is in range for every dtype) but spelled separately
-    so reuse sites read as "make this scratch tensor fresh again". *)
-
 val reshape : t -> int array -> t
 (** Same payload viewed under a new shape with equal element count. The
     result shares storage with the argument. *)

@@ -40,4 +40,5 @@ let () =
          Test_health.suites;
          Test_metrics.suites;
          Test_store.suites;
+         Test_cli.suites;
        ])

@@ -120,67 +120,6 @@ let test_recompute_factor () =
   Alcotest.(check bool) "striped recomputes" true
     (Dory.Chain.recompute_factor striped > 1.0)
 
-(* A prep built once per chain must leave every run byte-identical to
-   the fresh-allocation path — outputs and all counters — across
-   repeated requests with different inputs (the arena-reuse contract),
-   and must refuse to combine with fault injection or a foreign chain. *)
-let test_prep_matches_fresh () =
-  let first, second = pair ~hw:16 () in
-  let plan = Result.get_ok (Dory.Chain.plan ~l1_budget:(Util.Ints.kib 4) first second) in
-  Alcotest.(check bool) "striped (scratch actually reused)" true
-    (plan.Dory.Chain.stripes > 1);
-  let l2, l1, buffers = setup_chain plan first in
-  let run ?prep input =
-    Sim.Mem.write_tensor l2 0 input;
-    let counters =
-      Sim.Exec_chain.run ~platform:Arch.Diana.platform ~accel:Arch.Diana.digital
-        ~l2 ~l1 ~buffers ?prep plan
-    in
-    let out =
-      Sim.Mem.read_tensor l2 buffers.Sim.Exec_chain.out_offset
-        plan.Dory.Chain.second.L.out_dtype plan.Dory.Chain.second.L.out_shape
-    in
-    (out, counters)
-  in
-  let prep = Sim.Exec_chain.prepare ~l2 ~buffers plan in
-  List.iter
-    (fun seed ->
-      let input =
-        Tensor.random (Util.Rng.create seed) first.L.in_dtype first.L.in_shape
-      in
-      let out_fresh, c_fresh = run input in
-      let out_prep, c_prep = run ~prep input in
-      if not (Tensor.equal out_fresh out_prep) then
-        Alcotest.failf "prep output differs at seed %d: max diff %d" seed
-          (Tensor.max_abs_diff out_fresh out_prep);
-      List.iter2
-        (fun (name, fresh) (_, prepped) ->
-          Alcotest.(check int) (Printf.sprintf "seed %d: %s" seed name) fresh prepped)
-        (Sim.Counters.fields c_fresh)
-        (Sim.Counters.fields c_prep))
-    [ 11; 12; 13 ];
-  (* prep + faults: the slow path stays the fault oracle. *)
-  let session =
-    Fault.Session.create
-      (Result.get_ok (Fault.Plan.of_string "seed=1,dma_in@every=2:flip"))
-  in
-  (match
-     Sim.Exec_chain.run ~platform:Arch.Diana.platform ~accel:Arch.Diana.digital
-       ~l2 ~l1 ~buffers ~faults:session ~prep plan
-   with
-  | _ -> Alcotest.fail "prep combined with faults was accepted"
-  | exception Invalid_argument _ -> ());
-  (* prep from another chain: physical identity enforced. *)
-  let other =
-    Result.get_ok (Dory.Chain.plan ~l1_budget:(Util.Ints.kib 4) first second)
-  in
-  match
-    Sim.Exec_chain.run ~platform:Arch.Diana.platform ~accel:Arch.Diana.digital
-      ~l2 ~l1 ~buffers ~prep other
-  with
-  | _ -> Alcotest.fail "foreign prep was accepted"
-  | exception Invalid_argument _ -> ()
-
 let prop_chain_exact =
   Helpers.qtest ~count:30 "fused pair exact over random geometry"
     QCheck.(quad (int_range 1 6) (int_range 1 10) (pair (int_range 1 10) (int_range 8 18)) int)
@@ -206,8 +145,6 @@ let suites =
         Alcotest.test_case "exact strided second" `Quick test_exact_strided_second_layer;
         Alcotest.test_case "L2 peak reduction" `Quick test_l2_peak_reduction;
         Alcotest.test_case "recompute factor" `Quick test_recompute_factor;
-        Alcotest.test_case "prep matches fresh allocation" `Quick
-          test_prep_matches_fresh;
         prop_chain_exact;
       ] )
   ]

@@ -316,12 +316,13 @@ let test_boundary_conditions () =
   in
   Alcotest.(check int) "all-degraded singleton fleet fails open" 12
     alone.Serve.r_served;
-  (* mean_gap <= 0 means auto, identically for any non-positive value. *)
-  let gap g =
-    Serve.tally
-      (serve ~cfg:{ base with Serve.arrival = Serve.Poisson { mean_gap = g } } ())
-  in
-  Alcotest.(check string) "gap 0 and -5 both resolve to auto" (gap 0) (gap (-5))
+  (* mean_gap 0 means auto; a negative gap is a violation, not another
+     spelling of auto. *)
+  match serve ~cfg:{ base with Serve.arrival = Serve.Poisson { mean_gap = -5 } } () with
+  | _ -> Alcotest.fail "mean_gap -5 accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "mean_gap -5 refused"
+        "Serve.run: mean_gap must be >= 0 (0 = auto)" msg
 
 (* The hand-picked sweep above, promoted to a generator: any workers,
    jobs, arrival mode, queue depth, input mix and fault-plan toggle
@@ -544,6 +545,104 @@ let test_rejects_degrade_after_below_one () =
     [ 0; -1 ];
   Alcotest.(check bool) "degrade_after 1 is valid" true
     (Serve.validate { base with Serve.degrade_after = Some 1 } = Ok ())
+
+(* Each auto sentinel is one value, and every rule that needs no plan
+   is checked without one: [validate] refuses what [run] would, except
+   an explicit health cap below an auto probation window that only the
+   plan resolves; [mt_validate] works over model names, before any
+   model is compiled; [Campaign.validate] includes [Serve.validate] of
+   its base config. *)
+let test_validators_need_no_plan () =
+  let refused want cfg =
+    match Serve.validate cfg with
+    | Error (Serve.Bad_config msg) ->
+        Alcotest.(check string) want ("Serve.run: " ^ want) msg
+    | Error e -> Alcotest.failf "expected Bad_config, got %s" (Serve.mt_error_to_string e)
+    | Ok () -> Alcotest.failf "validate accepted: %s" want
+  in
+  let health f = Some (f { Health.default with Health.probation_window = 0 }) in
+  refused "mean_gap must be >= 0 (0 = auto)"
+    { base with Serve.arrival = Serve.Poisson { mean_gap = -1 } };
+  refused "window must be >= 0 (0 = auto)" { base with Serve.window = -1 };
+  refused "health: probation_window must be >= 0 (0 = auto)"
+    { base with Serve.health = health (fun h -> { h with Health.probation_window = -1 }) };
+  refused "health: probe_interval must be >= -1 (-1 = auto)"
+    { base with Serve.health = health (fun h -> { h with Health.probe_interval = -2 }) };
+  refused "health: probe_cost must be >= 0 (0 = auto)"
+    { base with Serve.health = health (fun h -> { h with Health.probe_cost = -1 }) };
+  refused "health: backoff_cap must be >= 0 (0 = auto)"
+    { base with Serve.health = health (fun h -> { h with Health.backoff_cap = -1 }) };
+  refused "health: fault_threshold must be >= 1"
+    { base with Serve.health = health (fun h -> { h with Health.fault_threshold = 0 }) };
+  (* A cap below an explicit window, or below the 2 cycles any auto
+     window resolves to, is refused without the plan. *)
+  refused "health: backoff_cap must be >= probation_window"
+    { base with
+      Serve.health =
+        health (fun h -> { h with Health.probation_window = 5; backoff_cap = 1 }) };
+  refused "health: backoff_cap must be >= probation_window"
+    { base with Serve.health = health (fun h -> { h with Health.backoff_cap = 1 }) };
+  let auto =
+    {
+      base with
+      Serve.arrival = Serve.Poisson { mean_gap = 0 };
+      window = 0;
+      health =
+        health (fun h ->
+            { h with Health.probe_interval = -1; probe_cost = 0; backoff_cap = 0 });
+    }
+  in
+  Alcotest.(check bool) "the sentinels themselves validate" true
+    (Serve.validate auto = Ok ());
+  (* The one rule left to the plan: a cap of 2 is below the fixture's
+     auto window, which [run] resolves. *)
+  let plan_only =
+    { base with Serve.health = health (fun h -> { h with Health.backoff_cap = 2 }) }
+  in
+  Alcotest.(check bool) "a cap of 2 with an auto window validates" true
+    (Serve.validate plan_only = Ok ());
+  (match serve ~cfg:plan_only () with
+  | _ -> Alcotest.fail "run accepted a cap below the resolved window"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "run refuses it"
+        "Serve.run: health: backoff_cap must be >= probation_window" msg);
+  let mt = Test_mtserve.base and classes = Test_mtserve.classes in
+  let names = [ "alpha"; "beta" ] in
+  Alcotest.(check bool) "mt_validate over names" true
+    (Serve.mt_validate mt ~models:names ~classes = Ok ());
+  (match Serve.mt_validate mt ~models:[ "alpha" ] ~classes with
+  | Error (Serve.Unknown_model { class_name = "batch"; model = "beta" }) -> ()
+  | _ -> Alcotest.fail "mt_validate missed a class naming an absent model");
+  (match
+     Serve.mt_validate
+       { mt with Serve.mt_placement = Serve.Pinned; mt_workers = 1 }
+       ~models:names ~classes
+   with
+  | Error (Serve.Bad_config msg) ->
+      Alcotest.(check string) "pinned needs workers >= models"
+        "pinned placement needs workers >= distinct models (1 < 2)" msg
+  | _ -> Alcotest.fail "mt_validate missed a pinned fleet too small");
+  (match
+     Serve.mt_validate
+       {
+         mt with
+         Serve.mt_arrival =
+           Serve.Mt_replay [ { Serve.t_cycle = 0; t_class = "nope"; t_seed = 1; t_line = 2 } ];
+       }
+       ~models:names ~classes
+   with
+  | Error (Serve.Unknown_class { class_name = "nope"; context = "trace line 2" }) -> ()
+  | _ -> Alcotest.fail "mt_validate missed a trace naming an absent class");
+  (match Serve.mt_validate { mt with Serve.mt_window = -1 } ~models:names ~classes with
+  | Error (Serve.Bad_config "window must be >= 0 (0 = auto)") -> ()
+  | _ -> Alcotest.fail "mt_validate accepted a negative window");
+  match
+    Campaign.validate
+      { Campaign.default with Campaign.c_serve = { base with Serve.window = -1 } }
+  with
+  | Error msg ->
+      Alcotest.(check string) "campaign" "Serve.run: window must be >= 0 (0 = auto)" msg
+  | Ok () -> Alcotest.fail "Campaign.validate accepted a negative window"
 
 (* --- serving goldens --------------------------------------------------
 
@@ -924,6 +1023,7 @@ let suites =
           test_rejects_negative_retry_budget;
         Alcotest.test_case "rejects degrade_after below 1" `Quick
           test_rejects_degrade_after_below_one;
+        Alcotest.test_case "validators need no plan" `Quick test_validators_need_no_plan;
         Alcotest.test_case "auto resolution runs nothing" `Quick
           test_auto_resolution_runs_nothing;
         prop_tally_invariance;

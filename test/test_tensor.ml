@@ -83,7 +83,10 @@ let test_fill_and_map () =
   let t = Tensor.create Dtype.I8 [| 3 |] in
   Tensor.fill t 7;
   let m = Tensor.map (fun v -> v * 2) t in
-  Alcotest.(check (list int)) "mapped" [ 14; 14; 14 ] (Array.to_list (Tensor.blit_data m))
+  Alcotest.(check (list int)) "mapped" [ 14; 14; 14 ] (Array.to_list (Tensor.blit_data m));
+  Alcotest.check_raises "fill range-checks"
+    (Invalid_argument "Tensor: value 200 out of range for i8") (fun () ->
+      Tensor.fill (Tensor.create Dtype.I8 [| 1 |]) 200)
 
 let test_map2_shape_mismatch () =
   let a = Tensor.create Dtype.I8 [| 2 |] and b = Tensor.create Dtype.I8 [| 3 |] in
@@ -166,45 +169,6 @@ let test_dtype_flat_roundtrips () =
         (Tensor.equal src (Sim.Mem.read_tensor mem2 32 dtype (Tensor.shape src))))
     [ Dtype.I8; Dtype.U7; Dtype.I16; Dtype.I32; Dtype.Ternary ]
 
-let test_fill_reset_for_reuse () =
-  let t = Tensor.create Dtype.I16 [| 2; 2 |] in
-  Tensor.fill t (-123);
-  Alcotest.(check (list int)) "filled" [ -123; -123; -123; -123 ]
-    (Array.to_list (Tensor.blit_data t));
-  Tensor.reset t;
-  Alcotest.(check bool) "reset = fresh" true
-    (Tensor.equal t (Tensor.create Dtype.I16 [| 2; 2 |]));
-  Alcotest.check_raises "fill range-checks"
-    (Invalid_argument "Tensor: value 200 out of range for i8") (fun () ->
-      Tensor.fill (Tensor.create Dtype.I8 [| 1 |]) 200)
-
-(* The arena-reuse contract: a scratch tensor that lived through an
-   arbitrary previous request and was reset is indistinguishable from a
-   freshly created one after the same writes land in it. *)
-let prop_reused_scratch_equals_fresh =
-  Helpers.qtest "arena-reused tensor = fresh tensor"
-    QCheck.(pair (Helpers.arbitrary_chw Dtype.I8) int)
-    (fun (payload, seed) ->
-      let garbage =
-        Tensor.random (Util.Rng.create seed) Dtype.I8 (Tensor.shape payload)
-      in
-      let reused = Tensor.create Dtype.I8 (Tensor.shape payload) in
-      (* a previous request's leftovers... *)
-      Array.iteri (fun i v -> Tensor.set_flat reused i v)
-        (Tensor.blit_data garbage);
-      (* ...erased by the arena reset... *)
-      Tensor.reset reused;
-      Tensor.equal reused (Tensor.create Dtype.I8 (Tensor.shape payload))
-      && begin
-           (* ...and the next request's writes land identically. *)
-           let fresh = Tensor.create Dtype.I8 (Tensor.shape payload) in
-           Array.iteri (fun i v -> Tensor.set_flat reused i v)
-             (Tensor.blit_data payload);
-           Array.iteri (fun i v -> Tensor.set_flat fresh i v)
-             (Tensor.blit_data payload);
-           Tensor.equal reused fresh && Tensor.equal reused payload
-         end)
-
 let prop_random_in_range dtype =
   Helpers.qtest
     (Printf.sprintf "random %s in range" (Dtype.to_string dtype))
@@ -245,8 +209,6 @@ let suites =
         Alcotest.test_case "flat accessor bounds" `Quick test_flat_bounds;
         Alcotest.test_case "dtype flat round-trips" `Quick
           test_dtype_flat_roundtrips;
-        Alcotest.test_case "fill/reset for reuse" `Quick test_fill_reset_for_reuse;
-        prop_reused_scratch_equals_fresh;
         prop_random_in_range Dtype.I8;
         prop_random_in_range Dtype.Ternary;
         prop_random_in_range Dtype.U7;
