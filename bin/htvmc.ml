@@ -737,6 +737,13 @@ let fuzz_term ~seeds_doc ~replay_doc ~repro_default ~repro_doc =
       ~doc:"Budget of failure-predicate re-checks for the shrinker; must be >= 0."
   in
   let* seeds = seeds in
+  (* The range [start, start + seeds) must end inside the ints, or it
+     wraps round to negative seeds. *)
+  let* () =
+    if start > max_int - seeds then
+      fail "--start + --seeds must be <= %d (got %d + %d)" max_int start seeds
+    else Ok ()
+  in
   let* max_checks = max_checks in
   let* fuzz_jobs = resolve_jobs jobs in
   Ok { seeds; start; fuzz_jobs; replay_seed; repro; max_checks }

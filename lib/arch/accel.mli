@@ -34,7 +34,3 @@ val utilization : t -> Ir.Layer.t -> Tile.t -> float
 (** MACs per busy cycle of the tile divided by the accelerator's best MACs
     per cycle across full tiles of this layer — a [0..1] efficiency proxy
     used in reports. *)
-
-val peak_macs_per_cycle : t -> Ir.Layer.t -> float
-(** Best-case throughput the cycle model allows for this layer shape
-    (probed on the untiled layer). *)

@@ -47,21 +47,3 @@ let op_cycles m (op : Ir.Op.t) (args : Ir.Infer.ty list) (out : Ir.Infer.ty) =
   | Ir.Op.Reshape _ ->
       (* Lowered to a pointer rebind; charged as a pure call overhead. *)
       0
-
-let layer_cycles m (l : Ir.Layer.t) =
-  let f2i f = int_of_float (Float.round f) in
-  let macs = Ir.Layer.macs l in
-  let compute =
-    match l.Ir.Layer.kind with
-    | Ir.Layer.Conv _ when Ir.Layer.is_depthwise l ->
-        f2i (float_of_int macs *. m.depthwise_cycles_per_mac)
-    | Ir.Layer.Conv _ -> f2i (float_of_int macs *. m.conv_cycles_per_mac)
-    | Ir.Layer.Dense -> f2i (float_of_int macs *. m.dense_cycles_per_mac)
-    | Ir.Layer.Add -> f2i (float_of_int macs *. m.elementwise_cycles_per_elt)
-    | Ir.Layer.Pool _ -> f2i (float_of_int macs *. m.pool_cycles_per_elt)
-  in
-  let epilogue =
-    let outs = numel l.Ir.Layer.out_shape in
-    f2i (float_of_int outs *. m.elementwise_cycles_per_elt)
-  in
-  m.kernel_call_overhead + compute + epilogue

@@ -22,7 +22,3 @@ val op_cycles : t -> Ir.Op.t -> Ir.Infer.ty list -> Ir.Infer.ty -> int
 (** Cycles for one operator application given argument and result types
     (excluding the per-kernel call overhead, which is charged once per
     fused kernel). *)
-
-val layer_cycles : t -> Ir.Layer.t -> int
-(** Cycles for a whole fused layer run on the CPU (used for rival-platform
-    estimates), including one call overhead. *)

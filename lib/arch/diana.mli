@@ -25,22 +25,6 @@ val digital_only : Platform.t
 val analog_only : Platform.t
 val cpu_only : Platform.t
 
-(** Cycle-model constants, exposed for benches and tests. *)
-
-val pe_cols : int
-(** Digital PE array columns (16). *)
-
-val dw_lanes : int
-(** PE columns usable by depthwise kernels. *)
-
 val imc_rows : int
-(** Analog macro rows (1152). *)
-
-val imc_cols : int
-(** Analog macro columns (512). *)
-
-val analog_cycles_per_activation : int
-(** DAC + array + ADC latency of one analog activation. *)
-
-val analog_weight_cycles_per_cell_x10 : int
-(** Macro programming cost, tenths of a cycle per cell. *)
+(** Analog macro rows (1152): the binary-size model pads ternary spatial
+    convolutions to the macro's height. *)

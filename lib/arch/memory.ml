@@ -11,19 +11,3 @@ let transfer_cycles dma ~chunks ~bytes =
   else
     dma.setup_cycles + (chunks * dma.per_chunk_cycles)
     + Util.Ints.ceil_div bytes dma.bytes_per_cycle
-
-let tile_chunks (l : Ir.Layer.t) (t : Tile.t) ~input =
-  match l.Ir.Layer.kind with
-  | Ir.Layer.Dense -> 1
-  | Ir.Layer.Conv _ | Ir.Layer.Pool _ | Ir.Layer.Add ->
-      let full_w, rows, chans =
-        if input then (l.in_shape.(2), t.iy, t.c) else (l.out_shape.(2), t.oy, t.k)
-      in
-      let cols = if input then t.ix else t.ox in
-      (* A full-width slab is contiguous across its rows within a channel;
-         a narrower window needs one chunk per row. *)
-      let per_operand = if cols >= full_w then chans else chans * rows in
-      let operands =
-        match l.Ir.Layer.kind with Ir.Layer.Add when input -> 2 | _ -> 1
-      in
-      operands * per_operand

@@ -19,7 +19,3 @@ type dma = {
 val transfer_cycles : dma -> chunks:int -> bytes:int -> int
 (** Cost of one DMA call moving [bytes] in [chunks] contiguous pieces. *)
 
-val tile_chunks : Ir.Layer.t -> Tile.t -> input:bool -> int
-(** Number of contiguous chunks needed to move a tile's input (or output)
-    slice under the C-y-x layout: one chunk per (channel, row) unless the
-    tile spans full rows of the layer, in which case rows coalesce. *)

@@ -13,6 +13,5 @@
       depthwise layers fall back to the host;
     - a Cortex-M-class host, 96 kB L1, 1 MB L2, narrower DMA. *)
 
-val gemm16 : Accel.t
 val cpu : Cpu_model.t
 val platform : Platform.t

@@ -45,6 +45,8 @@ let anchor_op = function
   | Ir.Op.Reshape _ ->
       false
 
+(* Each operator application costs its [Cpu_model.op_cycles] plus one
+   kernel-call overhead per anchor op. *)
 let estimate_graph_cycles model g =
   let tys = Ir.Infer.infer g in
   List.fold_left
@@ -58,5 +60,5 @@ let estimate_graph_cycles model g =
       | Ir.Graph.Input _ | Ir.Graph.Const _ -> acc)
     0 (Ir.Graph.node_ids g)
 
-let estimate_graph_ms ?(freq_mhz = 260) model g =
-  float_of_int (estimate_graph_cycles model g) /. (float_of_int freq_mhz *. 1000.0)
+(* Every rival is normalized to 260 MHz. *)
+let estimate_graph_ms model g = float_of_int (estimate_graph_cycles model g) /. 260_000.0

@@ -17,9 +17,7 @@ val gap9_gapflow : Cpu_model.t
 (** GAP9 cluster (8+1 cores + NE16) driven by GAPFlow; modeled as a very
     high-throughput "CPU" since we do not simulate its accelerator. *)
 
-val estimate_graph_cycles : Cpu_model.t -> Ir.Graph.t -> int
-(** Whole-network cycle estimate: each operator application costs its
-    {!Cpu_model.op_cycles} plus one kernel-call overhead per anchor op. *)
-
-val estimate_graph_ms : ?freq_mhz:int -> Cpu_model.t -> Ir.Graph.t -> float
-(** Milliseconds at the (default 260 MHz) normalized clock. *)
+val estimate_graph_ms : Cpu_model.t -> Ir.Graph.t -> float
+(** Whole-network latency in milliseconds at the normalized 260 MHz
+    clock: each operator application costs its {!Cpu_model.op_cycles}
+    plus one kernel-call overhead per anchor op. *)

@@ -148,9 +148,10 @@ let random_config seed =
   (* Each draw is bound in turn so its order is explicit (OCaml leaves
      the evaluation order of record fields unspecified). The order is
      part of every seed's config, and so of the pinned fuzz tallies. *)
-  let exhaustive_tiling = Util.Rng.int rng 4 = 0 in
-  (* The retired in-process solver cache took this draw; it stays so the
-     later draws, and with them every seed's config, keep their values. *)
+  (* The retired exhaustive-search flag and in-process solver cache took
+     these two draws; they stay so the later draws, and with them every
+     seed's config, keep their values. *)
+  ignore (Util.Rng.int rng 4);
   ignore (Util.Rng.int rng 3);
   (* Exercise the parallel engine path too: it must be behaviorally
      invisible (bit-identical artifacts at any job count). *)
@@ -170,9 +171,7 @@ let random_config seed =
     use_dma_heuristic;
     autotune_budget;
     jobs;
-    exhaustive_tiling;
     degraded_targets = [];
-    segment_budget_cycles = None;
   }
 
 (* --- chaos campaigns ---------------------------------------------------- *)

@@ -22,9 +22,8 @@ val random_config : int -> Htvm.Compile.config
 (** A random deployment configuration for the same seed space: one of
     the five platforms (DIANA cpu/digital/analog/full, NOVA), sometimes
     with L1 shrunk to 2–32 KiB so tiling paths are exercised end to end,
-    random planner strategy, buffering, heuristic and engine (jobs /
-    pruning) knobs. Never degrades a target or sets a segment
-    budget — that is {!chaos_config}'s job. *)
+    random planner strategy, buffering, heuristic, autotuning and [jobs]
+    knobs. Never degrades a target — that is {!chaos_config}'s job. *)
 
 val random_fault_plan : int -> Fault.Plan.t
 (** A random {e recoverable} fault plan for [htvmc chaos]: 1–3 rules over

@@ -29,21 +29,7 @@ let cases =
 let filename ~model ~config = Printf.sprintf "%s.%s.golden" model config
 let input_seed = 7
 
-let digest_tensor t =
-  let b = Buffer.create (16 + (Tensor.numel t * 4)) in
-  Buffer.add_string b (Tensor.Dtype.to_string (Tensor.dtype t));
-  Buffer.add_char b '|';
-  Array.iter
-    (fun d ->
-      Buffer.add_string b (string_of_int d);
-      Buffer.add_char b 'x')
-    (Tensor.shape t);
-  Buffer.add_char b '|';
-  for i = 0 to Tensor.numel t - 1 do
-    Buffer.add_string b (string_of_int (Tensor.get_flat t i));
-    Buffer.add_char b ','
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let digest_tensor = Tensor.digest
 
 let compute ~model ~config =
   match

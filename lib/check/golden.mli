@@ -34,7 +34,7 @@ val input_seed : int
 (** The fixed input binding seed every snapshot uses. *)
 
 val digest_tensor : Tensor.t -> string
-(** Canonical MD5 hex over dtype, shape and every element. *)
+(** {!Tensor.digest}: MD5 hex over dtype, shape and every element. *)
 
 val compute : model:string -> config:string -> (entry, string) result
 (** Build the model, compile it with the configuration's platform

@@ -299,9 +299,6 @@ let config_cands (cfg : C.config) (canon : C.config) =
       (if cfg.C.autotune_budget <> canon.C.autotune_budget then
          Some (Cfg (fun c -> { c with C.autotune_budget = canon.C.autotune_budget }))
        else None);
-      (if cfg.C.exhaustive_tiling <> canon.C.exhaustive_tiling then
-         Some (Cfg (fun c -> { c with C.exhaustive_tiling = canon.C.exhaustive_tiling }))
-       else None);
       (if cfg.C.memory_strategy <> canon.C.memory_strategy then
          Some (Cfg (fun c -> { c with C.memory_strategy = canon.C.memory_strategy }))
        else None);
@@ -316,12 +313,6 @@ let config_cands (cfg : C.config) (canon : C.config) =
        else None);
       (if cfg.C.degraded_targets <> canon.C.degraded_targets then
          Some (Cfg (fun c -> { c with C.degraded_targets = canon.C.degraded_targets }))
-       else None);
-      (if cfg.C.segment_budget_cycles <> canon.C.segment_budget_cycles then
-         Some
-           (Cfg
-              (fun c ->
-                { c with C.segment_budget_cycles = canon.C.segment_budget_cycles }))
        else None);
     ]
 
@@ -345,9 +336,7 @@ let cfg_delta (c : C.config) (d : C.config) =
   + b (c.C.use_dma_heuristic <> d.C.use_dma_heuristic)
   + b (c.C.autotune_budget <> d.C.autotune_budget)
   + b (c.C.jobs <> d.C.jobs)
-  + b (c.C.exhaustive_tiling <> d.C.exhaustive_tiling)
   + b (c.C.degraded_targets <> d.C.degraded_targets)
-  + b (c.C.segment_budget_cycles <> d.C.segment_budget_cycles)
 
 let shrink ?(max_checks = 400) ~predicate cfg g =
   (* Simplification target: the stock deployment a human would debug

@@ -146,7 +146,7 @@ let describe_config (cfg : Htvm.Compile.config) =
   let p = cfg.Htvm.Compile.platform in
   Printf.sprintf
     "platform=%s l1=%dB strategy=%s double_buffer=%b pe=%b dma=%b autotune=%s \
-     jobs=%d exhaustive=%b degraded=%s budget=%s"
+     jobs=%d degraded=%s"
     p.Arch.Platform.platform_name p.Arch.Platform.l1.Arch.Memory.size_bytes
     (match cfg.Htvm.Compile.memory_strategy with
     | Dory.Memplan.Reuse -> "reuse"
@@ -156,13 +156,10 @@ let describe_config (cfg : Htvm.Compile.config) =
     (match cfg.Htvm.Compile.autotune_budget with
     | None -> "none"
     | Some b -> string_of_int b)
-    cfg.Htvm.Compile.jobs cfg.Htvm.Compile.exhaustive_tiling
+    cfg.Htvm.Compile.jobs
     (match cfg.Htvm.Compile.degraded_targets with
     | [] -> "none"
     | ts -> String.concat "+" ts)
-    (match cfg.Htvm.Compile.segment_budget_cycles with
-    | None -> "none"
-    | Some b -> string_of_int b)
 
 let reproducer ?faults ~seed ~config ~graph ~verdict () =
   let fault_lines =

@@ -81,11 +81,6 @@ val run_chaos_seed : ?retry_budget:int -> int -> t
     recoverable by construction, so any failure verdict here is a bug in
     the resilience machinery. *)
 
-val describe_config : Htvm.Compile.config -> string
-(** One-line rendering of the deployment knobs (platform, L1 bytes,
-    planner strategy, buffering, heuristics, engine settings) for
-    reproducer files and failure reports. *)
-
 val reproducer :
   ?faults:Fault.Plan.t ->
   seed:int ->
@@ -95,7 +90,9 @@ val reproducer :
   unit ->
   string
 (** The minimized-reproducer file: [#]-comment header (seed, verdict,
-    config, replay command) followed by the graph in {!Ir.Text} form.
+    the config on one line — platform, L1 bytes, planner strategy,
+    buffering, heuristics, engine settings — and the replay command)
+    followed by the graph in {!Ir.Text} form.
     The result is itself a loadable [.htvm] file. When [faults] is given
     the header embeds the fault plan ([# faults: <spec>], parseable by
     {!Fault.Plan.of_string}) and the replay command becomes

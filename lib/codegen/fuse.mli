@@ -14,9 +14,6 @@ type kernel = {
   code_bytes : int;  (** contribution to the binary's text section *)
 }
 
-val is_light : Ir.Op.t -> bool
-(** Elementwise/shape operators that fuse into a preceding kernel. *)
-
 val kernels :
   cpu:Arch.Cpu_model.t ->
   size:Arch.Platform.size_model ->

@@ -15,12 +15,6 @@ type report = {
   total_bytes : int;
 }
 
-val accel_const_bytes : Ir.Layer.t -> accel_name:string -> int
-(** Deployed bytes of one offloaded layer's weights + bias. Ternary
-    spatial convolutions pad their rows to the full IMC macro height
-    (paper Sec. IV-C: "some layer dimensions require padding the L2
-    memory with zeros"); 1x1 (FC-like) ternary layers pack tight. *)
-
 val report :
   size_model:Arch.Platform.size_model ->
   cpu_kernels:Fuse.kernel list ->
@@ -28,6 +22,11 @@ val report :
   (* (layer, accel name, is_tiled) *)
   cpu_const_bytes:int ->
   report
+(** The ["accelerator constants"] section holds each offloaded layer's
+    deployed weights + bias. Ternary spatial convolutions on the analog
+    array pad their rows to the full IMC macro height (paper Sec. IV-C:
+    "some layer dimensions require padding the L2 memory with zeros");
+    1x1 (FC-like) ternary layers pack tight. *)
 
 val total_kb : report -> float
 val pp : Format.formatter -> report -> unit

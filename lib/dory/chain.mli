@@ -20,10 +20,6 @@ type t = {
   stripes : int;
 }
 
-val compatible : Ir.Layer.t -> Ir.Layer.t -> (unit, string) result
-(** Both plain convolutions (no fused pools), shapes chained, int8-out
-    intermediate. *)
-
 (* Planning: *)
 
 val l1_stripe_bytes : t -> int
@@ -31,7 +27,9 @@ val l1_stripe_bytes : t -> int
     stripe. *)
 
 val plan : l1_budget:int -> Ir.Layer.t -> Ir.Layer.t -> (t, string) result
-(** Choose the tallest stripe whose working set fits the budget. *)
+(** Choose the tallest stripe whose working set fits the budget. [Error]
+    also when the pair cannot chain: both must be plain convolutions (no
+    fused pools) with chained shapes and an int8-out intermediate. *)
 
 val mid_rows_for : t -> int -> int * int * int * int
 (** [(mid_lo, mid_valid, pad_top, pad_bottom)] of the intermediate rows

@@ -7,12 +7,6 @@
     simulator executes the schedule structure itself, so the two cannot
     drift apart). *)
 
-val layer_function_name : int -> string
-(** Name for the [n]-th generated layer function. *)
-
-val emit_layer : index:int -> Schedule.t -> string
-(** C source of one layer's driver function. *)
-
 val emit_network : (int * Schedule.t) list -> string
-(** Concatenated translation unit with a network run function calling each
-    layer in order. *)
+(** One translation unit: a driver function [htvm_layer_<i>] per indexed
+    schedule, then a network run function calling each layer in order. *)

@@ -321,7 +321,4 @@ let trace_solve_event trace accel l outcome =
     Trace.event trace ~cat:"dory" ~args "tiling.solve"
   end
 
-let solve ?trace ?exhaustive cfg accel l =
-  let outcome = solve_stats ?exhaustive cfg accel l in
-  trace_solve_event trace accel l outcome;
-  outcome.result
+let solve cfg accel l = (solve_stats cfg accel l).result

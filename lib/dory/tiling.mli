@@ -35,10 +35,6 @@ type solution = {
   tile_count : int;
 }
 
-val l1_bytes_needed : config -> Ir.Layer.t -> Arch.Tile.t -> int
-(** Activation bytes the tile occupies in L1 under the configured
-    buffering policy. *)
-
 val feasible : config -> Arch.Accel.t -> Ir.Layer.t -> Arch.Tile.t -> bool
 (** Does the tile satisfy Eq. 2, the weight-memory capacity and the
     accelerator's [tile_ok] rules? *)
@@ -86,27 +82,22 @@ val solve_stats :
     binary-searches the tallest feasible oy of each (k, ox) column
     (feasibility is monotone in oy) and skips columns whose objective
     upper bound cannot beat the incumbent; [~exhaustive:true] restores
-    the full scan — same chosen tile and objective, more [explored]
-    candidates (benches use it as the pruning baseline). *)
+    the full scan — same result, more [explored] candidates. Only the
+    test suite passes it, as the reference the pruned search is checked
+    against. *)
 
 val trace_solve_event :
   Trace.t option -> Arch.Accel.t -> Ir.Layer.t -> outcome -> unit
-(** Record the ["tiling.solve"] trace event for an outcome — emitted
-    separately from {!solve_stats} so parallel compilation can replay
-    events in deterministic order from the coordinating domain. *)
+(** Record the ["tiling.solve"] trace event for an outcome: the
+    candidates explored, the feasible / infeasible / pruned split, and
+    the chosen tile and objective. It is emitted separately from
+    {!solve_stats} so parallel compilation can replay events in
+    deterministic order from the coordinating domain. *)
 
-val solve :
-  ?trace:Trace.t ->
-  ?exhaustive:bool ->
-  config ->
-  Arch.Accel.t ->
-  Ir.Layer.t ->
-  (solution, infeasible) result
-(** [solve_stats] + [trace_solve_event]: [Error] when no feasible tile
+val solve : config -> Arch.Accel.t -> Ir.Layer.t -> (solution, infeasible) result
+(** The pruned {!solve_stats}'s result: [Error] when no feasible tile
     exists (layer cannot run on this accelerator within the memory
-    budget). When [trace] is given, one ["tiling.solve"] event is
-    recorded per call with the candidates explored, the feasible /
-    infeasible / pruned split, and the chosen tile and objective. *)
+    budget). *)
 
 type work = { solves : int; tests : int }
 

@@ -71,7 +71,6 @@ type t = {
   mutable passed : int;
   mutable failed : int;
   mutable probe_cyc : int;
-  mutable seen : int;
   mutable log : transition list;  (* reverse chronological *)
 }
 
@@ -96,7 +95,6 @@ let create ?(degraded_at_start = false) cfg ~instance =
       passed = 0;
       failed = 0;
       probe_cyc = 0;
-      seen = 0;
       log = [];
     }
   in
@@ -156,7 +154,6 @@ let observe_faults t ~now n =
   let now = max now t.clock in
   t.clock <- now;
   if n > 0 then begin
-    t.seen <- t.seen + n;
     match t.st with
     | Healthy | Readmitted ->
         t.tenure_faults <- t.tenure_faults + n;
@@ -180,7 +177,6 @@ let relapses t = t.relapse
 let probes_passed t = t.passed
 let probes_failed t = t.failed
 let probe_cycles t = t.probe_cyc
-let faults_seen t = t.seen
 
 let state_label = function
   | Healthy -> "healthy"
@@ -194,17 +190,6 @@ let cause_label = function
   | Window_elapsed -> "window"
   | Probe_pass -> "probe-pass"
   | Probe_fail -> "probe-fail"
-
-let transition_label tr =
-  Printf.sprintf "@%d %s->%s (%s)" tr.tr_at (state_label tr.tr_from)
-    (state_label tr.tr_to) (cause_label tr.tr_cause)
-
-let render_log t =
-  match transitions t with
-  | [] -> Printf.sprintf "inst %d -" t.inst
-  | trs ->
-      Printf.sprintf "inst %d %s" t.inst
-        (String.concat "; " (List.map transition_label trs))
 
 let legal_pairs =
   [
@@ -223,29 +208,3 @@ let transition_counts t =
         List.length
           (List.filter (fun tr -> (tr.tr_from, tr.tr_to) = pair) trs) ))
     legal_pairs
-
-let simulate cfg ~plan ~instances ~windows ~window ~jobs =
-  let sites = List.map (fun r -> r.Fault.Plan.site) plan.Fault.Plan.rules in
-  let sim_one i =
-    let t = create cfg ~instance:i in
-    let plan_i =
-      { plan with Fault.Plan.seed = plan.Fault.Plan.seed + ((i + 1) * 1_000_003) }
-    in
-    let session = Fault.Session.create plan_i in
-    for w = 0 to windows - 1 do
-      let close = (w + 1) * window in
-      ignore (advance t ~now:close);
-      let faults =
-        List.fold_left
-          (fun acc site -> acc + List.length (Fault.Session.draw session site))
-          0 sites
-      in
-      observe_faults t ~now:close faults
-    done;
-    render_log t
-  in
-  let logs =
-    Util.Pool.with_pool ~jobs (fun pool ->
-        Util.Pool.map pool sim_one (List.init instances Fun.id))
-  in
-  String.concat "\n" logs

@@ -19,8 +19,7 @@
     by [probe_seed] mixed with the instance id, and the machine only
     moves when {!advance} or {!observe_faults} is called with a caller
     clock. Equal observation sequences therefore produce byte-identical
-    transition logs at any host job count — asserted by the qcheck
-    suite via {!simulate}. *)
+    transition logs at any host job count. *)
 
 type state = Healthy | Degraded | Probation | Readmitted
 
@@ -48,10 +47,6 @@ val default : config
 
 val validate : config -> (unit, string) result
 (** [Error msg] when any field is out of range. *)
-
-val probation_backoff : config -> relapse:int -> int
-(** Cooldown before the [relapse]-th (1-based) probation:
-    [Fault.Session.backoff_with ~base:probation_window ~cap:backoff_cap]. *)
 
 type cause =
   | Boot  (** configured degraded from cycle 0 *)
@@ -107,14 +102,8 @@ val probes_failed : t -> int
 val probe_cycles : t -> int
 (** Total cycles consumed by probes so far. *)
 
-val faults_seen : t -> int
-(** Total fault observations delivered via {!observe_faults}. *)
-
 val state_label : state -> string
 val cause_label : cause -> string
-
-val transition_label : transition -> string
-(** ["@<at> <from>-><to> (<cause>)"] — stable, used in logs/tallies. *)
 
 val legal_pairs : (state * state) list
 (** Every (from, to) pair the machine can produce, in a stable order —
@@ -122,21 +111,3 @@ val legal_pairs : (state * state) list
 
 val transition_counts : t -> ((state * state) * int) list
 (** Count per legal pair, in [legal_pairs] order (zeros included). *)
-
-val simulate :
-  config ->
-  plan:Fault.Plan.t ->
-  instances:int ->
-  windows:int ->
-  window:int ->
-  jobs:int ->
-  string
-(** Pure standalone driver for property tests: instance [i] draws fault
-    occurrences from a {!Fault.Session} over [plan] reseeded per
-    instance (mirroring the serve runtime's per-request reseeding), one
-    batch of site draws per window, observed at each window close; the
-    machine is advanced to each window close first. Returns one line per
-    instance, ["inst <id> <label>; <label>; ..."] ([inst <id> -] when
-    it made no transition), labels as in {!transition_label}. Per-instance streams are
-    independent, so instance [i]'s line is identical whatever
-    [instances] or [jobs] is — the fan-out runs on {!Util.Pool}. *)

@@ -10,9 +10,7 @@ type config = {
   use_dma_heuristic : bool;
   autotune_budget : int option;
   jobs : int;
-  exhaustive_tiling : bool;
   degraded_targets : string list;
-  segment_budget_cycles : int option;
 }
 
 let default_config platform =
@@ -24,9 +22,7 @@ let default_config platform =
     use_dma_heuristic = true;
     autotune_budget = None;
     jobs = Util.Pool.jobs_from_env ();
-    exhaustive_tiling = false;
     degraded_targets = [];
-    segment_budget_cycles = None;
   }
 
 let tvm_baseline_config platform =
@@ -49,7 +45,6 @@ type solver_stats = {
 type demotion_reason =
   | Degraded_target
   | Infeasible of Dory.Tiling.infeasible
-  | Over_budget of { estimated_cycles : int; budget_cycles : int }
 
 type demotion = {
   d_output : G.id;
@@ -62,9 +57,6 @@ type demotion = {
 let demotion_reason_to_string = function
   | Degraded_target -> "target marked degraded"
   | Infeasible inf -> Dory.Tiling.infeasible_to_string inf
-  | Over_budget { estimated_cycles; budget_cycles } ->
-      Printf.sprintf "estimated %d cycles exceeds segment budget %d"
-        estimated_cycles budget_cycles
 
 type artifact = {
   cfg : config;
@@ -96,8 +88,6 @@ let error_to_string = function
   | No_feasible_tile inf -> Dory.Tiling.infeasible_to_string inf
   | Empty_graph -> "nothing to execute: graph has no operator applications"
   | Internal msg -> "internal compiler error: " ^ msg
-
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 let is_resource_error = function
   | Out_of_memory _ | No_feasible_tile _ -> true
@@ -360,11 +350,7 @@ let config_fingerprint cfg =
       string_of_bool cfg.use_pe_heuristics;
       string_of_bool cfg.use_dma_heuristic;
       (match cfg.autotune_budget with None -> "-" | Some n -> string_of_int n);
-      string_of_bool cfg.exhaustive_tiling;
       Util.Key.encode cfg.degraded_targets;
-      (match cfg.segment_budget_cycles with
-      | None -> "-"
-      | Some n -> string_of_int n);
     ]
 
 (* Decisions depend on the graph's structure, not on constant values:
@@ -650,41 +636,22 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
   let seg_outcomes = ref [] in
   let demotions = ref [] in
   phase "lower" (fun () ->
-      let estimate (a : Arch.Accel.t) layer =
-        let full = Arch.Tile.full layer in
-        a.Arch.Accel.setup_cycles
-        + a.Arch.Accel.compute_cycles layer full
-        + a.Arch.Accel.weight_load_cycles layer full
-      in
-      (* The pre-solve rung checks: why a segment cannot stay on [a]
-         before any tiling is attempted. [None] = the accelerator may
-         try. Used both to build the pool's work list and to consume it,
-         so the two passes agree segment by segment. *)
-      let rung_block (a : Arch.Accel.t) layer =
-        if List.mem a.Arch.Accel.accel_name cfg.degraded_targets then
-          Some Degraded_target
-        else
-          match cfg.segment_budget_cycles with
-          | Some budget when estimate a layer > budget ->
-              Some
-                (Over_budget
-                   { estimated_cycles = estimate a layer; budget_cycles = budget })
-          | _ -> None
+      (* A degraded target is skipped before any tiling is attempted.
+         Used both to build the pool's work list and to consume it, so
+         the two passes agree segment by segment. *)
+      let degraded (a : Arch.Accel.t) =
+        List.mem a.Arch.Accel.accel_name cfg.degraded_targets
       in
       let offloads =
         List.filter_map
           (function
             | Byoc.Partition.Offload { target; layer; _ } ->
                 let accel = Arch.Platform.find_accel platform target in
-                if rung_block accel layer = None then Some (accel, layer)
-                else None
+                if degraded accel then None else Some (accel, layer)
             | Byoc.Partition.Host _ -> None)
           plan.Byoc.Partition.segments
       in
-      let solve (accel, layer) =
-        Dory.Tiling.solve_stats ~exhaustive:cfg.exhaustive_tiling tiling_cfg accel
-          layer
-      in
+      let solve (accel, layer) = Dory.Tiling.solve_stats tiling_cfg accel layer in
       let signature ((accel : Arch.Accel.t), layer) =
         Dory.Tiling.signature tiling_cfg ~accel:accel.Arch.Accel.accel_name layer
       in
@@ -751,7 +718,7 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
                   (fun (a : Arch.Accel.t) ->
                     a.Arch.Accel.accel_name <> target
                     && a.Arch.Accel.supports layer
-                    && rung_block a layer = None)
+                    && not (degraded a))
                   platform.Arch.Platform.accels
               in
               let next_name = function
@@ -779,17 +746,16 @@ let compile_cold ?trace ?defer ?store ?replay cfg graph =
                           ~to_:(next_name rest) (Infeasible inf);
                         descend rest)
               in
-              (match rung_block primary layer with
-              | Some reason ->
-                  demote ~from:target ~to_:(next_name alternates) reason;
-                  descend alternates
-              | None -> (
-                  match (outcome_on primary take).Dory.Tiling.result with
-                  | Ok sol -> accept primary sol
-                  | Error inf ->
-                      demote ~from:target ~to_:(next_name alternates)
-                        (Infeasible inf);
-                      descend alternates)))
+              if degraded primary then begin
+                demote ~from:target ~to_:(next_name alternates) Degraded_target;
+                descend alternates
+              end
+              else
+                match (outcome_on primary take).Dory.Tiling.result with
+                | Ok sol -> accept primary sol
+                | Error inf ->
+                    demote ~from:target ~to_:(next_name alternates) (Infeasible inf);
+                    descend alternates)
         plan.Byoc.Partition.segments);
   let solves = close solves in
   (* A replay reports the entry's totals. *)

@@ -22,27 +22,16 @@ type config = {
       (** worker domains for tiling solves and autotune trials; 1 =
           sequential (no domain is ever spawned). Results are
           bit-identical at every job count. *)
-  exhaustive_tiling : bool;
-      (** disable the solver's binary search + branch-and-bound pruning
-          and scan every candidate (same chosen tiles). Only tests and the
-          [htvmc check] / [chaos] fuzzers set it, as the pruning
-          baseline. *)
   degraded_targets : string list;
       (** accelerators a health monitor has marked unreliable: segments
           the partitioner assigns to them descend the fallback ladder
           (other healthy accelerators, then the host) instead of being
           lowered there *)
-  segment_budget_cycles : int option;
-      (** per-segment latency/fault budget: a segment whose untiled
-          busy-cycle estimate on an accelerator exceeds it is demoted off
-          that accelerator (bounds the work lost to a mid-segment retry
-          or abort); [None] = unbounded *)
 }
 
 val default_config : Arch.Platform.t -> config
 (** Reuse planner, double buffering and all tiling heuristics on;
-    [jobs] honours the [HTVM_JOBS] environment variable (default 1),
-    pruned search. *)
+    [jobs] honours the [HTVM_JOBS] environment variable (default 1). *)
 
 val tvm_baseline_config : Arch.Platform.t -> config
 (** Plain-TVM deployment model: no buffer reuse (and accelerators are
@@ -71,8 +60,6 @@ type demotion_reason =
   | Degraded_target  (** the target is in [cfg.degraded_targets] *)
   | Infeasible of Dory.Tiling.infeasible
       (** no L1-feasible tile on that accelerator *)
-  | Over_budget of { estimated_cycles : int; budget_cycles : int }
-      (** untiled busy-cycle estimate exceeds [cfg.segment_budget_cycles] *)
 
 type demotion = {
   d_output : Ir.Graph.id;  (** the segment's output node *)
@@ -129,8 +116,6 @@ type error =
 val error_to_string : error -> string
 (** Human-readable rendering (what [htvmc] prints). *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val is_resource_error : error -> bool
 (** [true] exactly for {!Out_of_memory} and {!No_feasible_tile}: the
     rejections a correct compiler is allowed to produce on valid input
@@ -184,8 +169,7 @@ val compile :
     track, and deterministic solver totals (candidates explored /
     infeasible / pruned, demotions, tuning trials) register as counters
     on the cycles track. Registration is strict, so pass a registry that
-    has not seen a compile yet (one registry per compile; merge
-    snapshots to aggregate).
+    has not seen a compile yet (one registry per compile).
 
     With [cfg.jobs > 1] the per-segment tiling solves and per-kernel
     autotune trials run on a domain pool; trace events are replayed in

@@ -2,8 +2,7 @@ module J = Trace.Json
 
 (* Machine-readable counterpart of [to_markdown]; the schema is documented
    in DESIGN.md ("JSON report schema"). *)
-let to_json_value ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.artifact)
-    (report : Sim.Machine.report) =
+let to_json_value (artifact : Compile.artifact) (report : Sim.Machine.report) =
   let cfg = artifact.Compile.cfg in
   let platform = cfg.Compile.platform in
   let counters_json (c : Sim.Counters.t) =
@@ -57,8 +56,7 @@ let to_json_value ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.arti
                          J.Str
                            (match d.Compile.d_reason with
                            | Compile.Degraded_target -> "degraded_target"
-                           | Compile.Infeasible _ -> "infeasible"
-                           | Compile.Over_budget _ -> "over_budget") );
+                           | Compile.Infeasible _ -> "infeasible") );
                        ( "reason",
                          J.Str
                            (Compile.demotion_reason_to_string d.Compile.d_reason)
@@ -86,7 +84,7 @@ let to_json_value ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.arti
       artifact.Compile.layers report.Sim.Machine.per_step
   in
   let totals = report.Sim.Machine.totals in
-  let e = Sim.Energy.of_report energy report in
+  let e = Sim.Energy.of_report Sim.Energy.diana_defaults report in
   J.Obj
     ([
       ( "platform",
@@ -185,10 +183,9 @@ let to_json_value ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.arti
           ] );
     ])
 
-let to_json ?energy artifact report = J.to_string (to_json_value ?energy artifact report)
+let to_json artifact report = J.to_string (to_json_value artifact report)
 
-let to_markdown ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.artifact)
-    (report : Sim.Machine.report) =
+let to_markdown (artifact : Compile.artifact) (report : Sim.Machine.report) =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
   let cfg = artifact.Compile.cfg in
@@ -281,5 +278,6 @@ let to_markdown ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.artifa
     artifact.Compile.program.Sim.Program.l2_activation_peak;
   add "\n## Energy (modeled)\n\n";
   add "%s\n"
-    (Format.asprintf "%a" Sim.Energy.pp (Sim.Energy.of_report energy report));
+    (Format.asprintf "%a" Sim.Energy.pp
+       (Sim.Energy.of_report Sim.Energy.diana_defaults report));
   Buffer.contents buf

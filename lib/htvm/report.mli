@@ -5,26 +5,11 @@
     binary-size sections, L2 memory plan and estimated energy — as one
     markdown document ([htvmc report] prints it). *)
 
-val to_markdown :
-  ?energy:Sim.Energy.params ->
-  Compile.artifact ->
-  Sim.Machine.report ->
-  string
-(** Defaults to {!Sim.Energy.diana_defaults} for the energy section. *)
+val to_markdown : Compile.artifact -> Sim.Machine.report -> string
+(** The energy section uses {!Sim.Energy.diana_defaults}. *)
 
-val to_json_value :
-  ?energy:Sim.Energy.params ->
-  Compile.artifact ->
-  Sim.Machine.report ->
-  Trace.Json.t
-(** The machine-readable report as a JSON document: platform, config,
-    totals (cycles per component, DMA bytes, stall, utilization,
+val to_json : Compile.artifact -> Sim.Machine.report -> string
+(** The machine-readable report as a compact JSON document: platform,
+    config, totals (cycles per component, DMA bytes, stall, utilization,
     latency), one object per layer, binary-size sections, L2 memory plan
     and modeled energy. The schema is documented in DESIGN.md. *)
-
-val to_json :
-  ?energy:Sim.Energy.params ->
-  Compile.artifact ->
-  Sim.Machine.report ->
-  string
-(** [to_json_value] rendered as a compact JSON string. *)

@@ -153,9 +153,6 @@ module Builder = struct
   let softmax b data = app b Op.Softmax [ data ]
   let reshape b shape data = app b (Op.Reshape (Array.copy shape)) [ data ]
 
-  let flatten_chw b data shape =
-    reshape b [| Array.fold_left ( * ) 1 shape |] data
-
   let finish b ~output =
     if output < 0 || output >= b.count then invalid_arg "Builder.finish: bad output id";
     { nodes = Array.of_list (List.rev b.rev_nodes); output }

@@ -86,9 +86,6 @@ module Builder : sig
   val global_avg_pool : t -> id -> id
   val softmax : t -> id -> id
   val reshape : t -> int array -> id -> id
-  val flatten_chw : t -> id -> int array -> id
-  (** [flatten_chw b x shape] reshapes an activation of the given shape to
-      rank 1 (helper for conv->dense transitions). *)
 
   val finish : t -> output:id -> graph
 end

@@ -41,10 +41,6 @@ val macs : t -> int
     convolution work in pre-pool space. [Add]/[Pool] count one MAC per
     produced element. *)
 
-val pre_pool_dims : t -> int * int
-(** Spatial output extent the convolution computes before any fused pool
-    ((oh, ow) of [out_shape] when no pool is fused). *)
-
 val kernel_dims : t -> int * int
 (** Filter (fy, fx); (1, 1) for non-convolutions. *)
 

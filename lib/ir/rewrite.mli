@@ -1,29 +1,19 @@
 (** Graph-level optimizations run before partitioning (TVM's "initial
     optimizations" in the HTVM flow, Sec. III). *)
 
-val constant_fold : Graph.t -> Graph.t
-(** Replace every application whose arguments are all constants by the
-    constant it evaluates to. Iterates to a fixed point in one topological
-    pass. *)
-
-val dead_code_elimination : Graph.t -> Graph.t
-(** Drop nodes not reachable from the output; remaining ids are compacted
-    but keep their relative order. *)
-
-val common_subexpression_elimination : Graph.t -> Graph.t
-(** Share structurally identical applications of the same operator to the
-    same arguments (weights dedup across reused constants comes out of
-    this too, since equal constants unify first). *)
-
-val peephole : Graph.t -> Graph.t
-(** Local exact rewrites in one pass:
-    - [right_shift(right_shift(x, a), b) -> right_shift(x, a + b)]
-    - [relu(relu x) -> relu x]
-    - [reshape(reshape x) -> reshape x] (outer shape wins)
-    - drop a [clip] whose range contains its operand's clip range
-    - drop a [cast] to the operand's own dtype.
-    All rewrites preserve values exactly (tested by fuzzing). *)
-
 val simplify : Graph.t -> Graph.t
-(** [constant_fold], [common_subexpression_elimination], [peephole] and
-    [dead_code_elimination], in that order. *)
+(** Four passes, in this order:
+    - constant folding: every application whose arguments are all
+      constants becomes the constant it evaluates to (a fixed point in
+      one topological pass);
+    - common-subexpression elimination: structurally identical
+      applications of the same operator to the same arguments are shared
+      (equal constants unify first, so reused weights dedup too);
+    - local exact peephole rewrites, in one pass:
+      [right_shift(right_shift(x, a), b) -> right_shift(x, a + b)],
+      [relu(relu x) -> relu x], [reshape(reshape x) -> reshape x] (outer
+      shape wins), dropping a [clip] whose range contains its operand's
+      clip range, and dropping a [cast] to the operand's own dtype;
+    - dead-code elimination: nodes not reachable from the output go;
+      remaining ids are compacted but keep their relative order.
+    All rewrites preserve values exactly (tested by fuzzing). *)

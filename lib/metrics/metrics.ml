@@ -11,8 +11,7 @@
 
    Registration order is kept and is the exposition order within a
    track; duplicate (name, labels) registration raises Invalid_argument
-   because a duplicate is a plumbing bug — cross-run aggregation goes
-   through snapshot merge instead. *)
+   because a duplicate is a plumbing bug. *)
 
 module J = Trace.Json
 
@@ -223,55 +222,6 @@ let snapshot t =
       })
     t.rev_instrs
 
-(* Pointwise combination. Every rule is associative on its own (integer
-   addition, max, per-bucket addition, concatenation) and the union
-   keeps left-then-new-right order, so merge itself is associative — the
-   test suite checks this on concrete snapshots. *)
-let merge a b =
-  let mkey m = key_of m.m_name m.m_labels in
-  let combine x y =
-    if x.m_track <> y.m_track then
-      invalid_arg
-        (Printf.sprintf "Metrics.merge: %s registered on tracks %s and %s" (mkey x)
-           (track_name x.m_track) (track_name y.m_track));
-    let value =
-      match (x.m_value, y.m_value) with
-      | Counter m, Counter n -> Counter (m + n)
-      | Gauge m, Gauge n -> Gauge (Float.max m n)
-      | Histogram hx, Histogram hy ->
-          if hx.bounds <> hy.bounds then
-            invalid_arg
-              (Printf.sprintf "Metrics.merge: %s bucket bounds differ" (mkey x));
-          Histogram
-            {
-              bounds = hx.bounds;
-              counts = List.map2 ( + ) hx.counts hy.counts;
-              sum = hx.sum + hy.sum;
-              count = hx.count + hy.count;
-            }
-      | Series sx, Series sy ->
-          if sx.columns <> sy.columns then
-            invalid_arg (Printf.sprintf "Metrics.merge: %s columns differ" (mkey x));
-          Series { columns = sx.columns; samples = sx.samples @ sy.samples }
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Metrics.merge: %s registered with different kinds" (mkey x))
-    in
-    { x with m_value = value }
-  in
-  let merged_left =
-    List.map
-      (fun x ->
-        match List.find_opt (fun y -> mkey y = mkey x) b with
-        | Some y -> combine x y
-        | None -> x)
-      a
-  in
-  let right_only =
-    List.filter (fun y -> not (List.exists (fun x -> mkey x = mkey y) a)) b
-  in
-  merged_left @ right_only
-
 (* --- exposition -------------------------------------------------------- *)
 
 let prom_float f =
@@ -356,17 +306,6 @@ let to_prometheus snap =
         metrics)
     (by_track snap);
   Buffer.contents buf
-
-let cycles_section dump =
-  let lines = String.split_on_char '\n' dump in
-  let rec keep acc = function
-    | [] -> List.rev acc
-    | line :: _
-      when line = track_marker Sched || line = track_marker Wall ->
-        List.rev acc
-    | line :: rest -> keep (line :: acc) rest
-  in
-  String.concat "\n" (keep [] lines) ^ "\n"
 
 let to_json snap =
   let metric_json m =

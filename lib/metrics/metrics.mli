@@ -23,13 +23,11 @@
 
     Exposition renders tracks in that order, each introduced by a
     [# track <name>] marker line, so "strip everything from the first
-    non-deterministic marker" is a one-liner in shell ({!cycles_section}
-    does the same in-process).
+    non-deterministic marker" is a one-liner in shell.
 
     Registration order is the exposition order within a track, and
     registering the same (name, labels) pair twice raises
-    [Invalid_argument] — a duplicate is always a plumbing bug, never a
-    legitimate aggregation (merge {!snapshot}s for that). *)
+    [Invalid_argument] — a duplicate is always a plumbing bug. *)
 
 type track =
   | Cycles  (** deterministic simulated-cycle domain *)
@@ -119,16 +117,6 @@ type snapshot = metric list
 
 val snapshot : t -> snapshot
 
-val merge : snapshot -> snapshot -> snapshot
-(** Pointwise combination, associative by construction: counters add,
-    gauges keep the maximum (a gauge surviving a merge is a high-water
-    mark), histograms add per-bucket, series concatenate samples
-    (left's before right's). Metrics present on one side only pass
-    through; the result keeps the left order, then right-only metrics in
-    their order.
-    @raise Invalid_argument when the two sides disagree on a metric's
-    kind, track, bucket bounds or column set. *)
-
 (** {1 Exposition} *)
 
 val to_prometheus : snapshot -> string
@@ -144,19 +132,13 @@ val to_json : snapshot -> Trace.Json.t
     "wall": [...]}}]; floats use {!Trace.Json}'s round-trippable
     rendering. *)
 
-val to_csv : snapshot -> string
-(** Header [track,name,labels,kind,field,ts,value]; one row per scalar,
-    histogram bucket ([field] = [le:<bound>], [sum], [count]) and series
-    sample ([field] = column, [ts] = cycles). *)
-
-val cycles_section : string -> string
-(** The deterministic prefix of a {!to_prometheus} dump: everything up
-    to (excluding) the first [# track sched] or [# track wall] marker —
-    what [tools/verify.sh] diffs across worker counts. *)
-
 type format = Prom | Json | Csv
 
 val format_of_string : string -> (format, string) result
 (** ["prom"], ["json"] or ["csv"]. *)
 
 val render : format -> snapshot -> string
+(** [Prom] is {!to_prometheus} and [Json] {!to_json}, newline-terminated.
+    [Csv] has the header [track,name,labels,kind,field,ts,value] and one
+    row per scalar, histogram bucket ([field] = [le:<bound>], [sum],
+    [count]) and series sample ([field] = column, [ts] = cycles). *)

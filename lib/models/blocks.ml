@@ -5,7 +5,6 @@ type ctx = { b : B.t; rng : Util.Rng.t; pol : Policy.t }
 
 let create ?(seed = 0xD1A) pol = { b = B.create (); rng = Util.Rng.create seed; pol }
 let builder ctx = ctx.b
-let policy ctx = ctx.pol
 
 let input ctx ~name shape = B.input ctx.b ~name Dtype.I8 shape
 

@@ -10,7 +10,6 @@ type ctx
 
 val create : ?seed:int -> Policy.t -> ctx
 val builder : ctx -> Ir.Graph.Builder.t
-val policy : ctx -> Policy.t
 
 val input : ctx -> name:string -> int array -> Ir.Graph.id
 (** int8 network input. *)

@@ -60,11 +60,6 @@ let conv2d ~input ~weights p =
   done;
   out
 
-let depthwise_conv2d ~input ~weights p =
-  let c = Tensor.dim input 0 in
-  if Tensor.dim weights 1 <> 1 then invalid_arg "depthwise_conv2d: expected [|c;1;fy;fx|] weights";
-  conv2d ~input ~weights { p with groups = c }
-
 let dense ~input ~weights =
   let c = Tensor.dim input 0 and k = Tensor.dim weights 0 in
   if Tensor.dim weights 1 <> c then invalid_arg "dense: weight/input dim mismatch";

@@ -29,10 +29,6 @@ val conv2d : input:Tensor.t -> weights:Tensor.t -> conv_params -> Tensor.t
     [groups * c_per_group]; [k] must be a multiple of [groups]. Any integer
     input/weight dtypes are accepted (I8, U7, Ternary, ...). *)
 
-val depthwise_conv2d : input:Tensor.t -> weights:Tensor.t -> conv_params -> Tensor.t
-(** Depthwise convolution: weights [|c; 1; fy; fx|]; convenience wrapper
-    over {!conv2d} with [groups = c]. *)
-
 val dense : input:Tensor.t -> weights:Tensor.t -> Tensor.t
 (** Fully-connected layer: input [|c|], weights [|k; c|], output [|k|] I32. *)
 

@@ -23,10 +23,6 @@ type plan = {
   segments : segment list;
 }
 
-let segment_output = function
-  | Offload { output; _ } -> output
-  | Host { id } -> id
-
 let segment_inputs g = function
   | Offload { inputs; _ } -> List.sort_uniq compare inputs
   | Host { id } -> (
@@ -118,12 +114,6 @@ let run g ~targets =
     List.sort (fun (a, _) (b, _) -> compare a b) !segments |> List.map snd
   in
   { graph = g; tys; segments }
-
-let offload_count plan =
-  List.length (List.filter (function Offload _ -> true | Host _ -> false) plan.segments)
-
-let host_count plan =
-  List.length (List.filter (function Host _ -> true | Offload _ -> false) plan.segments)
 
 let pp fmt plan =
   Format.fprintf fmt "@[<v>";

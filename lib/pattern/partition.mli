@@ -36,7 +36,6 @@ type plan = {
   segments : segment list;  (** in execution (dataflow) order *)
 }
 
-val segment_output : segment -> Ir.Graph.id
 val segment_inputs : Ir.Graph.t -> segment -> Ir.Graph.id list
 (** Data-input node ids of a segment (constants excluded). *)
 
@@ -47,9 +46,6 @@ val run : Ir.Graph.t -> targets:target list -> plan
     work), when layer extraction succeeds, and when the target's rules
     accept the layer.
     @raise Ir.Infer.Type_error if the graph does not type-check. *)
-
-val offload_count : plan -> int
-val host_count : plan -> int
 
 val pp : Format.formatter -> plan -> unit
 (** One line per segment: destination and layer/op description. *)

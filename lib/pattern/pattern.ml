@@ -13,7 +13,6 @@ let has_attr pred = function
   | Wildcard | Is_constant | Alt _ ->
       invalid_arg "Pattern.has_attr: expected an operator pattern"
 
-let alt a b = Alt (a, b)
 let optional f p = Alt (f p, p)
 
 let rec pp fmt = function
@@ -79,6 +78,3 @@ let matches g pat ~at =
           inputs = List.rev ins;
           consts = List.rev cs;
         }
-
-let find_all g pat =
-  Ir.Graph.node_ids g |> List.filter_map (fun id -> matches g pat ~at:id)

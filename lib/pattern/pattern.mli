@@ -29,9 +29,6 @@ val optional : (t -> t) -> t -> t
 (** [optional f p] matches [f p] when possible, else [p] — Listing 1's
     [cast.optional(is_op "clip")]. *)
 
-val alt : t -> t -> t
-(** First-match-wins alternative. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** A successful match rooted at [root]. *)
@@ -45,7 +42,3 @@ type match_result = {
 val matches : Ir.Graph.t -> t -> at:Ir.Graph.id -> match_result option
 (** Try to match the pattern rooted at a node. A node may appear several
     times in [inputs] if several wildcards reach it. *)
-
-val find_all : Ir.Graph.t -> t -> match_result list
-(** All match roots in the graph, ascending by root id (matches may
-    overlap; the partitioner resolves conflicts). *)

@@ -377,22 +377,6 @@ let mt_error_to_string = function
 
 (* --- execution -------------------------------------------------------- *)
 
-let digest_tensor t =
-  let b = Buffer.create (16 + (Tensor.numel t * 4)) in
-  Buffer.add_string b (Tensor.Dtype.to_string (Tensor.dtype t));
-  Buffer.add_char b '|';
-  Array.iter
-    (fun d ->
-      Buffer.add_string b (string_of_int d);
-      Buffer.add_char b 'x')
-    (Tensor.shape t);
-  Buffer.add_char b '|';
-  for i = 0 to Tensor.numel t - 1 do
-    Buffer.add_string b (string_of_int (Tensor.get_flat t i));
-    Buffer.add_char b ','
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 (* Each request owns an independent fault campaign: same rules, a seed
    derived from the plan seed and the request id. This is what divorces
    a request's faults from the instance that happens to serve it. *)
@@ -472,7 +456,7 @@ let execute e m (q : mt_request) =
       let detected, silent, retries = fault_stats () in
       Done
         {
-          e_digest = digest_tensor out;
+          e_digest = Tensor.digest out;
           e_service = C.full_cycles report;
           e_detected = detected;
           e_silent = silent;
@@ -668,7 +652,7 @@ let serve_engine ?trace e ~models ~classes requests =
             let key =
               String.concat "+"
                 (string_of_int m
-                :: List.map (fun (n, t) -> n ^ ":" ^ digest_tensor t) inputs)
+                :: List.map (fun (n, t) -> n ^ ":" ^ Tensor.digest t) inputs)
             in
             Hashtbl.add keys (m, q.q_input_seed) key;
             key
@@ -1198,12 +1182,14 @@ let generate cfg ~mean_gap =
   (* Input-mix pool: [input_mix = 0] keeps the historical fully-unique
      stream byte-for-byte; [input_mix = k > 0] folds every per-request
      draw into a pool of k seeds from a derived stream. The fold happens
-     after the main draw, so arrivals are identical at any mix. *)
+     after the main draw, so arrivals are identical at any mix. A draw is
+     at most 1_000_000, so [draw mod k] never reaches past the pool's
+     first 1_000_001 seeds: only those are generated, whatever k is. *)
   let pool =
     if cfg.input_mix <= 0 then [||]
     else
       let prng = Util.Rng.create (cfg.seed + 999_983) in
-      Array.init cfg.input_mix (fun _ -> Util.Rng.int_in prng 1 1_000_000)
+      Array.init (min cfg.input_mix 1_000_001) (fun _ -> Util.Rng.int_in prng 1 1_000_000)
   in
   let clock = ref 0 in
   List.init cfg.requests (fun k ->

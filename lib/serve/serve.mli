@@ -606,19 +606,16 @@ val render_arrival_trace : mt_report -> string
     <cycle> <class-name> <seed>
     v}
 
-    Replaying this text through {!parse_arrival_trace} + {!Mt_replay}
+    Replaying this text through {!load_arrival_trace} + {!Mt_replay}
     reproduces the run's tally byte-for-byte (at any fleet shape). *)
 
-val parse_arrival_trace : string -> (trace_entry list, mt_error) result
-(** Parse the trace grammar above. Rejects with [Bad_trace]: a missing
-    or wrong header (line 1), a line without exactly three tokens,
-    non-integer cycle/seed fields, negative cycles, and cycles that
-    decrease. Blank lines and [#] comments are skipped. Class names are
-    validated later, by {!mt_run}, against the run's class list. *)
-
 val load_arrival_trace : string -> (trace_entry list, mt_error) result
-(** Read and parse a trace file; IO failures map to [Bad_trace] with
-    [line = 0]. *)
+(** Read and parse a trace file in the grammar above; IO failures map to
+    [Bad_trace] with [line = 0]. Also rejected with [Bad_trace]: a
+    missing or wrong header (line 1), a line without exactly three
+    tokens, non-integer cycle/seed fields, negative cycles, and cycles
+    that decrease. Blank lines and [#] comments are skipped. Class names
+    are validated later, by {!mt_run}, against the run's class list. *)
 
 val mt_tally : mt_report -> string
 (** The multi-tenant functional ledger: config + class headers, one

@@ -75,10 +75,6 @@ let fields t =
 
 let peak t = t.accel_compute + t.weight_load
 
-let total_parts t =
-  t.accel_compute + t.weight_load + t.dma_in + t.dma_out + t.host_overhead
-  + t.cpu_compute + t.retry_cycles + t.fault_stall
-
 let utilization t =
   if t.wall <= 0 then 0.0
   else float_of_int (peak t + t.cpu_compute) /. float_of_int t.wall

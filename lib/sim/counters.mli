@@ -47,10 +47,6 @@ val fields : t -> (string * int) list
 val peak : t -> int
 (** Accelerator busy cycles: compute + weight load. *)
 
-val total_parts : t -> int
-(** Sum of all component counters, including fault retry/stall cycles
-    (an upper bound on [wall]). *)
-
 val utilization : t -> float
 (** Busy fraction of wall time: (accelerator busy + CPU compute) / wall,
     0 when no cycles were counted. *)

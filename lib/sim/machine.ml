@@ -5,12 +5,6 @@ type report = {
   totals : Counters.t;
 }
 
-let accel_steps_peak r =
-  List.fold_left
-    (fun acc (name, c) ->
-      if String.contains name ':' then acc + Counters.peak c else acc)
-    0 r.per_step
-
 let read_buffer l2 (b : P.buffer) = Mem.read_tensor l2 b.P.l2_offset b.P.b_dtype b.P.b_shape
 
 let write_buffer l2 (b : P.buffer) tensor =

@@ -11,10 +11,6 @@ type report = {
   totals : Counters.t;
 }
 
-val accel_steps_peak : report -> int
-(** Sum of accelerator busy cycles (compute + weight load) over all
-    offloaded steps — the paper's "peak" number. *)
-
 val run :
   platform:Arch.Platform.t ->
   ?trace:Trace.t ->

@@ -22,10 +22,6 @@ let check t off len =
          (Printf.sprintf "%s: access of %d byte(s) at offset %d outside [0, %d)"
             t.mem_name len off (Bytes.length t.data)))
 
-let read_byte t off =
-  check t off 1;
-  Char.code (Bytes.get t.data off)
-
 let write_byte t off v =
   check t off 1;
   touch t off 1;

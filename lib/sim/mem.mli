@@ -26,12 +26,6 @@ exception Fault of string
 (** Raised on any out-of-bounds access, with the memory name, offset and
     access size. *)
 
-val read_byte : t -> int -> int
-(** Unsigned byte at an offset. *)
-
-val write_byte : t -> int -> int -> unit
-(** Write the low 8 bits of the value. *)
-
 val check : t -> int -> int -> unit
 (** [check t off len] raises {!Fault} — with the message every accessor
     raises — unless the [len] bytes at [off] lie inside the memory. *)

@@ -63,7 +63,6 @@ let set_flat t i v =
   check_value t.dtype v;
   t.data.(i) <- v
 
-let blit_data t = Array.copy t.data
 let unsafe_data t = t.data
 
 let fill t v =
@@ -93,6 +92,23 @@ let iteri_flat f t = Array.iteri f t.data
 let fold f acc t = Array.fold_left f acc t.data
 
 let equal a b = Dtype.equal a.dtype b.dtype && a.shape = b.shape && a.data = b.data
+
+let digest t =
+  let b = Buffer.create (16 + (Array.length t.data * 4)) in
+  Buffer.add_string b (Dtype.to_string t.dtype);
+  Buffer.add_char b '|';
+  Array.iter
+    (fun d ->
+      Buffer.add_string b (string_of_int d);
+      Buffer.add_char b 'x')
+    t.shape;
+  Buffer.add_char b '|';
+  Array.iter
+    (fun v ->
+      Buffer.add_string b (string_of_int v);
+      Buffer.add_char b ',')
+    t.data;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let random rng dtype shape =
   check_shape shape;

@@ -51,9 +51,6 @@ val set : t -> int array -> int -> unit
 val get_flat : t -> int -> int
 val set_flat : t -> int -> int -> unit
 
-val blit_data : t -> int array
-(** A fresh copy of the flat payload. *)
-
 val unsafe_data : t -> int array
 (** The live flat payload itself, not a copy. Writing through it skips the
     dtype range check, so it is reserved for hot paths that re-establish
@@ -83,6 +80,11 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 
 val equal : t -> t -> bool
 (** Structural equality: dtype, shape and every element. *)
+
+val digest : t -> string
+(** MD5 hex over the dtype, the shape and every element, so equal
+    tensors have equal digests. Serving tallies and the conformance
+    goldens record outputs by it. *)
 
 val random : Util.Rng.t -> Dtype.t -> int array -> t
 (** Tensor of uniform random values drawn from the dtype's full range

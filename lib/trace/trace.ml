@@ -200,30 +200,6 @@ let tracks t =
     (fun acc e -> if List.mem e.ev_track acc then acc else acc @ [ e.ev_track ])
     [] (sorted t)
 
-(* Span events on one track must nest: each span lies either fully inside
-   or fully outside every other. *)
-let well_nested t =
-  List.for_all
-    (fun track ->
-      let spans =
-        List.filter (fun e -> e.ev_kind = Span && e.ev_track = track) (sorted t)
-      in
-      let rec check stack = function
-        | [] -> true
-        | e :: rest ->
-            let stack =
-              List.filter (fun (_, fin) -> fin > e.ev_ts) stack
-            in
-            let fits =
-              match stack with
-              | [] -> true
-              | (_, fin) :: _ -> e.ev_ts + e.ev_dur <= fin
-            in
-            fits && check ((e.ev_ts, e.ev_ts + e.ev_dur) :: stack) rest
-      in
-      check [] spans)
-    (tracks t)
-
 (* --- Chrome trace-event JSON (Perfetto-loadable) ----------------------- *)
 
 let to_chrome_json t =

@@ -96,8 +96,5 @@ val events : t -> event list
 val tracks : t -> string list
 (** Track names in order of first (time-sorted) appearance. *)
 
-val well_nested : t -> bool
-(** Do span events nest properly on every track (no partial overlap)? *)
-
 val to_chrome_json : t -> string
 val summary : t -> string

@@ -13,8 +13,6 @@ let round_up a b = ceil_div a b * b
 
 let clamp ~lo ~hi v = if v < lo then lo else if v > hi then hi else v
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let log2_ceil n =
   assert (n >= 1);
   let rec go k p = if p >= n then k else go (k + 1) (p * 2) in

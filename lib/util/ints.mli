@@ -12,9 +12,6 @@ val round_up : int -> int -> int
 val clamp : lo:int -> hi:int -> int -> int
 (** Saturate a value into the inclusive range [\[lo, hi\]]. *)
 
-val is_pow2 : int -> bool
-(** Whether the (positive) argument is a power of two. *)
-
 val log2_ceil : int -> int
 (** Smallest [k] such that [2^k >= n], for [n >= 1]. *)
 

@@ -45,10 +45,6 @@ val jobs_from_env : ?default:int -> unit -> int
     (an ambient default must not oversubscribe a smaller machine — an
     explicit [--jobs N] still forces [N]); [default] (1) when the
     variable is unset or empty. [default] itself is never capped.
-    @raise Invalid_argument on a malformed, zero or negative value, with
-    the same diagnosis {!parse_jobs} gives a rejected [--jobs] flag — a
-    bad environment variable must fail as loudly as a bad flag. *)
-
-val parse_jobs : string -> (int, string) result
-(** Validate a user-supplied job count: positive integers only;
-    [Error] carries a human-readable diagnosis. *)
+    @raise Invalid_argument on a malformed, zero or negative value — a
+    bad environment variable must fail as loudly as a bad [--jobs]
+    flag. *)

@@ -17,6 +17,35 @@ let contains s needle =
   let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
   n = 0 || go 0
 
+(* The deterministic prefix of a Prometheus metrics dump: every line
+   before the first [# track sched ...] or [# track wall ...] marker, the
+   section whose bytes must not depend on fleet shape or job count. *)
+let cycles_section dump =
+  let marker line =
+    String.starts_with ~prefix:"# track sched " line
+    || String.starts_with ~prefix:"# track wall " line
+  in
+  let rec keep = function
+    | [] -> []
+    | line :: _ when marker line -> []
+    | line :: rest -> line :: keep rest
+  in
+  String.concat "\n" (keep (String.split_on_char '\n' dump)) ^ "\n"
+
+(* Every match of a pattern in the graph, ascending by root id. *)
+let find_all g pat =
+  List.filter_map (fun id -> Byoc.Pattern.matches g pat ~at:id) (Ir.Graph.node_ids g)
+
+(* Offloaded and host segments of a partition plan. *)
+let offload_count (plan : Byoc.Partition.plan) =
+  List.length
+    (List.filter
+       (function Byoc.Partition.Offload _ -> true | Byoc.Partition.Host _ -> false)
+       plan.Byoc.Partition.segments)
+
+let host_count (plan : Byoc.Partition.plan) =
+  List.length plan.Byoc.Partition.segments - offload_count plan
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick (QCheck.Test.make ~count ~name gen prop)
 

@@ -66,26 +66,47 @@ let test_dma_cost () =
   Alcotest.(check int) "formula" (40 + 32 + 128)
     (Arch.Memory.transfer_cycles dma ~chunks:4 ~bytes:1024)
 
+(* DMA counters of one untiled layer simulated on the digital core: the
+   chunk count its transfers were charged with shows in the cycles. *)
+let untiled_dma layer =
+  let input seed = Tensor.random (Util.Rng.create seed) layer.L.in_dtype layer.L.in_shape in
+  let inputs = if layer.L.in2_shape = None then [ input 1 ] else [ input 1; input 2 ] in
+  let _, counters, schedule = Test_sim.run_layer Arch.Diana.digital layer inputs in
+  Alcotest.(check int) "one tile" 1 (Dory.Schedule.tile_count schedule);
+  counters
+
+let transfer = Arch.Memory.transfer_cycles Arch.Diana.platform.Arch.Platform.dma
+
 let test_dma_chunks_coalesce () =
-  let l = conv_layer ~hw:32 () in
-  let full_width = Tile.for_layer l ~c:16 ~k:8 ~oy:8 ~ox:32 in
-  (* Full-width tiles coalesce rows: one chunk per channel. *)
-  Alcotest.(check int) "coalesced" 16 (Arch.Memory.tile_chunks l full_width ~input:true);
-  let narrow = Tile.for_layer l ~c:16 ~k:8 ~oy:8 ~ox:8 in
-  (* 16 channels x 10 halo rows *)
-  Alcotest.(check int) "per-row" 160 (Arch.Memory.tile_chunks l narrow ~input:true)
+  let c = untiled_dma (conv_layer ~c:4 ~k:8 ~hw:8 ()) in
+  (* A full-width window coalesces its rows: one chunk per channel, not
+     one per (channel, row). *)
+  Alcotest.(check int) "coalesced in" (transfer ~chunks:4 ~bytes:(4 * 8 * 8))
+    c.Sim.Counters.dma_in;
+  Alcotest.(check int) "coalesced out" (transfer ~chunks:8 ~bytes:(8 * 8 * 8))
+    c.Sim.Counters.dma_out
 
 let test_dma_chunks_add_doubles () =
-  let l = add_layer ~c:4 ~hw:8 () in
-  let t = Tile.full l in
-  Alcotest.(check int) "two operand streams" 8 (Arch.Memory.tile_chunks l t ~input:true);
-  Alcotest.(check int) "one output stream" 4 (Arch.Memory.tile_chunks l t ~input:false)
+  let c = untiled_dma (add_layer ~c:4 ~hw:8 ()) in
+  Alcotest.(check int) "two operand streams" (transfer ~chunks:8 ~bytes:(2 * 4 * 8 * 8))
+    c.Sim.Counters.dma_in;
+  Alcotest.(check int) "one output stream" (transfer ~chunks:4 ~bytes:(4 * 8 * 8))
+    c.Sim.Counters.dma_out
 
+(* A conv on the host costs its MACs: [Cpu_model.op_cycles] of the
+   convolution application the CPU kernel runs. *)
 let test_cpu_layer_cycles_scale_with_macs () =
+  let cycles (l : L.t) =
+    match (l.L.kind, l.L.weights) with
+    | L.Conv p, Some w ->
+        Arch.Cpu_model.op_cycles Arch.Diana.cpu (Ir.Op.Conv2d p)
+          [ { Ir.Infer.dtype = l.L.in_dtype; shape = l.L.in_shape };
+            { Ir.Infer.dtype = Tensor.dtype w; shape = Tensor.shape w } ]
+          { Ir.Infer.dtype = Dtype.I32; shape = l.L.out_shape }
+    | _ -> Alcotest.fail "not a conv"
+  in
   let small = conv_layer ~c:8 ~k:8 () and big = conv_layer ~c:32 ~k:32 () in
-  let cs = Arch.Cpu_model.layer_cycles Arch.Diana.cpu small in
-  let cb = Arch.Cpu_model.layer_cycles Arch.Diana.cpu big in
-  Alcotest.(check bool) "16x macs -> much slower" true (cb > 10 * cs)
+  Alcotest.(check bool) "16x macs -> much slower" true (cycles big > 10 * cycles small)
 
 let test_digital_supports () =
   let d = Arch.Diana.digital in

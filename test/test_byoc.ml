@@ -31,7 +31,7 @@ let digital_target ?(priority = 1) ?(accept = accept_all) () =
 
 let test_conv_pattern_matches () =
   let g = conv_net () in
-  let found = Byoc.Pattern.find_all g Byoc.Library.conv2d_pattern in
+  let found = Helpers.find_all g Byoc.Library.conv2d_pattern in
   Alcotest.(check int) "exactly one match" 1 (List.length found);
   let m = List.hd found in
   Alcotest.(check int) "rooted at the cast" (G.output g) m.Byoc.Pattern.root;
@@ -54,11 +54,11 @@ let test_has_attr_filters () =
       (Byoc.Pattern.is_op "nn.conv2d" [ Byoc.Pattern.wildcard; Byoc.Pattern.is_constant ])
   in
   Alcotest.(check int) "stride-2 pattern finds nothing" 0
-    (List.length (Byoc.Pattern.find_all g strided_only));
+    (List.length (Helpers.find_all g strided_only));
   let any_conv =
     Byoc.Pattern.is_op "nn.conv2d" [ Byoc.Pattern.wildcard; Byoc.Pattern.is_constant ]
   in
-  Alcotest.(check int) "plain conv found" 1 (List.length (Byoc.Pattern.find_all g any_conv))
+  Alcotest.(check int) "plain conv found" 1 (List.length (Helpers.find_all g any_conv))
 
 let test_has_attr_requires_op () =
   Alcotest.check_raises "wildcard refuses attr"
@@ -84,7 +84,7 @@ let test_optional_combinator () =
 let test_extract_conv_layer () =
   let g = conv_net () in
   let tys = Ir.Infer.infer g in
-  let m = List.hd (Byoc.Pattern.find_all g Byoc.Library.conv2d_pattern) in
+  let m = List.hd (Helpers.find_all g Byoc.Library.conv2d_pattern) in
   match Byoc.Extract.to_layer g tys m with
   | Error e -> Alcotest.failf "extraction failed: %s" e
   | Ok l ->
@@ -98,7 +98,7 @@ let test_extract_conv_layer () =
 let test_extract_no_relu () =
   let g = conv_net ~relu:false () in
   let tys = Ir.Infer.infer g in
-  let m = List.hd (Byoc.Pattern.find_all g Byoc.Library.conv2d_pattern) in
+  let m = List.hd (Helpers.find_all g Byoc.Library.conv2d_pattern) in
   match Byoc.Extract.to_layer g tys m with
   | Error e -> Alcotest.failf "extraction failed: %s" e
   | Ok l -> Alcotest.(check bool) "no relu" false l.Ir.Layer.relu
@@ -108,7 +108,7 @@ let test_extract_execute_equals_eval () =
      computes — the key soundness property of extraction. *)
   let g = conv_net () in
   let tys = Ir.Infer.infer g in
-  let m = List.hd (Byoc.Pattern.find_all g Byoc.Library.conv2d_pattern) in
+  let m = List.hd (Helpers.find_all g Byoc.Library.conv2d_pattern) in
   let l = Result.get_ok (Byoc.Extract.to_layer g tys m) in
   let x = Tensor.random (Util.Rng.create 23) Dtype.I8 [| 4; 8; 8 |] in
   Helpers.check_tensor "layer semantics"
@@ -141,9 +141,9 @@ let test_partition_mixed_net () =
   (* The maxpool fuses into the conv region (output-stage pooling), so two
      offloaded segments remain: conv+pool and dense. *)
   Alcotest.(check int) "conv+pool and dense offloaded" 2
-    (Byoc.Partition.offload_count plan);
+    (Helpers.offload_count plan);
   (* reshape and softmax remain on the host. *)
-  Alcotest.(check int) "two host ops" 2 (Byoc.Partition.host_count plan);
+  Alcotest.(check int) "two host ops" 2 (Helpers.host_count plan);
   let kinds =
     List.map
       (function
@@ -170,9 +170,9 @@ let test_partition_respects_accept () =
       ()
   in
   let plan = Byoc.Partition.run g ~targets:[ no_dense ] in
-  Alcotest.(check int) "only conv+pool offloaded" 1 (Byoc.Partition.offload_count plan);
+  Alcotest.(check int) "only conv+pool offloaded" 1 (Helpers.offload_count plan);
   (* The dense block's five ops, reshape and softmax fall back to the host. *)
-  Alcotest.(check int) "hosts absorb the dense chain" 7 (Byoc.Partition.host_count plan)
+  Alcotest.(check int) "hosts absorb the dense chain" 7 (Helpers.host_count plan)
 
 let test_partition_priority () =
   let g = conv_net () in

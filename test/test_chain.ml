@@ -65,17 +65,18 @@ let check_exact ?stripe_budget (first, second) seed =
       (plan, counters)
 
 let test_compatible () =
+  let plan = Dory.Chain.plan ~l1_budget:max_int in
   let first, second = pair () in
-  (match Dory.Chain.compatible first second with
-  | Ok () -> ()
+  (match plan first second with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "pair should chain: %s" e);
   let bad = T.conv_layer ~c:5 ~k:8 ~hw:16 () in
-  (match Dory.Chain.compatible first bad with
+  (match plan first bad with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "mismatched shapes accepted");
-  match Dory.Chain.compatible first (T.dense_layer ()) with
+  | Ok _ -> Alcotest.fail "mismatched shapes accepted");
+  match plan first (T.dense_layer ()) with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "dense accepted in a conv chain"
+  | Ok _ -> Alcotest.fail "dense accepted in a conv chain"
 
 let test_plan_stripe_fits_budget () =
   let first, second = pair ~hw:32 () in

@@ -105,6 +105,10 @@ let jobs =
   flag "jobs" ~lo:1 ~sentinels:[ 2 ]
     ~no_max:"spawns N domains, up to the runtime's limit; never run above 2"
 let seeds = flag "seeds" ~lo:0 ~no_max:"one fuzz case per seed"
+
+(* The base runs one seed, so a range starting at max_int overflows. *)
+let start =
+  flag "start" ~refused_in_range:[ (max_int, "start + seeds overflows the ints") ]
 let requests = flag "requests" ~lo:0 ~no_max:"one inference per request"
 let workers = flag "workers" ~lo:1 ~no_max:"one simulated instance per worker"
 
@@ -194,14 +198,14 @@ let table =
       cmd = "check";
       base = [ "--seeds=1" ];
       ints =
-        [ seeds; flag "start"; jobs; flag "replay-seed"; flag "max-shrink-checks" ~lo:0 ];
+        [ seeds; start; jobs; flag "replay-seed"; flag "max-shrink-checks" ~lo:0 ];
       others = [ "bless"; "golden-dir"; "repro" ];
     };
     {
       cmd = "chaos";
       base = [ "--seeds=1" ];
       ints =
-        [ seeds; flag "start"; jobs; flag "retry-budget" ~lo:0; flag "replay-seed";
+        [ seeds; start; jobs; flag "retry-budget" ~lo:0; flag "replay-seed";
           flag "max-shrink-checks" ~lo:0 ];
       others = [ "metrics"; "metrics-format"; "repro" ];
     };
@@ -215,8 +219,7 @@ let table =
             flag "degrade-after" ~lo:1;
             (* Ids index the default fleet of 4 instances. *)
             flag "degraded" ~lo:0 ~hi:3;
-            flag "input-mix" ~lo:0 ~sentinels:[ 0 ]
-              ~no_max:"folds seeds into a pool of K, generated up front";
+            flag "input-mix" ~lo:0 ~sentinels:[ 0 ];
             flag "swap-overhead" ~lo:0 ~extra:multi_tenant;
             flag "period" ~lo:0 ~sentinels:[ 0 ]
               ~extra:(multi_tenant @ [ "--arrival=diurnal" ]);
@@ -261,10 +264,11 @@ let setup =
          [ "export-float"; "small-cnn"; "-o"; "f.fhtvm" ];
        ])
 
-(* Run [args]: it must exit 0 when [accept], else be a clean refusal.
-   A run that must be refused gets a store directory nothing has
-   created, so any store work it does before refusing shows. *)
-let expect ~accept args =
+(* Run [args]: it must exit 0 when [accept], else be a clean refusal
+   (whose stderr line, when [err] is given, is ["htvmc: " ^ err]). A run
+   that must be refused gets a store directory nothing has created, so
+   any store work it does before refusing shows. *)
+let expect ?err ~accept args =
   let args =
     if accept then args
     else List.map (fun a -> if a = "warm-store" then "cold-store" else a) args
@@ -279,9 +283,11 @@ let expect ~accept args =
     if o.code = 0 then None
     else Some (Printf.sprintf "%s: exit %d, want 0; stderr: %S" (show args) o.code o.err)
   else
-    Option.map
-      (fun why -> Printf.sprintf "%s: %s" (show args) why)
-      (refusal_problem ~before ~after o)
+    match (refusal_problem ~before ~after o, err) with
+    | Some why, _ -> Some (Printf.sprintf "%s: %s" (show args) why)
+    | None, Some want when o.err <> "htvmc: " ^ want ^ "\n" ->
+        Some (Printf.sprintf "%s: stderr %S, want htvmc: %s" (show args) o.err want)
+    | None, _ -> None
 
 let test_flag_grid () =
   Lazy.force setup;
@@ -329,6 +335,51 @@ let test_flag_combinations () =
         (false, [ "cache"; "gc" ] @ store);
         (false, [ "cache"; "bogus" ] @ store);
       ]
+  in
+  if problems <> [] then Alcotest.failf "%s" (String.concat "\n" problems)
+
+(* The exact line of each refusal the grid only checks the shape of:
+   a negative --retry-budget would act as 0; multi-tenant serve models
+   no faults, so it refuses any --retry-budget rather than ignore it; an
+   unknown --metrics-format is refused even when the run would never
+   dump; a negative --seeds would run an empty range and a negative
+   --max-shrink-checks would act as 0; a --degrade-after below 1 would
+   degrade every instance that serves; a seed range past max_int would
+   wrap round to negative seeds. *)
+let test_refusal_messages () =
+  Lazy.force setup;
+  let tally = [ "--requests=4"; "--tally"; "tally.txt" ] in
+  let bogus = [ "--metrics"; "m.prom"; "--metrics-format"; "bogus" ] in
+  let bad_format = "unknown metrics format \"bogus\" (prom|json|csv)" in
+  let negative_budget = "--retry-budget must be >= 0 (got -1)" in
+  let serve = ("serve" :: model) @ store @ tally in
+  let problems =
+    List.filter_map
+      (fun (err, args) -> expect ~err ~accept:false args)
+      ([
+         (negative_budget, ("run" :: model) @ store @ [ "--retry-budget=-1" ]);
+         ( "--retry-budget is not supported with --model/--class/--replay",
+           serve @ multi_tenant @ [ "--retry-budget=7" ] );
+         (bad_format, ("run" :: model) @ store @ bogus);
+         (bad_format, "chaos" :: "--seeds=4" :: bogus);
+         ("--seeds must be >= 0 (got -1)", [ "check"; "--seeds=-1" ]);
+         ("--seeds must be >= 0 (got -3)", [ "chaos"; "--seeds=-3"; "--metrics"; "m.prom" ]);
+         ( Printf.sprintf "--start + --seeds must be <= %d (got %d + 2)" max_int max_int,
+           [ "check"; "--seeds=2"; Printf.sprintf "--start=%d" max_int ] );
+         ("Serve.run: degrade_after must be >= 1", serve @ [ "--degrade-after=0" ]);
+       ]
+      @ List.concat_map
+          (fun cmd ->
+            [
+              (negative_budget, (cmd :: model) @ tally @ [ "--retry-budget=-1" ]);
+              (bad_format, (cmd :: model) @ tally @ bogus);
+            ])
+          [ "serve"; "campaign" ]
+      @ List.map
+          (fun cmd ->
+            ( "--max-shrink-checks must be >= 0 (got -1)",
+              [ cmd; "--seeds=2"; "--max-shrink-checks=-1" ] ))
+          [ "check"; "chaos" ])
   in
   if problems <> [] then Alcotest.failf "%s" (String.concat "\n" problems)
 
@@ -413,11 +464,17 @@ let check_golden name actual =
       path
   end
 
+(* Every page renders cleanly too: exit 0 and nothing on stderr, where
+   cmdliner reports a doc string it cannot parse. *)
 let test_help_goldens () =
-  check_golden "help.txt" (htvmc [ "--help=plain" ]).out;
-  List.iter
-    (fun c -> check_golden ("help-" ^ c ^ ".txt") (htvmc [ c; "--help=plain" ]).out)
-    (subcommands ())
+  let page name args =
+    let o = htvmc args in
+    if o.code <> 0 || o.err <> "" then
+      Alcotest.failf "%s: exit %d, stderr %S" (show args) o.code o.err;
+    check_golden name o.out
+  in
+  page "help.txt" [ "--help=plain" ];
+  List.iter (fun c -> page ("help-" ^ c ^ ".txt") [ c; "--help=plain" ]) (subcommands ())
 
 (* The compiler track's last column is host microseconds: drop it. *)
 let strip_host_times profile =
@@ -466,6 +523,7 @@ let suites =
       [
         Alcotest.test_case "integer flag grid" `Quick test_flag_grid;
         Alcotest.test_case "flag combinations" `Quick test_flag_combinations;
+        Alcotest.test_case "refusal messages" `Quick test_refusal_messages;
         Alcotest.test_case "plan-dependent refusal" `Quick test_plan_dependent_refusal;
         Alcotest.test_case "flag table matches --help" `Quick test_table_matches_help;
         Alcotest.test_case "help goldens" `Quick test_help_goldens;

@@ -280,27 +280,6 @@ let test_degraded_target_demotes () =
     (Helpers.contains json "\"demotions\""
     && Helpers.contains json "degraded_target")
 
-let test_over_budget_demotes () =
-  let g, clean_artifact = digital_artifact () in
-  let cfg =
-    { (C.default_config Arch.Diana.digital_only) with
-      C.segment_budget_cycles = Some 1 }
-  in
-  let artifact = compile_exn cfg g in
-  (match artifact.C.demotions with
-  | [ d ] -> (
-      Alcotest.(check string) "demoted to the host" "cpu" d.C.d_to;
-      match d.C.d_reason with
-      | C.Over_budget { estimated_cycles; budget_cycles } ->
-          Alcotest.(check int) "budget recorded" 1 budget_cycles;
-          Alcotest.(check bool) "estimate above budget" true (estimated_cycles > 1)
-      | _ -> Alcotest.fail "expected an Over_budget reason")
-  | ds -> Alcotest.failf "expected one demotion, got %d" (List.length ds));
-  let inputs = inputs_for g in
-  let out, _ = C.run artifact ~inputs in
-  let clean_out, _ = C.run clean_artifact ~inputs in
-  Alcotest.(check bool) "cpu fallback bit-exact" true (Tensor.equal out clean_out)
-
 let test_memplan_never_fits () =
   let req = { Dory.Memplan.buffer_id = 0; bytes = 200; birth = 0; death = 1 } in
   match Dory.Memplan.plan Dory.Memplan.Reuse ~capacity:100 ~align:8 [ req ] with
@@ -382,8 +361,6 @@ let suites =
           test_unrecovered_raises;
         Alcotest.test_case "degraded target demotes" `Quick
           test_degraded_target_demotes;
-        Alcotest.test_case "over-budget segment demotes" `Quick
-          test_over_budget_demotes;
         Alcotest.test_case "memplan never-fits diagnosis" `Quick
           test_memplan_never_fits;
         Alcotest.test_case "chaos deterministic across jobs" `Quick

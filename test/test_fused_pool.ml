@@ -87,7 +87,7 @@ let test_pattern_matches_and_compiles () =
   let pooled = B.max_pool b ~pool:(2, 2) ~stride:(2, 2) q in
   let g = B.finish b ~output:pooled in
   (* The fused pattern matches rooted at the pool. *)
-  let found = Byoc.Pattern.find_all g Byoc.Library.conv2d_pool_pattern in
+  let found = Helpers.find_all g Byoc.Library.conv2d_pool_pattern in
   Alcotest.(check int) "one fused match" 1 (List.length found);
   (* End to end: one offloaded step, no CPU pool kernel. *)
   let cfg = Htvm.Compile.default_config Arch.Diana.digital_only in
@@ -122,7 +122,7 @@ let test_rules_reject_overlapping_pool () =
   Alcotest.(check bool) "digital rejects overlap" false
     (Arch.Diana.digital.Arch.Accel.supports overlapping);
   Alcotest.(check bool) "nova rejects fused pool" false
-    (Arch.Nova.gemm16.Arch.Accel.supports l)
+    ((Arch.Platform.find_accel Arch.Nova.platform "nova_gemm16").Arch.Accel.supports l)
 
 let prop_fused_pool_exact =
   Helpers.qtest ~count:40 "fused conv+pool exact over random geometry"

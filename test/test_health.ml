@@ -23,8 +23,21 @@ let hcfg =
     probe_seed = 1;
   }
 
+(* ["@<at> <from>-><to> (<cause>)"]: one transition of a log. *)
+let transition_label (tr : Health.transition) =
+  Printf.sprintf "@%d %s->%s (%s)" tr.Health.tr_at
+    (Health.state_label tr.Health.tr_from)
+    (Health.state_label tr.Health.tr_to)
+    (Health.cause_label tr.Health.tr_cause)
+
+(* The probation cooldown escalates on relapse as the capped exponential
+   [Fault.Session.backoff_with], base [probation_window], cap
+   [backoff_cap]; the walks below check the machine applies it. *)
 let test_backoff_escalation () =
-  let b r = Health.probation_backoff hcfg ~relapse:r in
+  let b r =
+    Fault.Session.backoff_with ~base:hcfg.Health.probation_window
+      ~cap:hcfg.Health.backoff_cap r
+  in
   Alcotest.(check int) "relapse 1 = base" 100 (b 1);
   Alcotest.(check int) "relapse 2 doubles" 200 (b 2);
   Alcotest.(check int) "relapse 3 doubles again" 400 (b 3);
@@ -54,7 +67,7 @@ let test_lifecycle_walkthrough () =
   Alcotest.(check int) "one relapse" 1 (Health.relapses t);
   Alcotest.(check int) "both probes passed" 2 (Health.probes_passed t);
   Alcotest.(check int) "probe cycles accounted" 10 (Health.probe_cycles t);
-  let labels = List.map Health.transition_label (Health.transitions t) in
+  let labels = List.map transition_label (Health.transitions t) in
   Alcotest.(check (list string)) "exact transition log"
     [
       "@20 healthy->degraded (faults=2)";
@@ -78,7 +91,7 @@ let test_probe_failure_escalates () =
   Alcotest.(check int) "three probe failures" 3 (Health.probes_failed t);
   Alcotest.(check int) "boot + three probe relapses" 4 (Health.relapses t);
   Alcotest.(check int) "no readmission" 0 (Health.readmissions t);
-  let labels = List.map Health.transition_label (Health.transitions t) in
+  let labels = List.map transition_label (Health.transitions t) in
   Alcotest.(check (list string)) "escalating windows in the log"
     [
       "@0 healthy->degraded (boot)";
@@ -117,7 +130,6 @@ let test_faults_while_degraded_ignored () =
   Alcotest.(check int) "no new transition" transitions_before
     (List.length (Health.transitions t));
   Alcotest.(check int) "relapse count unchanged" 1 (Health.relapses t);
-  Alcotest.(check int) "observations still tallied" 9 (Health.faults_seen t);
   (* The cooldown was not extended: probation still opens at 100. *)
   ignore (Health.advance t ~now:100);
   Alcotest.(check string) "probation on schedule" "probation"
@@ -147,6 +159,40 @@ let test_validate_rejections () =
 
 let sim_plan = Result.get_ok (Fault.Plan.of_string "seed=11,dma_in@p=0.5:flip")
 
+(* A standalone driver: instance [i] draws fault occurrences from a
+   [Fault.Session] over [plan] reseeded per instance (mirroring the serve
+   runtime's per-request reseeding), one batch of site draws per window,
+   observed at each window close after advancing the machine there. One
+   line per instance, ["inst <id> <label>; ..."] ([inst <id> -] when it
+   made no transition); the fan-out runs on [Util.Pool]. *)
+let simulate cfg ~plan ~instances ~windows ~window ~jobs =
+  let sites = List.map (fun r -> r.Fault.Plan.site) plan.Fault.Plan.rules in
+  let sim_one i =
+    let t = Health.create cfg ~instance:i in
+    let plan_i =
+      { plan with Fault.Plan.seed = plan.Fault.Plan.seed + ((i + 1) * 1_000_003) }
+    in
+    let session = Fault.Session.create plan_i in
+    for w = 0 to windows - 1 do
+      let close = (w + 1) * window in
+      ignore (Health.advance t ~now:close);
+      let faults =
+        List.fold_left
+          (fun acc site -> acc + List.length (Fault.Session.draw session site))
+          0 sites
+      in
+      Health.observe_faults t ~now:close faults
+    done;
+    match Health.transitions t with
+    | [] -> Printf.sprintf "inst %d -" i
+    | trs -> Printf.sprintf "inst %d %s" i (String.concat "; " (List.map transition_label trs))
+  in
+  let logs =
+    Util.Pool.with_pool ~jobs (fun pool ->
+        Util.Pool.map pool sim_one (List.init instances Fun.id))
+  in
+  String.concat "\n" logs
+
 let prop_simulate_determinism =
   let gen =
     QCheck.Gen.(
@@ -168,7 +214,7 @@ let prop_simulate_determinism =
       in
       let plan = { sim_plan with Fault.Plan.seed } in
       let sim ~instances ~jobs =
-        Health.simulate cfg ~plan ~instances ~windows ~window:37 ~jobs
+        simulate cfg ~plan ~instances ~windows ~window:37 ~jobs
       in
       let j1 = sim ~instances ~jobs:1 in
       (* jobs are a wall-clock knob *)
@@ -261,7 +307,7 @@ let test_degrade_then_readmit () =
   let prom = Metrics.to_prometheus r.Serve.r_metrics in
   Alcotest.(check bool) "pred transition counters on the cycles track" true
     (Helpers.contains
-       (Metrics.cycles_section prom)
+       (Helpers.cycles_section prom)
        "htvm_health_pred_transitions_total");
   Alcotest.(check bool) "readmission counter present" true
     (Helpers.contains prom "htvm_health_pred_readmissions_total");
@@ -289,7 +335,7 @@ let test_tally_invariant_with_health () =
   let at w j =
     let reg = Metrics.create () in
     let r = Serve.run ~metrics:reg (cfg w j) artifact ~graph:g in
-    (Serve.tally r, Metrics.cycles_section (Metrics.to_prometheus r.Serve.r_metrics))
+    (Serve.tally r, Helpers.cycles_section (Metrics.to_prometheus r.Serve.r_metrics))
   in
   let reference = at 1 1 in
   List.iter
@@ -344,7 +390,7 @@ let test_fail_open_counter () =
        "htvm_sched_fail_open_total");
   Alcotest.(check bool) "cycles-track fail-open counter exported" true
     (Helpers.contains
-       (Metrics.cycles_section (Metrics.to_prometheus r.Serve.r_metrics))
+       (Helpers.cycles_section (Metrics.to_prometheus r.Serve.r_metrics))
        "htvm_serve_fail_open_total");
   (* A healthy fleet reports zero. *)
   let healthy = serve { base with Serve.workers = 2 } in

@@ -140,19 +140,20 @@ let test_constant_fold () =
   let c = B.const b (Tensor.of_array Dtype.I8 [| 2 |] [| -3; 4 |]) in
   let folded = B.relu b c in
   let g = B.finish b ~output:(B.add b x folded) in
-  let g' = Ir.Rewrite.constant_fold g in
+  let g' = Ir.Rewrite.simplify g in
   let is_const i = match G.node g' i with G.Const _ -> true | _ -> false in
   let folded_consts = List.filter is_const (G.node_ids g') in
-  Alcotest.(check int) "relu(const) folded" 2 (List.length folded_consts);
+  (* The folded constant replaces relu(c); c itself is then dead. *)
+  Alcotest.(check int) "relu(const) folded" 1 (List.length folded_consts);
   Alcotest.(check int) "one app left" 1 (G.app_count g')
 
 let test_dce () =
   let b = B.create () in
   let x = B.input b ~name:"x" Dtype.I8 [| 2 |] in
-  let _dead = B.relu b x in
+  let _dead = B.add b x x in
   let live = B.relu b x in
   let g = B.finish b ~output:live in
-  let g' = Ir.Rewrite.dead_code_elimination g in
+  let g' = Ir.Rewrite.simplify g in
   Alcotest.(check int) "dead op dropped" 1 (G.app_count g');
   Alcotest.(check int) "two nodes left" 2 (G.length g')
 
@@ -275,17 +276,16 @@ let test_graph_pp_roundtrip_mentions_ops () =
       if not (Helpers.contains s needle) then Alcotest.failf "printer lacks %s" needle)
     [ "nn.conv2d"; "nn.bias_add"; "right_shift"; "clip"; "cast"; "output" ]
 
+(* A fused pool shrinks [out_shape], not the convolution: its MACs are
+   counted over the 8x8 pre-pool extent either way. *)
 let test_layer_pre_pool_dims () =
   let l = sample_conv_layer () in
-  Alcotest.(check (pair int int)) "identity without pool" (8, 8)
-    (Ir.Layer.pre_pool_dims l);
   let pooled =
     { l with
       Ir.Layer.fused_pool = Some { Ir.Op.pool = (2, 2); pool_stride = (2, 2) };
       out_shape = [| 4; 4; 4 |] }
   in
-  Alcotest.(check (pair int int)) "pre-pool extent" (8, 8)
-    (Ir.Layer.pre_pool_dims pooled)
+  Alcotest.(check int) "pre-pool extent" (Ir.Layer.macs l) (Ir.Layer.macs pooled)
 
 let test_op_pp_attributes () =
   Alcotest.(check string) "conv attrs"

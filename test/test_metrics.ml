@@ -1,5 +1,5 @@
 (* The telemetry registry: instrument arithmetic, strict registration,
-   histogram bucket boundaries, snapshot/merge algebra, the three
+   histogram bucket boundaries, snapshots, the three
    exposition formats, and the end-to-end determinism contract — the
    serve-side cycles track is byte-identical across fleet shapes, and
    SLO accounting distinguishes predicted from observed violations. *)
@@ -93,64 +93,6 @@ let test_histogram_bucket_boundaries () =
       Alcotest.(check int) "count" 7 count
   | _ -> Alcotest.fail "expected a histogram"
 
-(* Merge is the aggregation story: counters add, gauges high-water,
-   histograms add per bucket, series concatenate left-then-right, and
-   the operation is associative on concrete snapshots. *)
-let test_merge_semantics () =
-  let mk cv gv hob (ts, xs) extra =
-    let t = M.create () in
-    let c = M.counter t "c_total" in
-    M.inc c cv;
-    let g = M.gauge t "g" in
-    M.set g gv;
-    let h = M.histogram t ~buckets:[ 10; 20 ] "h" in
-    List.iter (M.observe h) hob;
-    let s = M.series t ~columns:[ "x" ] "s" in
-    M.sample s ~ts [ xs ];
-    if extra then ignore (M.counter t ~track:M.Sched "only_right_total");
-    M.snapshot t
-  in
-  let a = mk 1 5.0 [ 5 ] (10, 1.0) false in
-  let b = mk 2 3.0 [ 15 ] (20, 2.0) false in
-  let c = mk 4 9.0 [ 25 ] (30, 3.0) true in
-  let ab = M.merge a b in
-  Alcotest.(check int) "counters add" 3 (counter_value (find "c_total" ab));
-  (match (find "g" ab).M.m_value with
-  | M.Gauge v -> Alcotest.(check (float 0.0)) "gauges keep max" 5.0 v
-  | _ -> Alcotest.fail "gauge");
-  (match (find "h" ab).M.m_value with
-  | M.Histogram { counts; sum; count; _ } ->
-      Alcotest.(check (list int)) "buckets add" [ 1; 1; 0 ] counts;
-      Alcotest.(check int) "sums add" 20 sum;
-      Alcotest.(check int) "counts add" 2 count
-  | _ -> Alcotest.fail "histogram");
-  (match (find "s" ab).M.m_value with
-  | M.Series { samples; _ } ->
-      Alcotest.(check bool) "left samples first" true
-        (List.map fst samples = [ 10; 20 ])
-  | _ -> Alcotest.fail "series");
-  let abc = M.merge ab c and abc' = M.merge a (M.merge b c) in
-  Alcotest.(check bool) "associative" true (abc = abc');
-  Alcotest.(check int) "right-only passes through" 0
-    (counter_value (find "only_right_total" abc));
-  (* disagreeing shapes are a plumbing bug, not an aggregation *)
-  let bad_bounds =
-    let t = M.create () in
-    ignore (M.histogram t ~buckets:[ 10; 30 ] "h");
-    M.snapshot t
-  and bad_kind =
-    let t = M.create () in
-    ignore (M.gauge t "c_total");
-    M.snapshot t
-  in
-  let expect what l r =
-    match M.merge l r with
-    | _ -> Alcotest.failf "%s merged" what
-    | exception Invalid_argument _ -> ()
-  in
-  expect "bucket bound mismatch" a bad_bounds;
-  expect "kind mismatch" a bad_kind
-
 (* The Prometheus dump carries all three track markers even when empty,
    dedupes HELP/TYPE per family, renders histograms cumulatively and
    series samples with cycle timestamps; cycles_section cuts exactly at
@@ -195,7 +137,7 @@ let test_prometheus_rendering () =
   in
   Alcotest.(check int) "TYPE deduped across label variants" 1
     (occurrences "# TYPE wall_s gauge");
-  let cyc = M.cycles_section dump in
+  let cyc = Helpers.cycles_section dump in
   Alcotest.(check bool) "cycles section keeps counters" true
     (Helpers.contains cyc "req_total 2");
   Alcotest.(check bool) "cycles section drops wall" false
@@ -210,7 +152,7 @@ let test_csv_and_json () =
   let s = M.series t ~columns:[ "x" ] "win" in
   M.sample s ~ts:7 [ 1.5 ];
   let snap = M.snapshot t in
-  let csv = M.to_csv snap in
+  let csv = M.render M.Csv snap in
   (match String.split_on_char '\n' csv with
   | header :: _ ->
       Alcotest.(check string) "csv header" "track,name,labels,kind,field,ts,value"
@@ -374,7 +316,7 @@ let test_cycles_track_worker_invariant () =
         queue_depth = 4;
         slo_sojourn = Some 2_000_000 }
     in
-    M.cycles_section (M.to_prometheus (serve cfg).Serve.r_metrics)
+    Helpers.cycles_section (M.to_prometheus (serve cfg).Serve.r_metrics)
   in
   let reference = dump 1 1 in
   Alcotest.(check bool) "cycles section is non-trivial" true
@@ -466,8 +408,6 @@ let suites =
         Alcotest.test_case "strict registration" `Quick test_strict_registration;
         Alcotest.test_case "histogram bucket boundaries" `Quick
           test_histogram_bucket_boundaries;
-        Alcotest.test_case "merge semantics + associativity" `Quick
-          test_merge_semantics;
         Alcotest.test_case "prometheus rendering" `Quick
           test_prometheus_rendering;
         Alcotest.test_case "csv and json rendering" `Quick test_csv_and_json;

@@ -34,6 +34,16 @@ let fixture =
        { Serve.m_name = "beta"; m_artifact = compile gb; m_graph = gb };
      ])
 
+(* An arrival trace read back the way [htvmc serve --replay] reads it:
+   from a file. *)
+let parse_arrival_trace text =
+  let path = Filename.temp_file "htvm-arrivals" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Serve.load_arrival_trace path)
+
 let classes =
   [
     { Serve.k_name = "interactive"; k_model = "alpha"; k_slo = None; k_weight = 2 };
@@ -75,7 +85,7 @@ let tally_body r =
   | None -> t
 
 let cycles_track r =
-  Metrics.cycles_section (Metrics.to_prometheus r.Serve.mt_metrics)
+  Helpers.cycles_section (Metrics.to_prometheus r.Serve.mt_metrics)
 
 (* The headline invariant, per arrival source: tally and cycles-track
    metrics are byte-identical at any fleet size / host parallelism. *)
@@ -232,7 +242,7 @@ let test_trace_roundtrip () =
   in
   let text = Serve.render_arrival_trace original in
   let entries =
-    match Serve.parse_arrival_trace text with
+    match parse_arrival_trace text with
     | Ok es -> es
     | Error e -> Alcotest.failf "parse failed: %s" (Serve.mt_error_to_string e)
   in
@@ -303,7 +313,7 @@ let test_golden_trace () =
    [Unknown_class] at run time. *)
 let test_trace_malformed () =
   let expect_bad name text want_line =
-    match Serve.parse_arrival_trace text with
+    match parse_arrival_trace text with
     | Ok _ -> Alcotest.failf "%s: parsed" name
     | Error (Serve.Bad_trace { line; _ }) ->
         Alcotest.(check int) (name ^ ": line") want_line line
@@ -319,7 +329,7 @@ let test_trace_malformed () =
     "htvm-serve-trace v1\n# ok\n9 a 2\n3 a 2\n" 4;
   let ghost =
     Result.get_ok
-      (Serve.parse_arrival_trace "htvm-serve-trace v1\n1 ghost 2\n")
+      (parse_arrival_trace "htvm-serve-trace v1\n1 ghost 2\n")
   in
   expect_error "unknown class in trace"
     (function

@@ -66,7 +66,7 @@ let test_depthwise_hand_case () =
   (* Each channel convolved with its own kernel. *)
   let input = i8 [| 2; 2; 2 |] [| 1; 1; 1; 1; 2; 2; 2; 2 |] in
   let w = i8 [| 2; 1; 2; 2 |] [| 1; 1; 1; 1; 3; 3; 3; 3 |] in
-  let out = K.depthwise_conv2d ~input ~weights:w K.conv_default in
+  let out = K.conv2d ~input ~weights:w { K.conv_default with groups = 2 } in
   Helpers.check_tensor "dw" (i32 [| 2; 1; 1 |] [| 4; 24 |]) out
 
 let test_dense_hand_case () =
@@ -211,9 +211,23 @@ let prop_depthwise_equals_grouped_conv =
       let rng = Util.Rng.create seed in
       let input = Tensor.random rng Dtype.I8 [| c; 5; 5 |] in
       let weights = Tensor.random rng Dtype.I8 [| c; 1; 3; 3 |] in
-      let dw = K.depthwise_conv2d ~input ~weights K.conv_default in
-      let grouped = K.conv2d ~input ~weights { K.conv_default with groups = c } in
-      Tensor.equal dw grouped)
+      let dw = K.conv2d ~input ~weights { K.conv_default with groups = c } in
+      (* Channel [ch] of a depthwise conv is the plain conv of input
+         channel [ch] with kernel [ch]. *)
+      let channel t shape ch =
+        let n = Array.fold_left ( * ) 1 shape in
+        Tensor.of_array (Tensor.dtype t) shape
+          (Array.init n (fun i -> Tensor.get_flat t ((ch * n) + i)))
+      in
+      List.for_all
+        (fun ch ->
+          Tensor.equal
+            (channel dw [| 1; 3; 3 |] ch)
+            (K.conv2d
+               ~input:(channel input [| 1; 5; 5 |] ch)
+               ~weights:(channel weights [| 1; 1; 3; 3 |] ch)
+               K.conv_default))
+        (List.init c Fun.id))
 
 let prop_requantize_in_range =
   Helpers.qtest "requantize output in dtype range"

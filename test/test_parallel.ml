@@ -1,16 +1,16 @@
-(* The engine determinism contract: parallel (jobs > 1) and pruned
-   compilation must be behaviorally invisible — artifacts, report JSON
-   and trace payloads byte-identical to a sequential run (and pruned
-   search must choose the same tiles as exhaustive). *)
+(* The engine determinism contract: parallel (jobs > 1) compilation
+   must be behaviorally invisible — artifacts, report JSON and trace
+   payloads byte-identical to a sequential run — and the pruned tiling
+   search must find what the exhaustive one finds. *)
 
 module C = Htvm.Compile
 
 (* An 8 kB L1 forces the zoo's layers through the tiler, so the solver
    paths (pruning, fan-out) actually run. *)
-let constrained platform =
+let constrained ?(kib = 8) platform =
   {
     platform with
-    Arch.Platform.l1 = { Arch.Memory.level_name = "L1"; size_bytes = Util.Ints.kib 8 };
+    Arch.Platform.l1 = { Arch.Memory.level_name = "L1"; size_bytes = Util.Ints.kib kib };
   }
 
 let compile_exn cfg g =
@@ -61,39 +61,75 @@ let test_zoo_parallel_identical () =
         [ 2; 4 ])
     Models.Zoo.all
 
-(* Pruned search must reproduce exhaustive search bit-for-bit: same tiles,
-   same objectives, same artifact — with fewer candidates tested. *)
+(* Pruned search must find what exhaustive search finds: the same
+   result (tile and objective, or the same infeasibility) for every
+   layer the partitioner offloads in the zoo and in fuzzed deployments,
+   on every accelerator accepting it, with no more candidates tested. *)
 let test_pruned_matches_exhaustive () =
+  let infeasible = ref 0 in
+  let check name (cfg : C.config) g =
+    let platform = cfg.C.platform in
+    let accels = platform.Arch.Platform.accels in
+    let targets =
+      List.map
+        (fun (a : Arch.Accel.t) ->
+          {
+            Byoc.Partition.name = a.Arch.Accel.accel_name;
+            patterns = Byoc.Library.all;
+            accept = a.Arch.Accel.supports;
+            priority = 0;
+            estimate = None;
+          })
+        accels
+    in
+    let tiling =
+      {
+        Dory.Tiling.alpha = 1.0;
+        use_pe_heuristics = cfg.C.use_pe_heuristics;
+        use_dma_heuristic = cfg.C.use_dma_heuristic;
+        double_buffer = cfg.C.double_buffer;
+        l1_budget = platform.Arch.Platform.l1.Arch.Memory.size_bytes;
+      }
+    in
+    List.iter
+      (function
+        | Byoc.Partition.Offload { layer; _ } ->
+            List.iter
+              (fun (accel : Arch.Accel.t) ->
+                if accel.Arch.Accel.supports layer then begin
+                  let what =
+                    Printf.sprintf "%s: %s on %s" name (Ir.Layer.describe layer)
+                      accel.Arch.Accel.accel_name
+                  in
+                  let pr = Dory.Tiling.solve_stats tiling accel layer in
+                  let ex = Dory.Tiling.solve_stats ~exhaustive:true tiling accel layer in
+                  if Result.is_error pr.Dory.Tiling.result then incr infeasible;
+                  Alcotest.(check bool) (what ^ ": same result") true
+                    (pr.Dory.Tiling.result = ex.Dory.Tiling.result);
+                  Alcotest.(check bool) (what ^ ": explores no more") true
+                    (pr.Dory.Tiling.stats.Dory.Tiling.explored
+                    <= ex.Dory.Tiling.stats.Dory.Tiling.explored)
+                end)
+              accels
+        | Byoc.Partition.Host _ -> ())
+      (Byoc.Partition.run (Ir.Rewrite.simplify g) ~targets).Byoc.Partition.segments
+  in
+  (* At 1 kB of L1 some layers fit no tile at all. *)
   List.iter
     (fun (e : Models.Zoo.entry) ->
-      let g = e.Models.Zoo.build Models.Policy.Mixed in
-      let base = C.default_config (constrained Arch.Diana.platform) in
-      let trace_ex = Trace.create () in
-      let ex =
-        compile_exn { base with C.exhaustive_tiling = true } g
-      in
-      ignore (C.compile ~trace:trace_ex { base with C.exhaustive_tiling = true } g);
-      let trace_pr = Trace.create () in
-      let pr = compile_exn base g in
-      ignore (C.compile ~trace:trace_pr base g);
-      Alcotest.(check string)
-        (e.Models.Zoo.model_name ^ ": same C source")
-        ex.C.c_source pr.C.c_source;
-      let choices tr =
-        List.map
-          (fun (_, _, args) ->
-            (List.assoc_opt "tile" args, List.assoc_opt "objective" args))
-          (solve_payloads tr)
-      in
-      Alcotest.(check bool)
-        (e.Models.Zoo.model_name ^ ": same tiles and objectives")
-        true
-        (choices trace_ex = choices trace_pr);
-      Alcotest.(check bool)
-        (e.Models.Zoo.model_name ^ ": pruning explores no more than exhaustive")
-        true
-        (pr.C.solver.C.ss_explored <= ex.C.solver.C.ss_explored))
-    Models.Zoo.all
+      List.iter
+        (fun kib ->
+          check
+            (Printf.sprintf "%s at %d kB" e.Models.Zoo.model_name kib)
+            (C.default_config (constrained ~kib Arch.Diana.platform))
+            (e.Models.Zoo.build Models.Policy.Mixed))
+        [ 8; 1 ])
+    Models.Zoo.all;
+  for seed = 1 to 25 do
+    check (Printf.sprintf "seed %d" seed) (Check.Gen.random_config seed)
+      (Check.Gen.generate seed)
+  done;
+  Alcotest.(check bool) "some layers have no feasible tile" true (!infeasible > 0)
 
 (* Fuzzed graphs and configs: whatever engine knobs the generator picked,
    forcing jobs=4 must not change the artifact. *)
@@ -101,9 +137,7 @@ let test_fuzz_graphs_identical () =
   for seed = 1 to 25 do
     let g = Check.Gen.generate seed in
     let cfg = Check.Gen.random_config seed in
-    (* Vary only jobs: the report surfaces solver search totals, which
-       (by design) differ between exhaustive and pruned search, so the
-       exhaustive flag stays whatever the generator picked. *)
+    (* Vary only jobs: everything else stays what the generator picked. *)
     let seq_cfg = { cfg with C.jobs = 1 } in
     let par_cfg = { cfg with C.jobs = 4 } in
     match (C.compile seq_cfg g, C.compile par_cfg g) with

@@ -682,10 +682,12 @@ let test_random_faulted_differential () =
                   | Ok a -> diff_of a g <> None)
                 cfg g
             in
-            Alcotest.failf "seed %d [%s]: %s\nminimized (%s):\n%s" seed
+            let config = o.Check.Shrink.config and graph = o.Check.Shrink.graph in
+            Alcotest.failf "seed %d [%s]: %s\nminimized:\n%s" seed
               (Fault.Plan.to_string plan) why
-              (Check.describe_config o.Check.Shrink.config)
-              (Ir.Text.to_string o.Check.Shrink.graph))
+              (Check.reproducer ~seed ~config ~graph
+                 ~verdict:(Check.run_case ~input_seed:seed config graph)
+                 ()))
   done;
   Alcotest.(check bool) "enough random deployments actually ran" true (!ran >= 10)
 

@@ -82,8 +82,7 @@ let test_exception_contract_jobs_1_vs_4 () =
 (* HTVM_JOBS handling: valid values parse but are capped at the
    machine's recommended domain count (an ambient default must not
    oversubscribe a smaller box), unset/empty fall back to the — uncapped
-   — default, and malformed values fail loudly with parse_jobs's
-   message, the same diagnosis a rejected --jobs flag gets. *)
+   — default, and malformed values fail loudly. *)
 let with_jobs_env value f =
   let old = Sys.getenv_opt "HTVM_JOBS" in
   Unix.putenv "HTVM_JOBS" value;
@@ -117,15 +116,10 @@ let test_jobs_from_env_rejects_malformed () =
         match Util.Pool.jobs_from_env () with
         | n -> Alcotest.failf "HTVM_JOBS=%S silently yielded %d" value n
         | exception Invalid_argument msg ->
-            (* The env path carries the flag path's diagnosis verbatim. *)
-            let flag_msg =
-              match Util.Pool.parse_jobs value with
-              | Error m -> m
-              | Ok n -> Alcotest.failf "parse_jobs accepted %S as %d" value n
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "HTVM_JOBS=%S message" value)
-              ("HTVM_JOBS: " ^ flag_msg) msg)
+            Alcotest.(check bool)
+              (Printf.sprintf "HTVM_JOBS=%S message: %s" value msg)
+              true
+              (String.starts_with ~prefix:"HTVM_JOBS: job count must be " msg))
   in
   expect_invalid "0";
   expect_invalid "-3";
@@ -155,14 +149,19 @@ let test_shutdown_idempotent () =
   Util.Pool.shutdown p;
   Util.Pool.shutdown p
 
+(* The exact diagnosis of each malformed job count. *)
 let test_parse_jobs () =
-  Alcotest.(check (result int string)) "4" (Ok 4) (Util.Pool.parse_jobs "4");
-  Alcotest.(check (result int string)) "padded" (Ok 2) (Util.Pool.parse_jobs " 2 ");
-  Alcotest.(check bool) "0 rejected" true (Result.is_error (Util.Pool.parse_jobs "0"));
-  Alcotest.(check bool) "negative rejected" true
-    (Result.is_error (Util.Pool.parse_jobs "-3"));
-  Alcotest.(check bool) "garbage rejected" true
-    (Result.is_error (Util.Pool.parse_jobs "four"))
+  List.iter
+    (fun (value, want) ->
+      with_jobs_env value (fun () ->
+          match Util.Pool.jobs_from_env () with
+          | n -> Alcotest.failf "HTVM_JOBS=%S yielded %d" value n
+          | exception Invalid_argument msg -> Alcotest.(check string) value want msg))
+    [
+      ("0", "HTVM_JOBS: job count must be >= 1 (got 0)");
+      ("-3", "HTVM_JOBS: job count must be >= 1 (got -3)");
+      ("four", "HTVM_JOBS: job count must be a positive integer (got \"four\")");
+    ]
 
 let test_stress_many_small_batches () =
   Util.Pool.with_pool ~jobs:4 (fun p ->

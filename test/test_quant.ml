@@ -76,7 +76,7 @@ let test_quantized_graph_is_valid_and_matchable () =
           };
         ]
   in
-  Alcotest.(check int) "3 offloadable layers" 3 (Byoc.Partition.offload_count plan)
+  Alcotest.(check int) "3 offloadable layers" 3 (Helpers.offload_count plan)
 
 let accuracy_check ?ternary m ~seed ~min_db =
   let g, meta = quantize_exn ?ternary m ~seed in

@@ -66,7 +66,7 @@ let test_emit_c_covers_layer_kinds () =
       Dory.Schedule.build layer ~accel_name:"diana_digital"
         ~tile:(Arch.Tile.full layer) ~double_buffer:false
     in
-    Dory.Emit.emit_layer ~index:0 s
+    Dory.Emit.emit_network [ (0, s) ]
   in
   Alcotest.(check bool) "conv" true
     (Helpers.contains (emit (Tiling_fixtures.conv_layer ())) "conv2d");

@@ -1,6 +1,7 @@
 (* Tests for the optimization passes added on top of constant folding and
-   DCE: value numbering (CSE) and the exact peephole rewrites. Semantics
-   preservation is additionally fuzzed over the random-graph corpus. *)
+   DCE, through [Ir.Rewrite.simplify]: value numbering (CSE) and the exact
+   peephole rewrites. Semantics preservation is additionally fuzzed over
+   the random-graph corpus. *)
 
 module Dtype = Tensor.Dtype
 module G = Ir.Graph
@@ -12,7 +13,7 @@ let test_cse_shares_identical_apps () =
   let r1 = B.relu b x in
   let r2 = B.relu b x in
   let g = B.finish b ~output:(B.add b r1 r2) in
-  let g' = Ir.Rewrite.common_subexpression_elimination g in
+  let g' = Ir.Rewrite.simplify g in
   Alcotest.(check int) "one relu left" 2 (G.app_count g')
 
 let test_cse_unifies_equal_constants () =
@@ -23,7 +24,7 @@ let test_cse_unifies_equal_constants () =
   let y1 = B.conv2d b x ~weights:c1 in
   let y2 = B.conv2d b x ~weights:c2 in
   let g = B.finish b ~output:(B.add b y1 y2) in
-  let g' = Ir.Rewrite.common_subexpression_elimination g in
+  let g' = Ir.Rewrite.simplify g in
   (* Equal weight tensors unify, then the two convs unify too. *)
   Alcotest.(check int) "conv shared" 2 (G.app_count g');
   let consts =
@@ -38,7 +39,7 @@ let test_cse_keeps_different_ops () =
   let p1 = B.max_pool b ~pool:(2, 2) ~stride:(2, 2) x in
   let p2 = B.avg_pool b ~pool:(2, 2) ~stride:(2, 2) x in
   let g = B.finish b ~output:(B.add b p1 p2) in
-  let g' = Ir.Rewrite.common_subexpression_elimination g in
+  let g' = Ir.Rewrite.simplify g in
   Alcotest.(check int) "nothing shared" 3 (G.app_count g')
 
 let test_peephole_merges_shifts () =

@@ -247,6 +247,19 @@ let test_input_mix () =
   | _ -> Alcotest.fail "negative input_mix accepted"
   | exception Invalid_argument _ -> ()
 
+(* Draws are at most 1_000_000, so a pool of K > 1_000_001 seeds is never
+   read past its first 1_000_001 entries: every larger mix serves the
+   same requests, and none allocates more than that. *)
+let test_input_mix_huge () =
+  let request_lines mix =
+    Serve.tally (serve ~cfg:{ base with Serve.requests = 4; input_mix = mix } ())
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"req ")
+  in
+  let reference = request_lines 1_000_001 in
+  Alcotest.(check int) "one line per request" 4 (List.length reference);
+  Alcotest.(check (list string)) "mix max_int" reference (request_lines max_int)
+
 (* Memoization dedupes admitted requests by input digest before the pool
    fan-out: the functional tally must not move (only telemetry does), the
    hit/miss books must balance against the served count, and it refuses
@@ -369,7 +382,7 @@ let prop_tally_invariance =
         let reg = Metrics.create () in
         let r = Serve.run ~metrics:reg (cfg w j) artifact ~graph:g in
         ( Serve.tally r,
-          Metrics.cycles_section (Metrics.to_prometheus r.Serve.r_metrics) )
+          Helpers.cycles_section (Metrics.to_prometheus r.Serve.r_metrics) )
       in
       at 1 1 = at workers jobs)
 
@@ -1010,6 +1023,7 @@ let suites =
         Alcotest.test_case "tally invariant over plan path" `Quick
           test_tally_plan_invariant;
         Alcotest.test_case "input mix" `Quick test_input_mix;
+        Alcotest.test_case "huge input mix" `Quick test_input_mix_huge;
         Alcotest.test_case "memoize" `Quick test_memoize;
         Alcotest.test_case "percentiles" `Quick test_percentiles;
         Alcotest.test_case "boundary conditions" `Quick test_boundary_conditions;

@@ -92,7 +92,6 @@ let test_simplifies_config_toward_default () =
       (C.default_config Arch.Diana.platform) with
       C.memory_strategy = Dory.Memplan.No_reuse;
       jobs = 4;
-      exhaustive_tiling = true;
       autotune_budget = Some 32;
     }
   in
@@ -101,8 +100,6 @@ let test_simplifies_config_toward_default () =
   in
   Alcotest.(check int) "graph fully minimized" 1 (G.app_count o.Check.Shrink.graph);
   Alcotest.(check int) "jobs reset" 1 o.Check.Shrink.config.C.jobs;
-  Alcotest.(check bool) "exhaustive search off" false
-    o.Check.Shrink.config.C.exhaustive_tiling;
   Alcotest.(check bool) "autotune off" true
     (o.Check.Shrink.config.C.autotune_budget = None);
   Alcotest.(check bool) "planner back to reuse" true

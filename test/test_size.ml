@@ -28,6 +28,18 @@ let conv_layer ?(f = 3) ~wdtype ~k ~c () =
     out_dtype = Tensor.Dtype.I8;
   }
 
+(* One layer's deployed weight + bias bytes: the accelerator-constants
+   section of a report holding that layer alone. *)
+let accel_const_bytes l ~accel_name =
+  let r =
+    Size.report ~size_model ~cpu_kernels:[] ~accel_layers:[ (l, accel_name, false) ]
+      ~cpu_const_bytes:0
+  in
+  (List.find
+     (fun (s : Size.section) -> s.Size.section_name = "accelerator constants")
+     r.Size.sections)
+    .Size.bytes
+
 let cpu_kernel name bytes =
   { Codegen.Fuse.kernel_name = name; nodes = []; cycles = 1; code_bytes = bytes }
 
@@ -59,7 +71,7 @@ let test_int8_consts_pack_tight () =
   in
   Alcotest.(check int) "int8 conv consts"
     expected
-    (Size.accel_const_bytes l ~accel_name:"diana_digital")
+    (accel_const_bytes l ~accel_name:"diana_digital")
 
 let test_ternary_spatial_pads_to_macro () =
   (* A 3x3 ternary conv on the analog array stores each output channel as
@@ -71,11 +83,11 @@ let test_ternary_spatial_pads_to_macro () =
   let col = Util.Ints.ceil_div (Arch.Diana.imc_rows * 2) 8 in
   Alcotest.(check int) "padded to macro height"
     ((col * k) + bias)
-    (Size.accel_const_bytes l ~accel_name:"diana_analog");
+    (accel_const_bytes l ~accel_name:"diana_analog");
   (* The same tensor deployed anywhere else packs tight. *)
   Alcotest.(check int) "tight elsewhere"
     (Tensor.packed_bytes (Option.get l.Ir.Layer.weights) + bias)
-    (Size.accel_const_bytes l ~accel_name:"diana_digital")
+    (accel_const_bytes l ~accel_name:"diana_digital")
 
 let test_ternary_1x1_packs_tight () =
   (* FC-like (1x1) ternary layers pack tight even on the analog array. *)
@@ -86,13 +98,13 @@ let test_ternary_1x1_packs_tight () =
   in
   Alcotest.(check int) "1x1 ternary consts"
     expected
-    (Size.accel_const_bytes l ~accel_name:"diana_analog")
+    (accel_const_bytes l ~accel_name:"diana_analog")
 
 let test_biasless_layer () =
   let l = { (conv_layer ~wdtype:Tensor.Dtype.I8 ~k:4 ~c:3 ()) with Ir.Layer.bias = None } in
   Alcotest.(check int) "no bias section"
     (Tensor.packed_bytes (Option.get l.Ir.Layer.weights))
-    (Size.accel_const_bytes l ~accel_name:"diana_digital")
+    (accel_const_bytes l ~accel_name:"diana_digital")
 
 let suites =
   [ ( "size",

@@ -77,13 +77,13 @@ let test_cast_saturates () =
   let t = Tensor.of_array Dtype.I32 [| 3 |] [| -500; 12; 500 |] in
   let c = Tensor.cast Dtype.I8 t in
   Alcotest.(check (list int)) "saturated" [ -128; 12; 127 ]
-    (Array.to_list (Tensor.blit_data c))
+    (Array.to_list (Tensor.unsafe_data c))
 
 let test_fill_and_map () =
   let t = Tensor.create Dtype.I8 [| 3 |] in
   Tensor.fill t 7;
   let m = Tensor.map (fun v -> v * 2) t in
-  Alcotest.(check (list int)) "mapped" [ 14; 14; 14 ] (Array.to_list (Tensor.blit_data m));
+  Alcotest.(check (list int)) "mapped" [ 14; 14; 14 ] (Array.to_list (Tensor.unsafe_data m));
   Alcotest.check_raises "fill range-checks"
     (Invalid_argument "Tensor: value 200 out of range for i8") (fun () ->
       Tensor.fill (Tensor.create Dtype.I8 [| 1 |]) 200)
@@ -162,7 +162,7 @@ let test_dtype_flat_roundtrips () =
             (Printf.sprintf "%s bulk decode [%d]" name i)
             v
             dst.(i + 2))
-        (Tensor.blit_data src);
+        (Tensor.unsafe_data src);
       let mem2 = Sim.Mem.create "scratch2" 256 in
       Sim.Mem.write_flat_from mem2 dtype 32 dst ~pos:2 ~len:(Tensor.numel src);
       Alcotest.(check bool) (name ^ " bulk encode") true

@@ -78,9 +78,6 @@ let test_clamp () =
   Alcotest.(check int) "inside" 4 (Util.Ints.clamp ~lo:(-3) ~hi:9 4)
 
 let test_pow2_log2 () =
-  Alcotest.(check bool) "16 pow2" true (Util.Ints.is_pow2 16);
-  Alcotest.(check bool) "17 not" false (Util.Ints.is_pow2 17);
-  Alcotest.(check bool) "0 not" false (Util.Ints.is_pow2 0);
   Alcotest.(check int) "log2 1" 0 (Util.Ints.log2_ceil 1);
   Alcotest.(check int) "log2 9" 4 (Util.Ints.log2_ceil 9)
 
