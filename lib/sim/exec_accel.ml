@@ -28,25 +28,32 @@ let out_base layout slot =
 
 (* --- DMA of 3-D slices --------------------------------------------------- *)
 
-(* Copy a [chans x rows x cols] window at (ch0, y0, x0) of a CHW tensor of
-   dims (full_c, full_h, full_w) living at [l2_off], into a dense block at
-   [l1_off]. Returns (chunks, bytes) for the cost model. Direction picks
-   source and destination. *)
-let copy_window ~l2 ~l1 ~to_l1 ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0
-    ~chans ~rows ~cols =
+(* The row walk of a [chans x rows x cols] window at (ch0, y0, x0) of a
+   CHW tensor of dims (full_c, full_h, full_w) living at [l2_off], against
+   a dense block at [l1_off]: [f l2_pos l1_pos len] once per row, channel
+   by channel. Returns (chunks, bytes) for the cost model; a window of
+   whole rows is one contiguous chunk per channel. *)
+let window_walk ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0 ~chans ~rows
+    ~cols f =
   let bytes_per_row = cols * elt_bytes in
   for ch = 0 to chans - 1 do
     for row = 0 to rows - 1 do
-      let l2_pos =
-        l2_off + (((((ch0 + ch) * full_h) + (y0 + row)) * full_w + x0) * elt_bytes)
-      in
-      let l1_pos = l1_off + (((ch * rows) + row) * bytes_per_row) in
-      if to_l1 then Mem.blit ~src:l2 ~src_off:l2_pos ~dst:l1 ~dst_off:l1_pos ~len:bytes_per_row
-      else Mem.blit ~src:l1 ~src_off:l1_pos ~dst:l2 ~dst_off:l2_pos ~len:bytes_per_row
+      f
+        (l2_off + (((((ch0 + ch) * full_h) + (y0 + row)) * full_w + x0) * elt_bytes))
+        (l1_off + (((ch * rows) + row) * bytes_per_row))
+        bytes_per_row
     done
   done;
-  let chunks = if cols = full_w then chans else chans * rows in
-  (chunks, chans * rows * bytes_per_row)
+  ((if cols = full_w then chans else chans * rows), chans * rows * bytes_per_row)
+
+(* DMA a window between L2 and L1; direction picks source and
+   destination. *)
+let copy_window ~l2 ~l1 ~to_l1 ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0
+    ~chans ~rows ~cols =
+  window_walk ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0 ~chans ~rows ~cols
+    (fun l2_pos l1_pos len ->
+      if to_l1 then Mem.blit ~src:l2 ~src_off:l2_pos ~dst:l1 ~dst_off:l1_pos ~len
+      else Mem.blit ~src:l1 ~src_off:l1_pos ~dst:l2 ~dst_off:l2_pos ~len)
 
 (* --- Tile computation ---------------------------------------------------- *)
 

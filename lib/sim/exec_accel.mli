@@ -31,6 +31,29 @@ val in_base : l1_layout -> int -> int
 val out_base : l1_layout -> int -> int
 (** L1 offset of the output block for a tile slot. *)
 
+val window_walk :
+  elt_bytes:int ->
+  l2_off:int ->
+  l1_off:int ->
+  full_h:int ->
+  full_w:int ->
+  ch0:int ->
+  y0:int ->
+  x0:int ->
+  chans:int ->
+  rows:int ->
+  cols:int ->
+  (int -> int -> int -> unit) ->
+  int * int
+(** [window_walk ... f] walks the DMA of a [chans x rows x cols] window at
+    [(ch0, y0, x0)] of a CHW tensor with rows of [full_w] and planes of
+    [full_h] rows at [l2_off], against a dense block at [l1_off]: it calls
+    [f l2_pos l1_pos len] once per row, channel by channel, and returns
+    [(chunks, bytes)] for {!Arch.Memory.transfer_cycles} (a window of whole
+    rows is one chunk per channel). The slow path passes {!Mem.blit}; the
+    execution plan records the same blits, in the same order, at build
+    time. *)
+
 val timeline :
   double_buffer:bool ->
   engine:string ->

@@ -190,19 +190,16 @@ let read_tensor t off dt shape =
 
 let fill t v = Bytes.fill t.data 0 (Bytes.length t.data) (Char.chr (v land 0xFF))
 
-(* Arena snapshot/restore: the execution plan captures the post-load L2
-   prefix once at build time and rewinds the reused memory to it between
-   requests, instead of re-serializing every weight tensor. Every write
-   advances the mark, so past it a memory that was only written still
-   holds the zeros [create] left; the prefix is a faithful snapshot only
-   then, so the tail is checked rather than assumed ([fill], [flip_bit]
-   and [reset_high_water] can break it). *)
-let written_prefix t =
-  for i = t.hwm to Bytes.length t.data - 1 do
-    if Bytes.unsafe_get t.data i <> '\000' then
-      invalid_arg "Mem.written_prefix: non-zero byte past the high-water mark"
-  done;
-  Bytes.sub t.data 0 t.hwm
+(* Arena image/restore: the execution plan encodes its weight images once,
+   on its first checkout, and rewinds the reused L2 to them between
+   requests instead of re-serializing every weight tensor. The memory is
+   built here rather than by [create] so that a program without images
+   gets an empty image. *)
+let encode_image mem_name size images =
+  if size < 0 then invalid_arg "Mem.encode_image: negative size";
+  let t = { mem_name; data = Bytes.make size '\000'; hwm = 0 } in
+  List.iter (fun (off, tensor) -> write_tensor t off tensor) images;
+  t.data
 
 let restore t img =
   let n = Bytes.length img in

@@ -71,19 +71,23 @@ val write_flat_from : t -> Tensor.Dtype.t -> int -> int array -> pos:int -> len:
 val fill : t -> int -> unit
 (** Fill the whole memory with a byte value (tests use a poison pattern). *)
 
-val written_prefix : t -> Bytes.t
-(** A fresh copy of the written prefix [[0, high_water)] — an arena
-    snapshot of a memory that was only written since {!create}, so every
-    byte past the mark is still zero.
-    @raise Invalid_argument when a byte past the mark is non-zero (after
-    {!fill}, {!flip_bit} or {!reset_high_water}): the prefix would drop
-    it. *)
+val encode_image : string -> int -> (int * Tensor.t) list -> Bytes.t
+(** [encode_image name size images] is the byte image of a fresh
+    [size]-byte memory named [name] after {!write_tensor} of each
+    [(off, tensor)] of [images], in order: that memory's own bytes, not a
+    copy, zero wherever no image lies. [size] may be 0 (no images). The
+    execution plan sizes it to the images' extent and encodes once, on its
+    first checkout; the oracle ({!Machine.run} without a plan) writes the
+    images into its L2 on every run instead.
+    @raise Fault with {!write_tensor}'s message at the first image that
+    lies outside [[0, size)] or holds a value out of its dtype's range.
+    @raise Invalid_argument when [size] is negative. *)
 
 val restore : t -> Bytes.t -> unit
-(** [restore t img] writes the prefix snapshot [img] (from
-    {!written_prefix}) at offset 0, zeroes the rest and sets the
-    high-water mark to its length: the state of a fresh memory after the
-    writes that produced [img] — rewinds a reused memory between requests.
+(** [restore t img] writes the image [img] (from {!encode_image}) at
+    offset 0, zeroes the rest and sets the high-water mark to its length:
+    the state of a fresh memory after the writes that produced [img] —
+    rewinds a reused memory between requests.
     @raise Invalid_argument when [img] is longer than the memory. *)
 
 val flip_bit : t -> off:int -> bit:int -> unit

@@ -13,6 +13,12 @@
     that no sum can overflow its lane, so one multiply-add serves them
     all.
 
+    The weight images are loaded once per plan, as the paper's deployment
+    loads its accelerator constants before the first inference: [build]
+    takes only their extent and reads no weight value; the plan's first
+    {!checkout}, in any domain, encodes them ({!Mem.encode_image}), and
+    every checkout restores L2 from those bytes.
+
     Scratch lives in a per-domain {e arena}: reused L2/L1 memories,
     per-tile padded-input, accumulator and output buffers, and one buffer
     for the conv kernel's decoded weight rows, reset between requests
@@ -42,8 +48,11 @@ type stats = {
           buffers plus the weight-row buffer, sized to the largest
           lanes x taps of the plan's conv tiles *)
   image_bytes : int;
-      (** size of the captured L2 weight prefix [[0, post-load high-water)];
-          0 when the program preloads no weights *)
+      (** extent of the weight images in L2, known at build before any
+          run: the largest [off + Tensor.sim_bytes t] over the program's
+          [weight_images], 0 when there are none; the L2 high-water mark
+          after the preload, and the length of the bytes {!checkout}
+          encodes *)
 }
 
 val build : platform:Arch.Platform.t -> Program.t -> t
@@ -51,10 +60,12 @@ val build : platform:Arch.Platform.t -> Program.t -> t
     per-run validation eagerly; malformed steps are recorded and re-raised
     with the slow path's exception when the step is executed. A weight or
     bias slice outside L2 is no build error: running its step raises the
-    slow path's {!Mem.Fault}.
+    slow path's {!Mem.Fault}. Nor is a weight value out of its dtype's
+    range: [build] encodes no weight, so the run's {!checkout} raises the
+    slow path's preload fault.
     @raise Invalid_argument when the program fails {!Program.validate}.
-    @raise Mem.Fault when a preloaded weight image lies outside L2 (the
-    slow path's preload fault). *)
+    @raise Mem.Fault when a preloaded weight image lies outside L2, with
+    the slow path's preload fault (the first its preload raises). *)
 
 val program : t -> Program.t
 (** The program this plan was built for ({!Machine.run} enforces physical
@@ -74,7 +85,12 @@ val checkout : t -> Mem.t * Mem.t
 (** [(l2, l1)] of the calling domain's arena, rewound to the exact state a
     fresh {!Machine.run} would build: L2 holding the weight prefix, zeroed
     past it, with its post-load high-water mark, L1 poisoned with [0x5A].
-    The first call in a domain allocates the arena; later calls reuse it. *)
+    The plan's first call, in any domain, encodes the weight images; two
+    domains racing on it both encode the same bytes, and one copy is
+    kept. The first call in a domain allocates the arena; later calls
+    reuse it.
+    @raise Mem.Fault with the slow path's preload fault when a weight
+    value lies outside its dtype's range (on every call). *)
 
 val run_accel_step :
   t ->

@@ -437,6 +437,12 @@ let test_dma_out_over_weights () =
   compare_reports "dma-out over weights" rep_slow rep_fast;
   compare_traces "dma-out over weights" tr_slow tr_fast
 
+(* The [Mem.Fault] message of a run that must fault. *)
+let fault label run =
+  match run () with
+  | _ -> Alcotest.failf "%s: expected Mem.Fault" label
+  | exception Sim.Mem.Fault msg -> msg
+
 (* A weight slice past L2 is no build error: like the oracle, the plan
    faults when the step reads it, with the oracle's message. *)
 let test_weights_past_l2 () =
@@ -457,14 +463,100 @@ let test_weights_past_l2 () =
   let bad = { prog with Sim.Program.steps } in
   let plan = Sim.Plan.build ~platform bad in
   let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
-  let fault label run =
-    match run () with
-    | _ -> Alcotest.failf "%s: reading weights past L2 did not fault" label
-    | exception Sim.Mem.Fault msg -> msg
-  in
   Alcotest.(check string) "the oracle's fault"
     (fault "oracle" (fun () -> Sim.Machine.run ~platform bad ~inputs))
     (fault "plan" (fun () -> Sim.Machine.run ~platform ~plan bad ~inputs))
+
+(* A weight image that does not fit L2 is a build error: [build] raises
+   the fault the oracle's preload raises on every run. *)
+let test_image_past_l2 () =
+  let artifact, g = Lazy.force digital_artifact in
+  let platform = artifact.C.cfg.C.platform in
+  let prog = artifact.C.program in
+  let l2_size = platform.Arch.Platform.l2.Arch.Memory.size_bytes in
+  let bad =
+    match List.rev prog.Sim.Program.weight_images with
+    | (_, last) :: rest ->
+        { prog with Sim.Program.weight_images = List.rev ((l2_size - 1, last) :: rest) }
+    | [] -> Alcotest.fail "the digital deployment has weight images"
+  in
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  Alcotest.(check string) "the oracle's preload fault"
+    (fault "oracle" (fun () -> Sim.Machine.run ~platform bad ~inputs))
+    (fault "build" (fun () -> Sim.Plan.build ~platform bad))
+
+(* [build] reads no weight value: a weight pushed out of its dtype's range
+   (through [Tensor.unsafe_data], which skips the check) builds, and the
+   run faults on both paths with the oracle's preload message. *)
+let test_image_values_checked_at_run () =
+  let artifact, g = Lazy.force digital_artifact in
+  let platform = artifact.C.cfg.C.platform in
+  let prog = artifact.C.program in
+  let off, w, rest =
+    match prog.Sim.Program.weight_images with
+    | (off, w) :: rest -> (off, w, rest)
+    | [] -> Alcotest.fail "the digital deployment has weight images"
+  in
+  let dt = Tensor.dtype w in
+  let w' = Tensor.of_array dt (Tensor.shape w) (Tensor.unsafe_data w) in
+  (Tensor.unsafe_data w').(Tensor.numel w - 1) <- Tensor.Dtype.max_value dt + 1;
+  let bad = { prog with Sim.Program.weight_images = (off, w') :: rest } in
+  let plan =
+    match Sim.Plan.build ~platform bad with
+    | plan -> plan
+    | exception e -> Alcotest.failf "build raised %s" (Printexc.to_string e)
+  in
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  let oracle = fault "oracle" (fun () -> Sim.Machine.run ~platform bad ~inputs) in
+  Alcotest.(check bool) "a range fault" true (Helpers.contains oracle "out of range");
+  Alcotest.(check string) "the oracle's fault" oracle
+    (fault "plan" (fun () -> Sim.Machine.run ~platform ~plan bad ~inputs));
+  Alcotest.(check string) "again on the next run" oracle
+    (fault "plan, 2nd run" (fun () -> Sim.Machine.run ~platform ~plan bad ~inputs))
+
+(* A plan's image size is the images' extent, known at build before any
+   run, and a checkout leaves it as the L2 high-water mark, as the
+   oracle's preload does. *)
+let test_image_extent () =
+  List.iter
+    (fun (model, config) ->
+      let label = model ^ "/" ^ config in
+      let artifact, _ = compile_zoo model config in
+      let extent =
+        List.fold_left
+          (fun m (off, t) -> max m (off + Tensor.sim_bytes t))
+          0 artifact.C.program.Sim.Program.weight_images
+      in
+      let image_bytes () = (Sim.Plan.stats artifact.C.plan).Sim.Plan.image_bytes in
+      Alcotest.(check int) (label ^ ": before any run") extent (image_bytes ());
+      if config = "cpu" then Alcotest.(check int) (label ^ ": no image") 0 extent;
+      let l2, _ = Sim.Plan.checkout artifact.C.plan in
+      Alcotest.(check int) (label ^ ": L2 mark after a checkout") (image_bytes ())
+        (Sim.Mem.high_water l2))
+    Check.Golden.cases
+
+(* Two domains run a fresh plan's first request at once, so both may
+   encode its image: each request still comes out as the oracle's. *)
+let test_first_checkout_two_domains () =
+  let artifact, g = compile_zoo "resnet8" "both" in
+  let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
+  let out_slow, rep_slow = C.run ~use_plan:false artifact ~inputs in
+  let ready = Atomic.make 0 in
+  let request () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    C.run artifact ~inputs
+  in
+  let domains = [ Domain.spawn request; Domain.spawn request ] in
+  List.iteri
+    (fun i d ->
+      let out, rep = Domain.join d in
+      let label = Printf.sprintf "domain %d" i in
+      compare_outputs label out_slow out;
+      compare_reports label rep_slow rep)
+    domains
 
 (* The per-domain arena is cached across checkouts. *)
 let test_arena_reuse () =
@@ -725,6 +817,12 @@ let suites =
           test_dma_out_over_weights;
         Alcotest.test_case "weights past L2 fault at run time" `Quick
           test_weights_past_l2;
+        Alcotest.test_case "image past L2 faults at build" `Quick test_image_past_l2;
+        Alcotest.test_case "image values checked at run" `Quick
+          test_image_values_checked_at_run;
+        Alcotest.test_case "image extent" `Quick test_image_extent;
+        Alcotest.test_case "first checkout from two domains" `Quick
+          test_first_checkout_two_domains;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         Alcotest.test_case "plan faster than the oracle" `Slow
           test_plan_faster_than_oracle;

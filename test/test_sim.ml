@@ -57,33 +57,57 @@ let test_mem_tensor_roundtrip () =
   Sim.Mem.write_tensor m 200 t32;
   Helpers.check_tensor "i32 roundtrip" t32 (Sim.Mem.read_tensor m 200 Dtype.I32 [| 7 |])
 
-(* The arena snapshot: [written_prefix] then [restore] rewinds a reused
-   memory to the written state, and a memory whose tail past the mark is
-   not zero has no faithful prefix snapshot, so taking one raises. *)
-let test_mem_written_prefix () =
-  let m = Sim.Mem.create "m" 16 in
-  Sim.Mem.write_elt m Dtype.I16 2 (-2);
-  let img = Sim.Mem.written_prefix m in
-  Alcotest.(check int) "prefix length" 4 (Bytes.length img);
+(* The arena image: [encode_image]'s bytes, restored into a poisoned
+   memory, hold every element of every image, with the gaps between
+   images and the tail zeroed and the mark at the image's end. A bad image
+   raises [write_tensor]'s own fault, as the same writes into a fresh
+   memory of that name and size would. *)
+let test_mem_encode_image () =
+  let rng = Util.Rng.create 6 in
+  let images =
+    [ (0, Tensor.random rng Dtype.I8 [| 3; 5 |]);
+      (16, Tensor.random rng Dtype.I32 [| 4 |]);
+      (33, Tensor.random rng Dtype.Ternary [| 7 |]);
+      (40, Tensor.random rng Dtype.I16 [| 2 |]) ]
+  in
+  let img = Sim.Mem.encode_image "m" 44 images in
+  Alcotest.(check int) "image length" 44 (Bytes.length img);
+  let m = Sim.Mem.create "m" 64 in
   Sim.Mem.fill m 0x5A;
   Sim.Mem.restore m img;
-  Alcotest.(check int) "restored element" (-2) (Sim.Mem.read_elt m Dtype.I16 2);
-  Alcotest.(check int) "tail zeroed" 0 (read_byte m 15);
-  Alcotest.(check int) "mark" 4 (Sim.Mem.high_water m);
-  let expect_invalid what m =
-    match Sim.Mem.written_prefix m with
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
-    | exception Invalid_argument _ -> ()
+  List.iter
+    (fun (off, t) ->
+      let dt = Tensor.dtype t in
+      for i = 0 to Tensor.numel t - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "%s element %d at %d" (Dtype.to_string dt) i off)
+          (Tensor.get_flat t i)
+          (Sim.Mem.read_elt m dt (off + (i * Dtype.sim_bytes dt)))
+      done)
+    images;
+  List.iter
+    (fun off ->
+      Alcotest.(check int) (Printf.sprintf "byte %d zeroed" off) 0 (read_byte m off))
+    (15 :: 32 :: List.init 20 (fun i -> 44 + i));
+  Alcotest.(check int) "mark at the image's end" 44 (Sim.Mem.high_water m);
+  let fault f =
+    match f () with
+    | _ -> Alcotest.fail "expected Mem.Fault"
+    | exception Sim.Mem.Fault msg -> msg
   in
-  Sim.Mem.flip_bit m ~off:9 ~bit:0;
-  expect_invalid "flip past the mark" m;
-  let filled = Sim.Mem.create "m" 16 in
-  Sim.Mem.fill filled 1;
-  expect_invalid "filled" filled;
-  let reset = Sim.Mem.create "m" 16 in
-  write_byte reset 3 7;
-  Sim.Mem.reset_high_water reset;
-  expect_invalid "mark reset" reset
+  let bad = Tensor.create Dtype.I8 [| 4 |] in
+  (Tensor.unsafe_data bad).(2) <- 200;
+  let bad_images = [ List.hd images; (20, bad) ] in
+  Alcotest.(check string) "an out-of-range element: write_tensor's fault"
+    (fault (fun () ->
+         let fresh = Sim.Mem.create "m" 44 in
+         List.iter (fun (off, t) -> Sim.Mem.write_tensor fresh off t) bad_images))
+    (fault (fun () -> Sim.Mem.encode_image "m" 44 bad_images));
+  Alcotest.(check string) "an image past the memory: the bounds fault"
+    "m: access of 4 byte(s) at offset 42 outside [0, 44)"
+    (fault (fun () -> Sim.Mem.encode_image "m" 44 [ (42, snd (List.nth images 3)) ]));
+  Alcotest.(check int) "no images, no bytes" 0
+    (Bytes.length (Sim.Mem.encode_image "m" 0 []))
 
 (* The element decoding every read shares, spelled out from the bytes:
    little-endian, sign-extended, a ternary byte outside {-1,0,1} folded
@@ -444,7 +468,7 @@ let suites =
         Alcotest.test_case "mem fault" `Quick test_mem_fault;
         Alcotest.test_case "mem range check" `Quick test_mem_range_check;
         Alcotest.test_case "mem tensor roundtrip" `Quick test_mem_tensor_roundtrip;
-        Alcotest.test_case "mem written prefix" `Quick test_mem_written_prefix;
+        Alcotest.test_case "mem encode image" `Quick test_mem_encode_image;
         qtest_mem_bulk_codecs;
         Alcotest.test_case "counters" `Quick test_counters;
         Alcotest.test_case "conv untiled exact" `Quick test_conv_untiled_exact;
