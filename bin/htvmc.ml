@@ -1100,17 +1100,22 @@ let json_text j = Trace.Json.to_string j ^ "\n"
 (* --- serve --- *)
 
 (* The flags that switch serve into multi-tenant mode, or only apply
-   there. *)
+   there. The latter are [None] when absent, so single-tenant serve can
+   refuse them rather than ignore them. *)
 type tenancy = {
   model_flags : string list;
   class_flags : string list;
-  placement : string;
-  swap_overhead : int;
-  period : int;
-  burst : int;
+  placement : string option;
+  swap_overhead : int option;
+  period : int option;
+  burst : int option;
   replay : string option;
   arrival_trace_out : string option;
 }
+
+let default_placement = "swap"
+let default_period = 0
+let default_burst = 4
 
 let tenancy_term =
   let+ model_flags =
@@ -1128,22 +1133,22 @@ let tenancy_term =
                    exceeds it are shed), and its share of synthetic traffic \
                    (default weight 1).")
   and+ placement =
-    Arg.(value & opt string "swap"
+    Arg.(value & opt (some' ~none:default_placement string) None
          & info [ "placement" ] ~docv:"MODE"
              ~doc:"$(b,swap) (any instance serves any batch, paying \
                    --swap-overhead per model change) or $(b,pinned) \
                    (instance i permanently hosts model i mod n; needs \
                    workers >= distinct models).")
   and+ swap_overhead =
-    Arg.(value & opt int Serve.mt_default.Serve.mt_swap_overhead
+    Arg.(value & opt (some' ~none:Serve.mt_default.Serve.mt_swap_overhead int) None
          & info [ "swap-overhead" ] ~docv:"CYCLES"
              ~doc:"Model reload cost when an instance switches models.")
   and+ period =
-    Arg.(value & opt int 0
+    Arg.(value & opt (some' ~none:default_period int) None
          & info [ "period" ] ~docv:"CYCLES"
              ~doc:"Diurnal arrival period; 0 = auto (8 dispatch windows).")
   and+ burst =
-    Arg.(value & opt int 4
+    Arg.(value & opt (some' ~none:default_burst int) None
          & info [ "burst" ] ~docv:"N"
              ~doc:"Requests per burst for $(b,--arrival bursty).")
   and+ replay =
@@ -1238,12 +1243,16 @@ let multi_tenant path (t : tenancy) f ~health ~jobs ~use_plan ~degraded ~refused
         match f.arrival with
         | "closed" -> Ok Serve.Mt_closed
         | "poisson" -> Ok (Serve.Mt_poisson { mean_gap = f.gap })
-        | "diurnal" -> Ok (Serve.Mt_diurnal { mean_gap = f.gap; period = t.period })
-        | "bursty" -> Ok (Serve.Mt_bursty { mean_gap = f.gap; burst = t.burst })
+        | "diurnal" ->
+            let period = Option.value ~default:default_period t.period in
+            Ok (Serve.Mt_diurnal { mean_gap = f.gap; period })
+        | "bursty" ->
+            let burst = Option.value ~default:default_burst t.burst in
+            Ok (Serve.Mt_bursty { mean_gap = f.gap; burst })
         | other -> fail "unknown arrival process %S (closed|poisson|diurnal|bursty)" other)
   in
   let* mt_placement =
-    match t.placement with
+    match Option.value ~default:default_placement t.placement with
     | "pinned" -> Ok Serve.Pinned
     | "swap" -> Ok Serve.Swap
     | other -> fail "unknown placement %S (pinned|swap)" other
@@ -1258,7 +1267,8 @@ let multi_tenant path (t : tenancy) f ~health ~jobs ~use_plan ~degraded ~refused
       mt_arrival;
       mt_window = f.window;
       mt_dispatch_overhead = f.overhead;
-      mt_swap_overhead = t.swap_overhead;
+      mt_swap_overhead =
+        Option.value ~default:Serve.mt_default.Serve.mt_swap_overhead t.swap_overhead;
       mt_placement;
       mt_jobs = jobs;
       mt_use_plan = use_plan;
@@ -1335,25 +1345,37 @@ let serve_term =
             (memoize, "--memoize");
             (input_mix <> 0, "--input-mix");
           ]
-    else if tenancy.arrival_trace_out <> None then
-      fail "--trace-out requires --class (multi-tenant mode)"
-    else if f.arrival = "diurnal" || f.arrival = "bursty" then
-      fail "arrival %S needs multi-tenant mode (add --class)" f.arrival
     else
-      let retry_budget = Option.value ~default:default_retry_budget faults.retry_budget in
-      let* scfg = serve_config f ~jobs ~use_plan ~retry_budget ~health in
-      let scfg =
-        {
-          scfg with
-          Serve.plan = Option.value ~default:Fault.Plan.empty faults.plan;
-          degrade_after;
-          degraded_instances = degraded;
-          memoize;
-          input_mix;
-        }
-      in
-      let* () = serve_error (Serve.validate scfg) in
-      Ok (Single scfg)
+      match
+        List.find_opt fst
+          [
+            (tenancy.arrival_trace_out <> None, "--trace-out");
+            (tenancy.placement <> None, "--placement");
+            (tenancy.swap_overhead <> None, "--swap-overhead");
+            (tenancy.period <> None, "--period");
+            (tenancy.burst <> None, "--burst");
+          ]
+      with
+      | Some (_, flag) -> fail "%s requires --class (multi-tenant mode)" flag
+      | None when f.arrival = "diurnal" || f.arrival = "bursty" ->
+          fail "arrival %S needs multi-tenant mode (add --class)" f.arrival
+      | None ->
+          let retry_budget =
+            Option.value ~default:default_retry_budget faults.retry_budget
+          in
+          let* scfg = serve_config f ~jobs ~use_plan ~retry_budget ~health in
+          let scfg =
+            {
+              scfg with
+              Serve.plan = Option.value ~default:Fault.Plan.empty faults.plan;
+              degrade_after;
+              degraded_instances = degraded;
+              memoize;
+              input_mix;
+            }
+          in
+          let* () = serve_error (Serve.validate scfg) in
+          Ok (Single scfg)
   in
   Ok
     {

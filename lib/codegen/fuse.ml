@@ -34,22 +34,23 @@ let kernel_label g nodes =
 
 let kernels ~cpu ~size g tys ~host_nodes =
   let host = List.sort_uniq compare host_nodes in
-  let is_host id = List.mem id host in
-  let taken = Hashtbl.create 16 in
+  let n = Ir.Graph.length g in
+  let is_host = Array.make n false and taken = Array.make n false in
+  List.iter (fun id -> is_host.(id) <- true) host;
+  let consumers = Ir.Graph.consumer_index g in
   let groups = ref [] in
   (* Greedy forward pass: grow each group along the unique-consumer chain
      while the next op is light and host-resident. *)
   List.iter
     (fun id ->
-      if not (Hashtbl.mem taken id) then begin
+      if not taken.(id) then begin
         let group = ref [ id ] in
-        Hashtbl.add taken id ();
+        taken.(id) <- true;
         let rec extend last =
-          match Ir.Graph.consumers g last with
-          | [ next ]
-            when is_host next && (not (Hashtbl.mem taken next))
-                 && is_light (node_op g next) ->
-              Hashtbl.add taken next ();
+          match consumers.(last) with
+          | [ next ] when is_host.(next) && (not taken.(next)) && is_light (node_op g next)
+            ->
+              taken.(next) <- true;
               group := next :: !group;
               extend next
           | _ -> ()

@@ -23,4 +23,7 @@ val kernels :
   kernel list
 (** Group the given host-resident operator nodes (ascending ids) into
     fused kernels with modeled cycles and code size. Every node appears in
-    exactly one kernel; kernels are returned in execution order. *)
+    exactly one kernel; kernels are returned in execution order. A chain
+    grows through a value's users as one {!Ir.Graph.consumer_index}, built
+    per call, lists them: a value read twice by one op ([add r r]) still
+    has that op as its unique consumer. *)

@@ -30,12 +30,23 @@ let inputs t =
          | Input { name; dtype; shape } -> Some (i, name, dtype, shape)
          | Const _ | App _ -> None)
 
-let consumers t i =
-  node_ids t
-  |> List.filter (fun j ->
-         match t.nodes.(j) with
-         | App { args; _ } -> List.mem i args
-         | Input _ | Const _ -> false)
+(* Walking the users backwards and consing keeps each entry ascending; a
+   user that reads a value twice meets itself at the head of the entry on
+   its second argument, so it is listed once. *)
+let consumer_index t =
+  let index = Array.make (Array.length t.nodes) [] in
+  for j = Array.length t.nodes - 1 downto 0 do
+    match t.nodes.(j) with
+    | App { args; _ } ->
+        List.iter
+          (fun a ->
+            match index.(a) with
+            | k :: _ when k = j -> ()
+            | users -> index.(a) <- j :: users)
+          args
+    | Input _ | Const _ -> ()
+  done;
+  index
 
 let app_count t =
   Array.fold_left

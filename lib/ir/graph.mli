@@ -32,8 +32,12 @@ val node_ids : t -> id list
 val inputs : t -> (id * string * Tensor.Dtype.t * int array) list
 (** The graph's [Input] nodes in declaration order. *)
 
-val consumers : t -> id -> id list
-(** Users of a node, ascending. *)
+val consumer_index : t -> id list array
+(** [(consumer_index g).(i)] lists the users of node [i]: the
+    applications that take it as an argument, ascending, each once even
+    when it reads the value twice ([add x x]). Built in one pass over the
+    nodes, so a pass that asks about many nodes builds it once and indexes
+    it instead of rescanning the graph per question. *)
 
 val app_count : t -> int
 (** Number of operator applications (network "size"). *)

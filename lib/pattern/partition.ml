@@ -36,14 +36,13 @@ let segment_inputs g = function
 
 (* A region may only be fused if every interior node (everything matched
    except the root) is consumed exclusively inside the region. *)
-let interior_nodes_private g (m : Pattern.match_result) =
+let interior_nodes_private consumers (m : Pattern.match_result) =
   List.for_all
     (fun id ->
-      id = m.root
-      || List.for_all (fun c -> List.mem c m.matched) (G.consumers g id))
+      id = m.root || List.for_all (fun c -> List.mem c m.matched) consumers.(id))
     m.matched
 
-let try_target g tys claimed target ~at =
+let try_target g tys consumers claimed target ~at =
   let unclaimed (m : Pattern.match_result) =
     List.for_all (fun id -> not claimed.(id)) m.matched
   in
@@ -51,7 +50,7 @@ let try_target g tys claimed target ~at =
     | [] -> None
     | pat :: rest -> (
         match Pattern.matches g pat ~at with
-        | Some m when unclaimed m && interior_nodes_private g m -> (
+        | Some m when unclaimed m && interior_nodes_private consumers m -> (
             match Extract.to_layer g tys m with
             | Ok layer when target.accept layer ->
                 Some (Offload { target = target.name; layer; inputs = m.inputs; output = at }, m)
@@ -64,6 +63,7 @@ let run g ~targets =
   let tys = Ir.Infer.infer g in
   let n = G.length g in
   let claimed = Array.make n false in
+  let consumers = G.consumer_index g in
   let segments = ref [] in
   let targets = List.stable_sort (fun a b -> compare b.priority a.priority) targets in
   (* Among all targets accepting a candidate root, pick the best one: the
@@ -92,7 +92,7 @@ let run g ~targets =
           let candidates =
             List.filter_map
               (fun t ->
-                match try_target g tys claimed t ~at:id with
+                match try_target g tys consumers claimed t ~at:id with
                 | Some r -> Some (t, r)
                 | None -> None)
               targets

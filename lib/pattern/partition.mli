@@ -44,7 +44,8 @@ val run : Ir.Graph.t -> targets:target list -> plan
     region is only committed when all its interior nodes are consumed
     exclusively inside the region (otherwise fusing would duplicate
     work), when layer extraction succeeds, and when the target's rules
-    accept the layer.
+    accept the layer. The privacy check reads one
+    {!Ir.Graph.consumer_index} built per call.
     @raise Ir.Infer.Type_error if the graph does not type-check. *)
 
 val pp : Format.formatter -> plan -> unit

@@ -28,22 +28,35 @@ let out_base layout slot =
 
 (* --- DMA of 3-D slices --------------------------------------------------- *)
 
-(* The row walk of a [chans x rows x cols] window at (ch0, y0, x0) of a
-   CHW tensor of dims (full_c, full_h, full_w) living at [l2_off], against
-   a dense block at [l1_off]: [f l2_pos l1_pos len] once per row, channel
-   by channel. Returns (chunks, bytes) for the cost model; a window of
-   whole rows is one contiguous chunk per channel. *)
+(* The walk of a [chans x rows x cols] window at (ch0, y0, x0) of a CHW
+   tensor of dims (full_c, full_h, full_w) living at [l2_off], against a
+   dense block at [l1_off]: [f l2_pos l1_pos len] once per contiguous run,
+   in row order. A window of part rows is one run per row; a window of
+   whole rows is one run per channel, since its rows abut in both L2 and
+   L1, and a window of whole planes is one run, since its channels abut
+   too. Returns (chunks, bytes) for the cost model, which counts a window
+   of whole rows as one chunk per channel. *)
 let window_walk ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0 ~chans ~rows
     ~cols f =
   let bytes_per_row = cols * elt_bytes in
-  for ch = 0 to chans - 1 do
-    for row = 0 to rows - 1 do
-      f
-        (l2_off + (((((ch0 + ch) * full_h) + (y0 + row)) * full_w + x0) * elt_bytes))
-        (l1_off + (((ch * rows) + row) * bytes_per_row))
-        bytes_per_row
-    done
-  done;
+  let run ch row len =
+    f
+      (l2_off + (((((ch0 + ch) * full_h) + (y0 + row)) * full_w + x0) * elt_bytes))
+      (l1_off + (((ch * rows) + row) * bytes_per_row))
+      len
+  in
+  if chans > 0 && rows > 0 then
+    if cols <> full_w then
+      for ch = 0 to chans - 1 do
+        for row = 0 to rows - 1 do
+          run ch row bytes_per_row
+        done
+      done
+    else if rows = full_h then run 0 0 (chans * rows * bytes_per_row)
+    else
+      for ch = 0 to chans - 1 do
+        run ch 0 (rows * bytes_per_row)
+      done;
   ((if cols = full_w then chans else chans * rows), chans * rows * bytes_per_row)
 
 (* DMA a window between L2 and L1; direction picks source and

@@ -48,7 +48,10 @@ val window_walk :
 (** [window_walk ... f] walks the DMA of a [chans x rows x cols] window at
     [(ch0, y0, x0)] of a CHW tensor with rows of [full_w] and planes of
     [full_h] rows at [l2_off], against a dense block at [l1_off]: it calls
-    [f l2_pos l1_pos len] once per row, channel by channel, and returns
+    [f l2_pos l1_pos len] once per contiguous run, not once per row, in
+    row order — one run per row when [cols < full_w], one per channel for
+    whole rows, one for whole planes. The runs cover exactly the bytes,
+    in exactly the order, of the row-by-row walk. It returns
     [(chunks, bytes)] for {!Arch.Memory.transfer_cycles} (a window of whole
     rows is one chunk per channel). The slow path passes {!Mem.blit}; the
     execution plan records the same blits, in the same order, at build

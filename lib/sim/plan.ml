@@ -229,8 +229,8 @@ let stats t =
 
 (* Blit triples (src_off, dst_off, len), built straight into a growable
    int buffer. A blit that continues the previous one in both source and
-   destination extends it instead (an untiled layer's whole window
-   collapses to a single copy): the copied bytes and the destination
+   destination extends it instead (two windows that abut in L2 and L1
+   collapse to a single copy): the copied bytes and the destination
    high-water mark are unchanged, only the call count drops. *)
 type blits = { mutable bl : int array; mutable bn : int }
 
@@ -256,8 +256,8 @@ let take_blits b =
   b.bn <- 0;
   a
 
-(* The row blits of [Exec_accel.window_walk], pushed in its order; returns
-   its (chunks, bytes). *)
+(* The runs of [Exec_accel.window_walk] as blits, pushed in its order;
+   returns its (chunks, bytes). *)
 let window_blits ~to_l1 ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0
     ~chans ~rows ~cols b =
   Exec_accel.window_walk ~elt_bytes ~l2_off ~l1_off ~full_h ~full_w ~ch0 ~y0 ~x0

@@ -47,13 +47,19 @@ let buffer t id =
 
 let validate t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let ids = List.map (fun b -> b.buf_id) t.buffers in
-  if List.length (List.sort_uniq compare ids) <> List.length ids then
-    err "duplicate buffer ids"
+  (* One table of the ids answers both the duplicate check, as it fills,
+     and every reference lookup after it. *)
+  let ids = Hashtbl.create 64 in
+  let duplicate =
+    List.exists
+      (fun b -> Hashtbl.mem ids b.buf_id || (Hashtbl.add ids b.buf_id (); false))
+      t.buffers
+  in
+  if duplicate then err "duplicate buffer ids"
   else if List.exists (fun b -> b.l2_offset < 0) t.buffers then
     err "negative buffer offset"
   else
-    let known id = List.mem id ids in
+    let known = Hashtbl.mem ids in
     let step_ok = function
       | Accel { ins; out; _ } -> List.for_all known ins && known out
       | Cpu { ins; out; _ } -> List.for_all (fun (_, b) -> known b) ins && known out

@@ -345,7 +345,8 @@ let test_flag_combinations () =
    dump; a negative --seeds would run an empty range and a negative
    --max-shrink-checks would act as 0; a --degrade-after below 1 would
    degrade every instance that serves; a seed range past max_int would
-   wrap round to negative seeds. *)
+   wrap round to negative seeds; single-tenant serve refuses the
+   multi-tenant-only flags it would ignore, even at their default. *)
 let test_refusal_messages () =
   Lazy.force setup;
   let tally = [ "--requests=4"; "--tally"; "tally.txt" ] in
@@ -367,6 +368,11 @@ let test_refusal_messages () =
          ( Printf.sprintf "--start + --seeds must be <= %d (got %d + 2)" max_int max_int,
            [ "check"; "--seeds=2"; Printf.sprintf "--start=%d" max_int ] );
          ("Serve.run: degrade_after must be >= 1", serve @ [ "--degrade-after=0" ]);
+         ("--placement requires --class (multi-tenant mode)", serve @ [ "--placement=pinned" ]);
+         ( "--swap-overhead requires --class (multi-tenant mode)",
+           serve @ [ "--swap-overhead=5000" ] );
+         ("--period requires --class (multi-tenant mode)", serve @ [ "--period=77" ]);
+         ("--burst requires --class (multi-tenant mode)", serve @ [ "--burst=3" ]);
        ]
       @ List.concat_map
           (fun cmd ->

@@ -42,9 +42,42 @@ let test_consumers () =
   let r1 = B.relu b x in
   let r2 = B.relu b x in
   let s = B.add b r1 r2 in
-  let g = B.finish b ~output:s in
-  Alcotest.(check (list int)) "x feeds both relus" [ r1; r2 ] (G.consumers g x);
-  Alcotest.(check (list int)) "r1 feeds add" [ s ] (G.consumers g r1)
+  let d = B.add b s s in
+  let g = B.finish b ~output:d in
+  let users = G.consumer_index g in
+  Alcotest.(check (list int)) "x feeds both relus" [ r1; r2 ] users.(x);
+  Alcotest.(check (list int)) "r1 feeds add" [ s ] users.(r1);
+  Alcotest.(check (list int)) "add s s lists its reader once" [ d ] users.(s);
+  Alcotest.(check (list int)) "the output has no users" [] users.(d)
+
+(* The users of node [i] by a full scan, as the index must list them. *)
+let naive_consumers g i =
+  List.filter
+    (fun j -> match G.node g j with G.App { args; _ } -> List.mem i args | _ -> false)
+    (G.node_ids g)
+
+let check_consumer_index label g =
+  let index = G.consumer_index g in
+  Alcotest.(check int) (label ^ ": one entry per node") (G.length g) (Array.length index);
+  Array.iteri
+    (fun i users ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: users of %%%d" label i)
+        (naive_consumers g i) users)
+    index
+
+let test_consumer_index_matches_scan () =
+  List.iter
+    (fun (model, config) ->
+      let _, _, policy =
+        List.find (fun (c, _, _) -> c = config) Check.Golden.configurations
+      in
+      check_consumer_index (model ^ "/" ^ config)
+        ((Models.Zoo.find model).Models.Zoo.build policy))
+    Check.Golden.cases;
+  for seed = 0 to 199 do
+    check_consumer_index (Printf.sprintf "gen %d" seed) (Check.Gen.generate seed)
+  done
 
 let test_inputs_listing () =
   let b = B.create () in
@@ -315,6 +348,8 @@ let suites =
         Alcotest.test_case "builder forward ref" `Quick test_builder_rejects_forward_ref;
         Alcotest.test_case "builder arity" `Quick test_builder_rejects_arity;
         Alcotest.test_case "consumers" `Quick test_consumers;
+        Alcotest.test_case "consumer index matches scan" `Quick
+          test_consumer_index_matches_scan;
         Alcotest.test_case "inputs listing" `Quick test_inputs_listing;
         Alcotest.test_case "duplicate inputs invalid" `Quick test_duplicate_input_names_invalid;
         Alcotest.test_case "infer conv block" `Quick test_infer_conv_block;

@@ -178,6 +178,81 @@ let test_counters () =
   Alcotest.(check int) "peak" 15 (Sim.Counters.peak a);
   Alcotest.(check int) "dma in added" 3 a.Sim.Counters.dma_in
 
+(* --- DMA window walk --- *)
+
+(* A window of a CHW tensor: (full_h, full_w) dims, (ch0, y0, x0) origin,
+   (chans, rows, cols) extent. *)
+type window = {
+  full_h : int; full_w : int;
+  ch0 : int; y0 : int; x0 : int;
+  chans : int; rows : int; cols : int;
+}
+
+(* The (l2, l1) byte pairs of the row-by-row copy: every row of every
+   channel, in order. *)
+let row_reference_pairs ~elt_bytes ~l2_off ~l1_off w =
+  let row_bytes = w.cols * elt_bytes in
+  List.concat_map
+    (fun ch ->
+      List.concat_map
+        (fun row ->
+          let elt = ((((w.ch0 + ch) * w.full_h) + w.y0 + row) * w.full_w) + w.x0 in
+          let l2 = l2_off + (elt * elt_bytes)
+          and l1 = l1_off + (((ch * w.rows) + row) * row_bytes) in
+          List.init row_bytes (fun i -> (l2 + i, l1 + i)))
+        (List.init w.rows Fun.id))
+    (List.init w.chans Fun.id)
+
+(* Every call of the walk, expanded into byte pairs, is exactly the row
+   reference; (chunks, bytes) is the row walk's; and a window of whole
+   rows takes one call per channel, one of whole planes a single call. *)
+let test_window_walk_runs () =
+  let l2_off = 96 and l1_off = 5 in
+  let win (full_h, full_w) (ch0, y0, x0) (chans, rows, cols) =
+    { full_h; full_w; ch0; y0; x0; chans; rows; cols }
+  in
+  let windows =
+    [
+      ("part rows", win (6, 8) (1, 2, 3) (2, 3, 4));
+      ("part rows of whole planes", win (6, 8) (0, 0, 0) (3, 6, 7));
+      ("whole rows", win (6, 8) (1, 2, 0) (3, 2, 8));
+      ("one whole row", win (5, 4) (2, 4, 0) (2, 1, 4));
+      ("whole planes", win (6, 8) (2, 0, 0) (3, 6, 8));
+      ("whole tensor", win (3, 5) (0, 0, 0) (4, 3, 5));
+    ]
+  in
+  List.iter
+    (fun elt_bytes ->
+      List.iter
+        (fun (name, w) ->
+          let label = Printf.sprintf "%s, %d-byte elements" name elt_bytes in
+          let pairs = ref [] and calls = ref 0 in
+          let result =
+            Sim.Exec_accel.window_walk ~elt_bytes ~l2_off ~l1_off ~full_h:w.full_h
+              ~full_w:w.full_w ~ch0:w.ch0 ~y0:w.y0 ~x0:w.x0 ~chans:w.chans ~rows:w.rows
+              ~cols:w.cols (fun l2 l1 len ->
+                incr calls;
+                for i = 0 to len - 1 do
+                  pairs := (l2 + i, l1 + i) :: !pairs
+                done)
+          in
+          Alcotest.(check (list (pair int int)))
+            (label ^ ": byte pairs")
+            (row_reference_pairs ~elt_bytes ~l2_off ~l1_off w)
+            (List.rev !pairs);
+          Alcotest.(check (pair int int))
+            (label ^ ": (chunks, bytes)")
+            ( (if w.cols = w.full_w then w.chans else w.chans * w.rows),
+              w.chans * w.rows * w.cols * elt_bytes )
+            result;
+          Alcotest.(check int) (label ^ ": calls")
+            (if w.cols < w.full_w then w.chans * w.rows
+             else if w.rows < w.full_h then w.chans
+             else 1)
+            !calls)
+        windows)
+    [ 1; 2; 4 ]
+
 (* --- Differential layer execution --- *)
 
 (* Run one layer through the simulator: place buffers in L2, execute the
@@ -471,6 +546,7 @@ let suites =
         Alcotest.test_case "mem encode image" `Quick test_mem_encode_image;
         qtest_mem_bulk_codecs;
         Alcotest.test_case "counters" `Quick test_counters;
+        Alcotest.test_case "window walk runs" `Quick test_window_walk_runs;
         Alcotest.test_case "conv untiled exact" `Quick test_conv_untiled_exact;
         Alcotest.test_case "conv tiled exact" `Quick test_conv_tiled_exact;
         Alcotest.test_case "conv strided tiled exact" `Quick test_conv_tiled_strided_exact;

@@ -1,6 +1,7 @@
-(* Unit tests for the binary-size accounting (Codegen.Size): section
-   arithmetic, per-layer driver/tile-loop code costs, and the analog
-   macro's zero-padding rule for ternary spatial convolutions. *)
+(* Unit tests for the host codegen library: the binary-size accounting
+   (Codegen.Size) — section arithmetic, per-layer driver/tile-loop code
+   costs, and the analog macro's zero-padding rule for ternary spatial
+   convolutions — and one fusion rule of Codegen.Fuse. *)
 
 module Size = Codegen.Size
 
@@ -106,6 +107,25 @@ let test_biasless_layer () =
     (Tensor.packed_bytes (Option.get l.Ir.Layer.weights))
     (accel_const_bytes l ~accel_name:"diana_digital")
 
+(* A host relu read twice by one add has that add as its only consumer,
+   so the two fuse into one kernel. *)
+let test_fuse_double_reader () =
+  let module B = Ir.Graph.Builder in
+  let b = B.create () in
+  let x = B.input b ~name:"x" Tensor.Dtype.I8 [| 4 |] in
+  let r = B.relu b x in
+  let s = B.add b r r in
+  let g = B.finish b ~output:s in
+  let kernels =
+    Codegen.Fuse.kernels ~cpu:Arch.Diana.cpu
+      ~size:Arch.Diana.platform.Arch.Platform.size_model g (Ir.Infer.infer g)
+      ~host_nodes:[ r; s ]
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "one kernel: relu then add"
+    [ ("cpu_0_relu_fused1", [ r; s ]) ]
+    (List.map (fun k -> (k.Codegen.Fuse.kernel_name, k.Codegen.Fuse.nodes)) kernels)
+
 let suites =
   [ ( "size",
       [ Alcotest.test_case "sections sum to total" `Quick test_sections_sum_to_total;
@@ -114,5 +134,6 @@ let suites =
           test_ternary_spatial_pads_to_macro;
         Alcotest.test_case "ternary 1x1 packs tight" `Quick test_ternary_1x1_packs_tight;
         Alcotest.test_case "biasless layer" `Quick test_biasless_layer;
+        Alcotest.test_case "fuse double reader" `Quick test_fuse_double_reader;
       ] )
   ]
